@@ -227,11 +227,13 @@ def cmd_verify(args) -> int:
         if args.mode == "porter-hochster":
             raise InvalidParameters("porter-hochster verification is defined for paths only")
         K = complexes.book_graph(nsp, l, p)
-        orc = series.koszul_loop_series(K, args.N)
         if l != 2 * nsp:
+            # a non-flag book is refused by the oracle (exit 4) before the engine
+            series.require_flag(K)
             raise InvalidParameters(
                 "no series engine for books with l != 2n; only the planar family is decomposed"
             )
+        orc = series.koszul_loop_series(K, args.N)
         eng = decomp.dj_book_decompose(nsp, p, n=args.N, max_dim=args.max_dim).series
         checks.append(_series_check("koszul", eng, orc))
     else:
@@ -252,15 +254,41 @@ def cmd_verify(args) -> int:
     return 0 if status == "pass" else 1
 
 
+# Part of every cache key; bump it when the stored table format changes.
+_CACHE_SCHEMA = 1
+
+
+def _cached_table(path: str, m: int) -> dict | None:
+    """The Betti table stored at path, or None if it is missing, unreadable
+    or not a well-formed table for a ground set of size m."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(obj, dict) or set(obj) != {"betti", "m"} or type(obj["m"]) is not int:
+        return None
+    betti = obj["betti"]
+    if obj["m"] != m or not isinstance(betti, dict) or betti.get("0") != 1:
+        return None
+    if not all(k.isascii() and k.isdigit() and type(v) is int and v > 0 for k, v in betti.items()):
+        return None
+    return obj
+
+
 def cmd_hochster(args) -> int:
     K = complex_from_family(args.family, args.params)
     cache_path = None
     if args.cache_dir:
-        canonical = json.dumps(K.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        # refuse before the lookup, so a cached answer cannot change the exit code
+        homology.require_enumerable(K, args.ceiling)
+        keyed = {"complex": K.to_json_obj(), "schema": _CACHE_SCHEMA}
+        canonical = json.dumps(keyed, sort_keys=True, separators=(",", ":"))
         key = hashlib.sha256(canonical.encode()).hexdigest()
         cache_path = os.path.join(args.cache_dir, f"hochster-{key}.json")
-        if os.path.exists(cache_path):
-            _emit(_load_json(cache_path), args)
+        cached = _cached_table(cache_path, K.ground_size)
+        if cached is not None:
+            _emit(cached, args)
             return 0
     table = homology.hochster_zk_betti(K, ceiling=args.ceiling, jobs=args.jobs)
     obj = table.to_json_obj()

@@ -1,15 +1,16 @@
 """Exact simplicial homology and the Hochster subset-sum oracle.
 
-Reduced Betti numbers are computed over the rationals with fraction-free
-(Bareiss) integer elimination, so ranks are exact. The chain complex is the
-augmented one: the empty face spans degree -1, hence the empty complex {()}
-has reduced b_-1 = 1.
+Reduced Betti numbers are ranks over the rationals from fraction-free
+(Bareiss) integer elimination, so they are exact; torsion is not computed.
+The chain complex is the augmented one: the empty face spans degree -1,
+hence the empty complex {()} has reduced b_-1 = 1.
 
 hochster_zk_betti evaluates, for a complex K on ground set [m],
 
     b_j(Z_K) = sum over I subset of [m] of reduced b_{j - |I| - 1}(K_I),
 
-with K_I the full subcomplex on I. The I = {} term contributes 1 in degree 0.
+with K_I the full subcomplex on I, read off bitmask faces without building
+it. The I = {} term contributes 1 in degree 0.
 For 1-dimensional K the resulting table records a wedge of spheres, which
 zk_sphere_multiset extracts.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .complexes import Face, SimplicialComplex
 from .errors import GhostVertexError, GroundSizeLimitError, InvalidParameters
-from .spacealg import SphereMultiset
+from .spheres import SphereMultiset
 
 
 def bareiss_rank(rows: list[list[int]]) -> int:
@@ -84,21 +85,57 @@ class BettiTable:
         return {"betti": {str(k): v for k, v in sorted(self.ranks.items())}, "m": self.m}
 
 
+def _components(verts: int, adj: list[int]) -> int:
+    """Connected components of the graph induced on the vertex mask verts."""
+    count = 0
+    while verts:
+        todo = verts & -verts
+        verts ^= todo
+        while todo:
+            low = todo & -todo
+            reach = adj[low.bit_length() - 1] & verts
+            verts ^= reach
+            todo ^= low | reach
+        count += 1
+    return count
+
+
+def _mask_boundary_rank(faces_k: list[int], faces_km1: list[int]) -> int:
+    """Boundary rank between mask layers; dropping v from f has sign (-1)^#{u in f: u < v}."""
+    index = {g: i for i, g in enumerate(faces_km1)}
+    rows = []
+    for f in faces_k:
+        row = [0] * len(faces_km1)
+        for j, bit in enumerate(1 << v for v in range(f.bit_length()) if f >> v & 1):
+            row[index[f ^ bit]] = -1 if j % 2 else 1
+        rows.append(row)
+    return bareiss_rank(rows)
+
+
 def _subset_contributions(K: SimplicialComplex, masks: range) -> dict[int, int]:
-    table: dict[int, int] = {}
-    memo: dict[tuple[int, frozenset[Face]], tuple[int, ...]] = {}
-    for mask in masks:
-        labels = [v for v in range(K.ground_size) if mask >> v & 1]
-        sub = K.full_subcomplex(labels)
-        key = (sub.ground_size, sub.faces)
-        betti = memo.get(key)
-        if betti is None:
-            betti = reduced_betti(sub)
-            memo.setdefault(key, betti)
-        shift = len(labels) + 1
-        for i, b in enumerate(betti):
-            if b:
-                j = (i - 1) + shift
+    """Hochster terms of the subsets I in masks. Faces are bitmasks and those
+    of K_I are the f with f & ~I == 0, so no subcomplex is built. The rank of
+    the boundary from edges to vertices is |V_I| - c(I), exact over Q and Z,
+    so graphs need no matrix; larger faces go through bareiss_rank."""
+    sizes = range(max(K.dim, 0) + 2)  # a vertex layer even for the empty complex
+    layers = [[sum(1 << v for v in f) for f in K.faces_of_size(k)] for k in sizes]
+    adj = [0] * K.ground_size
+    for a, b in K.faces_of_size(2):
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    vertex_mask, face_set, table = sum(layers[1]), set().union(*layers), {}
+    for I in masks:
+        outside, verts = ~I, I & vertex_mask
+        if verts and verts in face_set:
+            continue  # K_I is a simplex, so its reduced homology vanishes
+        inside = [[f for f in layer if not f & outside] for layer in layers[2:]]
+        counts = [1, verts.bit_count()] + [len(layer) for layer in inside]
+        ranks = [0, 1 if verts else 0, counts[1] - _components(verts, adj)]
+        ranks += [_mask_boundary_rank(hi, lo) for lo, hi in zip(inside, inside[1:])] + [0]
+        for k, count in enumerate(counts):
+            b = count - ranks[k] - ranks[k + 1]
+            if b:  # reduced b_{k-1}(K_I) lands in degree (k - 1) + |I| + 1
+                j = k + I.bit_count()
                 table[j] = table.get(j, 0) + b
     return table
 
@@ -106,6 +143,14 @@ def _subset_contributions(K: SimplicialComplex, masks: range) -> dict[int, int]:
 def _worker(args) -> dict[int, int]:
     K, lo, hi = args
     return _subset_contributions(K, range(lo, hi))
+
+
+def require_enumerable(K: SimplicialComplex, ceiling: int) -> None:
+    """Raise the errors hochster_zk_betti refuses K with: ghosts, or m > ceiling."""
+    if K.ghosts:
+        raise GhostVertexError(f"ghost vertices {K.ghosts}: Z_K would carry dead circle factors")
+    if (m := K.ground_size) > ceiling:
+        raise GroundSizeLimitError(f"ground set size {m} exceeds the enumeration cap {ceiling}")
 
 
 def hochster_zk_betti(
@@ -117,11 +162,8 @@ def hochster_zk_betti(
     split into contiguous blocks handled by worker processes; the final table
     is a sum, so it is identical for every job count.
     """
-    if K.ghosts:
-        raise GhostVertexError(f"ghost vertices {K.ghosts}: Z_K would carry dead circle factors")
+    require_enumerable(K, ceiling)
     m = K.ground_size
-    if m > ceiling:
-        raise GroundSizeLimitError(f"ground set size {m} exceeds the enumeration cap {ceiling}")
     total = 1 << m
     if jobs is None:
         jobs = multiprocessing.cpu_count()

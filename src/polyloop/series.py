@@ -149,9 +149,14 @@ def koszul_loop_series(K: SimplicialComplex, n: int) -> TruncSeries:
     polyhedral product of infinite projective spaces is the Koszul dual of the
     Stanley-Reisner ring. Flagness is re-checked on every call.
     """
+    require_flag(K)
+    return hilbert_sr(K, n).at_neg_t().invert()
+
+
+def require_flag(K: SimplicialComplex) -> None:
+    """Raise the error koszul_loop_series refuses a non-flag K with."""
     if not K.is_flag():
         raise NotFlagComplexError("Koszul series oracle requires a flag complex")
-    return hilbert_sr(K, n).at_neg_t().invert()
 
 
 def strip_circles(p: TruncSeries, m: int) -> TruncSeries:

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 from .errors import CeilingExceededError, InvalidParameters, SeriesDomainError
 from .series import TruncSeries, _invert, _mul
+from .spheres import SphereMultiset
 
 INF = math.inf
 
@@ -493,30 +494,6 @@ def poincare_series(e: SpaceExpr, n: int) -> TruncSeries:
     if red[0] != 0:
         raise SeriesDomainError("expression has reduced homology in degree 0")
     return TruncSeries(n, tuple([1] + red[1:]))
-
-
-@dataclass(frozen=True)
-class SphereMultiset:
-    """Multiset of sphere dimensions. Entries above max_dim are unknown when
-    truncated is set, not zero; max_dim None means the multiset is exact."""
-
-    counts: dict[int, int]
-    max_dim: int | None
-    truncated: bool
-
-    def __post_init__(self) -> None:
-        for d, c in self.counts.items():
-            if d < 1 or c < 1:
-                raise InvalidParameters("sphere multiset entries must be positive")
-            if self.max_dim is not None and d > self.max_dim:
-                raise InvalidParameters("sphere dimension above the declared ceiling")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "counts": {str(d): c for d, c in sorted(self.counts.items())},
-            "max_dim": self.max_dim,
-            "truncated": self.truncated,
-        }
 
 
 def _convolve(a: dict[int, int], b: dict[int, int], ceiling: int) -> tuple[dict[int, int], bool]:

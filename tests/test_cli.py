@@ -1,11 +1,13 @@
 """Command line interface: output formats, exit codes, caching, atomic writes."""
 
+import hashlib
 import json
 import os
 
 import pytest
 
 from polyloop import cli
+from polyloop.complexes import cycle_graph
 from polyloop.series import TruncSeries
 
 
@@ -147,6 +149,53 @@ def test_hochster_cache(tmp_path, capsys):
     assert len(list(cache.glob("hochster-*.json"))) == 1
 
 
+def test_hochster_cache_cannot_change_the_exit_code(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert _run(capsys, "hochster", "path", "6", "--cache-dir", str(cache))[0] == 0
+    code, out, err = _run(capsys, "hochster", "path", "6", "--cache-dir", str(cache),
+                          "--ceiling", "5")
+    assert code == 5 and out == "" and "cap" in err
+
+
+def test_hochster_cache_refuses_ghosts_before_the_lookup(tmp_path, capsys):
+    spec = tmp_path / "ghost.json"
+    spec.write_text(json.dumps({"m": 3, "facets": [[0, 1]]}))
+    cache = tmp_path / "cache"
+    code, out, _ = _run(capsys, "hochster", "file", str(spec), "--cache-dir", str(cache))
+    assert code == 2 and out == "" and not cache.exists()
+
+
+@pytest.mark.parametrize("content", [
+    "{not json",
+    "\udcff",
+    json.dumps([1, 2]),
+    json.dumps({"betti": {"0": 1}}),
+    json.dumps({"betti": {"0": 1, "3": 5}, "m": 6}),
+    json.dumps({"betti": {"0": 1, "x": 5}, "m": 5}),
+    json.dumps({"betti": {"0": 1, "3": -5}, "m": 5}),
+    json.dumps({"betti": {"3": 5}, "m": 5}),
+])
+def test_hochster_cache_rewrites_a_malformed_entry(tmp_path, capsys, content):
+    cache = tmp_path / "cache"
+    _, fresh, _ = _run(capsys, "hochster", "cycle", "5", "--cache-dir", str(cache))
+    (entry,) = cache.glob("hochster-*.json")
+    entry.write_text(content, errors="surrogateescape")
+    code, out, _ = _run(capsys, "hochster", "cycle", "5", "--cache-dir", str(cache))
+    assert code == 0 and out == fresh
+    assert json.loads(entry.read_text()) == json.loads(fresh)
+
+
+def test_hochster_cache_key_carries_a_schema_version(tmp_path, capsys):
+    # an entry under the unversioned key of the same complex is never read
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    canonical = json.dumps(cycle_graph(5).to_json_obj(), sort_keys=True, separators=(",", ":"))
+    old = cache / f"hochster-{hashlib.sha256(canonical.encode()).hexdigest()}.json"
+    old.write_text(json.dumps({"betti": {"0": 1}, "m": 5}))
+    _, out, _ = _run(capsys, "hochster", "cycle", "5", "--cache-dir", str(cache))
+    assert json.loads(out)["betti"] == {"0": 1, "3": 5, "4": 5, "7": 1}
+
+
 def test_verify_porter_hochster(capsys):
     code, out, _ = _run(capsys, "verify", "porter-hochster", "path", "4")
     assert code == 0
@@ -222,5 +271,14 @@ def test_exit_ground_size_cap(capsys):
 
 def test_verify_book_off_family(capsys):
     # flag book without the doubled-length structure: no engine exists
+    code, _, err = _run(capsys, "verify", "koszul", "book", "2", "5", "2")
+    assert code == 2 and "planar" in err
+
+
+def test_verify_book_off_family_is_refused_before_the_oracle_runs(capsys, monkeypatch):
+    def oracle_must_not_run(K, n):
+        raise AssertionError("koszul_loop_series called for a book with no engine")
+
+    monkeypatch.setattr(cli.series, "koszul_loop_series", oracle_must_not_run)
     code, _, err = _run(capsys, "verify", "koszul", "book", "2", "5", "2")
     assert code == 2 and "planar" in err
