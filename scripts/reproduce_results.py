@@ -10,8 +10,9 @@ are exact; the script exits nonzero if anything disagrees.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from polyloop.complexes import path_graph, planar_book
 from polyloop.decomp import dj_book_decompose, path_decompose, path_fibre_reduce

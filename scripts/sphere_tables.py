@@ -9,8 +9,9 @@ multiplicities grow (binomial times a linear factor for paths).
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from polyloop.decomp import book_C, dj_book_decompose, porter_wedge
 from polyloop.spacealg import sphere_multiset_of

@@ -116,12 +116,8 @@ class SimplicialComplex:
         """
         if self.ghosts:
             return False
-        edges = {f for f in self.faces if len(f) == 2}
         verts = self.vertices
-        adj = {v: set() for v in verts}
-        for a, b in edges:
-            adj[a].add(b)
-            adj[b].add(a)
+        adj = self._adjacency()
         # grow cliques; any clique that is not a face is a witness
         cliques = [tuple([v]) for v in verts]
         while cliques:
@@ -136,6 +132,40 @@ class SimplicialComplex:
                     nxt.append(c + (w,))
             cliques = nxt
         return True
+
+    def is_chordal(self) -> bool:
+        """True when the 1-skeleton has no induced cycle of length >= 4.
+
+        Maximum cardinality search (Tarjan and Yannakakis): visit next the
+        vertex with the most visited neighbours. The graph is chordal exactly
+        when the visit order, reversed, is a perfect elimination ordering,
+        i.e. when the earlier-visited neighbours of each vertex, minus the
+        latest of them, are all adjacent to that latest one.
+        """
+        adj = self._adjacency()
+        weight = dict.fromkeys(adj, 0)
+        visited: dict[int, int] = {}
+        while weight:
+            v = max(weight, key=weight.get)
+            del weight[v]
+            earlier = [u for u in adj[v] if u in visited]
+            if earlier:
+                last = max(earlier, key=visited.get)
+                if any(u != last and u not in adj[last] for u in earlier):
+                    return False
+            visited[v] = len(visited)
+            for u in adj[v]:
+                if u in weight:
+                    weight[u] += 1
+        return True
+
+    def _adjacency(self) -> dict[int, set[int]]:
+        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
+        for f in self.faces:
+            if len(f) == 2:
+                adj[f[0]].add(f[1])
+                adj[f[1]].add(f[0])
+        return adj
 
     def to_json_obj(self) -> dict:
         return {"m": self.ground_size, "facets": [list(f) for f in self.facets()]}

@@ -11,8 +11,9 @@ hochster_zk_betti evaluates, for a complex K on ground set [m],
 
 with K_I the full subcomplex on I, read off bitmask faces without building
 it. The I = {} term contributes 1 in degree 0.
-For 1-dimensional K the resulting table records a wedge of spheres, which
-zk_sphere_multiset extracts.
+When K is flag with a chordal 1-skeleton, Z_K is a wedge of spheres
+(Grbic, Panov, Theriault and Wu, Trans. AMS 2016) and the table records it;
+zk_sphere_multiset extracts it and refuses every other K.
 """
 
 from __future__ import annotations
@@ -185,10 +186,17 @@ def hochster_zk_betti(
 def zk_sphere_multiset(K: SimplicialComplex, **kwargs) -> SphereMultiset:
     """Sphere dimensions of Z_K read off the Betti table.
 
-    Requires b_0 = 1; degrees above 0 then record one sphere per rank unit.
-    For 1-dimensional K this is a complete description of the
-    homotopy type, which is what the decomposition engine compares against.
+    Only for K flag with a chordal 1-skeleton, where Z_K is a wedge of
+    spheres and the table (b_0 = 1, one sphere per rank unit above degree 0)
+    describes its homotopy type; that is what the decomposition engine
+    compares against. Any other K raises InvalidParameters, since its table
+    need not come from a wedge of spheres: Z of the 4-cycle is S^3 x S^3.
+    Ghost vertices are refused by hochster_zk_betti as before.
     """
+    if not K.ghosts and not (K.is_flag() and K.is_chordal()):
+        raise InvalidParameters(
+            "Z_K is certified a wedge of spheres only for a flag complex with a chordal 1-skeleton"
+        )
     table = hochster_zk_betti(K, **kwargs)
     if table.ranks.get(0) != 1:
         raise InvalidParameters("expected a connected moment-angle complex with b_0 = 1")

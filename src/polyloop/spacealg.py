@@ -48,9 +48,21 @@ INF = math.inf
 
 
 class SpaceExpr:
-    """Base class; every node is a frozen dataclass below."""
+    """Base class; every node is a frozen dataclass below.
+
+    Nodes cache two derived facts outside their dataclass fields: `_key`,
+    the sort_key tuple, and `_canon`, set once normalize() has returned the
+    node. Neither takes part in equality, hashing, repr or pickling."""
 
     __slots__ = ()
+    _key = None
+    _canon = False
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in _CACHES}
+
+
+_CACHES = ("_key", "_canon")
 
 
 @dataclass(frozen=True)
@@ -149,18 +161,25 @@ _TAG = {
 
 
 def sort_key(e: SpaceExpr):
+    """Total-order key of the canonical child order, computed once per node."""
+    k = e._key
+    if k is not None:
+        return k
     t = _TAG[type(e)]
     if isinstance(e, Point):
-        return (t, ())
-    if isinstance(e, Sphere):
-        return (t, (e.d,))
-    if isinstance(e, Atom):
-        return (t, (e.name, e.reduced or (), e.loop_reduced or ()))
-    if isinstance(e, (Wedge, Prod, Smash)):
-        return (t, tuple(sort_key(a) for a in e.args))
-    if isinstance(e, (Susp, Loop, Cone)):
-        return (t, (sort_key(e.arg),))
-    return (t, (sort_key(e.left), sort_key(e.right)))
+        k = (t, ())
+    elif isinstance(e, Sphere):
+        k = (t, (e.d,))
+    elif isinstance(e, Atom):
+        k = (t, (e.name, e.reduced or (), e.loop_reduced or ()))
+    elif isinstance(e, (Wedge, Prod, Smash)):
+        k = (t, _repeat_runs((sort_key(a), c) for a, c in _runs(e.args)))
+    elif isinstance(e, (Susp, Loop, Cone)):
+        k = (t, (sort_key(e.arg),))
+    else:
+        k = (t, (sort_key(e.left), sort_key(e.right)))
+    object.__setattr__(e, "_key", k)
+    return k
 
 
 def atom(name: str, reduced=None, loop_reduced=None) -> Atom:
@@ -191,9 +210,9 @@ def desuspend(e: SpaceExpr) -> SpaceExpr | None:
     if isinstance(e, Susp):
         return e.arg
     if isinstance(e, Wedge):
-        parts = [desuspend(a) for a in e.args]
+        parts = _shared_map(desuspend, e.args)
         if all(p is not None for p in parts):
-            return Wedge(tuple(parts))
+            return Wedge(parts)
     if isinstance(e, Smash):
         for i, a in enumerate(e.args):
             if a == Sphere(1):
@@ -207,50 +226,108 @@ def desuspend(e: SpaceExpr) -> SpaceExpr | None:
     return None
 
 
-def _rw(e: SpaceExpr) -> SpaceExpr:
-    """One bottom-up rewrite pass."""
-    if isinstance(e, (Point, Sphere, Atom)):
+def _runs(args: tuple) -> list[tuple[SpaceExpr, int]]:
+    """Consecutive equal arguments collapsed to (value, count) runs, in order.
+
+    Grouping by identity first keeps this linear with a tiny constant on the
+    long runs of one shared object that the decompositions and Hilton-Milnor
+    build; an equality check then merges equal but distinct neighbours.
+    The walkers that visit each run once and scale by its count (rewrite,
+    sort keys, series, sphere counts, certificates, s-expression output)
+    cost time per run, not per summand."""
+    out: list[tuple[SpaceExpr, int]] = []
+    for _, grp in itertools.groupby(args, key=id):
+        block = list(grp)
+        a = block[0]
+        if out and out[-1][0] == a:
+            out[-1] = (a, out[-1][1] + len(block))
+        else:
+            out.append((a, len(block)))
+    return out
+
+
+def _tally(runs) -> list[list]:
+    """Runs added up per object wherever they sit: [value, count] for each
+    distinct object, in first-occurrence order. This forgets the order, so
+    it serves only commutative operations (series, canonical sorting)."""
+    groups: dict[int, list] = {}
+    for a, c in runs:
+        g = groups.get(id(a))
+        if g is None:
+            groups[id(a)] = [a, c]
+        else:
+            g[1] += c
+    return list(groups.values())
+
+
+def _repeat_runs(runs) -> tuple:
+    return tuple(itertools.chain.from_iterable(itertools.repeat(a, c) for a, c in runs))
+
+
+def _sorted_args(runs: list) -> tuple:
+    """The arguments spelled out by runs, in sort_key order: equal to a
+    stable sort, with each distinct object keyed and placed once."""
+    groups = sorted(_tally(runs), key=lambda g: sort_key(g[0]))
+    for (a, _), (b, _) in zip(groups, groups[1:]):
+        if sort_key(a) == sort_key(b) and a != b:
+            # equal keys on unequal nodes (an atom declaring () against
+            # None): only the stable sort of the full list fixes the order
+            return tuple(sorted(_repeat_runs(runs), key=sort_key))
+    return _repeat_runs(groups)
+
+
+def _shared_map(fn, args: tuple) -> tuple:
+    """fn over args, called once per run so that the result shares its nodes
+    the way args does."""
+    return _repeat_runs((fn(a), c) for a, c in _runs(args))
+
+
+def _rw(e: SpaceExpr, memo: dict) -> SpaceExpr:
+    """One bottom-up rewrite pass.
+
+    memo maps id(node) to (node, result) for the pass; holding the node keeps
+    its id valid, and each shared subterm is rewritten once. A node that no
+    rule changes comes back as itself, as does a node normalize() returned."""
+    if e._canon or isinstance(e, (Point, Sphere, Atom)):
         return e
-    if isinstance(e, (Wedge, Prod)):
+    hit = memo.get(id(e))
+    if hit is None:
+        hit = memo[id(e)] = (e, _rw_node(e, memo))
+    return hit[1]
+
+
+def _rw_node(e: SpaceExpr, memo: dict) -> SpaceExpr:
+    if isinstance(e, (Wedge, Prod, Smash)):
         cls = type(e)
-        args = []
-        for a in e.args:
-            a = _rw(a)
-            if isinstance(a, cls):
-                args.extend(a.args)
-            elif not isinstance(a, Point):
-                args.append(a)
-        if not args:
-            return POINT
-        if len(args) == 1:
-            return args[0]
-        return cls(tuple(sorted(args, key=sort_key)))
-    if isinstance(e, Smash):
-        args = []
-        for a in e.args:
-            a = _rw(a)
+        runs = []
+        for a, c in _runs(e.args):
+            a = _rw(a, memo)
             if isinstance(a, Point):
-                return POINT
-            if isinstance(a, Smash):
-                args.extend(a.args)
+                if cls is Smash:
+                    return POINT
+            elif isinstance(a, cls):
+                runs.extend(_runs(a.args) * c)
             else:
-                args.append(a)
-        sph = sum(a.d for a in args if isinstance(a, Sphere))
-        if sph:
-            args = [Sphere(sph)] + [a for a in args if not isinstance(a, Sphere)]
-        if not args:
+                runs.append((a, c))
+        if cls is Smash:
+            sph = sum(a.d * c for a, c in runs if isinstance(a, Sphere))
+            if sph:
+                runs = [(Sphere(sph), 1)] + [r for r in runs if not isinstance(r[0], Sphere)]
+        size = sum(c for _, c in runs)
+        if size == 0:
             return POINT
-        if len(args) == 1:
-            return args[0]
-        return Smash(tuple(sorted(args, key=sort_key)))
+        if size == 1:
+            return runs[0][0]
+        t = _sorted_args(runs)
+        return e if t == e.args else cls(t)
     if isinstance(e, Susp):
-        a = _rw(e.arg)
+        a = _rw(e.arg, memo)
         if isinstance(a, Point):
             return POINT
         if isinstance(a, Sphere):
             return Sphere(a.d + 1)
         if isinstance(a, Wedge):
-            return Wedge(tuple(Susp(x) for x in a.args))
+            return Wedge(_shared_map(Susp, a.args))
         if isinstance(a, Prod):
             parts = []
             for r in range(1, len(a.args) + 1):
@@ -258,20 +335,20 @@ def _rw(e: SpaceExpr) -> SpaceExpr:
                     inner = sub[0] if len(sub) == 1 else Smash(sub)
                     parts.append(Susp(inner))
             return Wedge(tuple(parts))
-        return Susp(a)
+        return e if a is e.arg else Susp(a)
     if isinstance(e, Loop):
-        a = _rw(e.arg)
+        a = _rw(e.arg, memo)
         if isinstance(a, Point):
             return POINT
         if isinstance(a, Prod):
-            return Prod(tuple(Loop(f) for f in a.args))
-        return Loop(a)
+            return Prod(_shared_map(Loop, a.args))
+        return e if a is e.arg else Loop(a)
     if isinstance(e, Join):
-        return Susp(Smash((_rw(e.left), _rw(e.right))))
+        return Susp(Smash((_rw(e.left, memo), _rw(e.right, memo))))
     if isinstance(e, Cone):
         return POINT
     if isinstance(e, HalfSmash):
-        a, b = _rw(e.left), _rw(e.right)
+        a, b = _rw(e.left, memo), _rw(e.right, memo)
         if isinstance(a, Point):
             return POINT
         if isinstance(b, Point):
@@ -281,15 +358,22 @@ def _rw(e: SpaceExpr) -> SpaceExpr:
         down = desuspend(a)
         if down is not None:
             return Wedge((a, Smash((down, Susp(b)))))
-        return HalfSmash(a, b)
+        return e if a is e.left and b is e.right else HalfSmash(a, b)
     raise InvalidParameters(f"unknown expression node {type(e).__name__}")
 
 
 def normalize(e: SpaceExpr) -> SpaceExpr:
-    """Rewrite to the canonical fixpoint. Idempotent."""
+    """Rewrite to the canonical fixpoint. Idempotent.
+
+    Each pass costs time per distinct subterm (and per run of a repeated
+    one), not per copy. The fixpoint test is identity, since a pass returns
+    an unchanged node as itself. The result is marked canonical, so handing
+    it back to normalize(), alone or inside a larger term, returns it at
+    once."""
     for _ in range(200):
-        nxt = _rw(e)
-        if nxt == e:
+        nxt = _rw(e, {})
+        if nxt is e:
+            object.__setattr__(e, "_canon", True)
             return e
         e = nxt
     raise AssertionError("normalization failed to stabilise")
@@ -302,16 +386,13 @@ def wedge_of_spheres_min_dim(e: SpaceExpr):
         return INF
     if isinstance(e, Sphere):
         return e.d
-    if isinstance(e, Wedge):
-        vals = [wedge_of_spheres_min_dim(a) for a in e.args]
-        if any(v is None for v in vals):
+    if isinstance(e, (Wedge, Smash)):
+        runs = [(wedge_of_spheres_min_dim(a), c) for a, c in _runs(e.args)]
+        if any(v is None for v, _ in runs):
             return None
-        return min(vals, default=INF)
-    if isinstance(e, Smash):
-        vals = [wedge_of_spheres_min_dim(a) for a in e.args]
-        if any(v is None for v in vals):
-            return None
-        return sum(vals)
+        if isinstance(e, Wedge):
+            return min((v for v, _ in runs), default=INF)
+        return sum(v * c for v, c in runs)
     if isinstance(e, Susp):
         return susp_wedge_min_dim(e.arg)
     if isinstance(e, Join):
@@ -336,24 +417,17 @@ def susp_wedge_min_dim(e: SpaceExpr):
         return INF
     if isinstance(e, Sphere):
         return e.d + 1
-    if isinstance(e, Wedge):
-        vals = [susp_wedge_min_dim(a) for a in e.args]
-        if any(v is None for v in vals):
+    if isinstance(e, (Wedge, Prod, Smash)):
+        runs = [(susp_wedge_min_dim(a), c) for a, c in _runs(e.args)]
+        if any(v is None for v, _ in runs):
             return None
-        return min(vals, default=INF)
-    if isinstance(e, Prod):
-        vals = [susp_wedge_min_dim(a) for a in e.args]
-        if any(v is None for v in vals):
-            return None
-        finite = [v for v in vals if v != INF]
-        return min(finite) if finite else INF
-    if isinstance(e, Smash):
-        vals = [susp_wedge_min_dim(a) for a in e.args]
-        if any(v is None for v in vals):
-            return None
-        if any(v == INF for v in vals):
+        if isinstance(e, Wedge):
+            return min((v for v, _ in runs), default=INF)
+        if isinstance(e, Prod):
+            return min((v for v, _ in runs if v != INF), default=INF)
+        if any(v == INF for v, _ in runs):
             return INF
-        return 1 + sum(v - 1 for v in vals)
+        return 1 + sum((v - 1) * c for v, c in runs)
     if isinstance(e, Susp):
         v = susp_wedge_min_dim(e.arg)
         return None if v is None else (INF if v == INF else v + 1)
@@ -384,23 +458,6 @@ def _poly_of(pairs: tuple[tuple[int, int], ...], n: int) -> list[int]:
     return out
 
 
-def _runs(args: tuple) -> list[tuple[SpaceExpr, int]]:
-    """Consecutive equal arguments collapsed to (value, count) runs.
-
-    Grouping by identity first keeps this linear with a tiny constant on the
-    huge repeated-factor products that a low-dimensional loop expansion
-    produces; an equality check then merges equal but distinct neighbours."""
-    out: list[tuple[SpaceExpr, int]] = []
-    for _, grp in itertools.groupby(args, key=id):
-        block = list(grp)
-        a = block[0]
-        if out and out[-1][0] == a:
-            out[-1] = (a, out[-1][1] + len(block))
-        else:
-            out.append((a, len(block)))
-    return out
-
-
 def _pow(base: list[int], k: int, n: int) -> list[int]:
     """base**k through degree n by binary exponentiation."""
     out = [1] + [0] * n
@@ -426,12 +483,12 @@ def _red(e: SpaceExpr, n: int) -> list[int]:
         return _poly_of(e.reduced, n)
     if isinstance(e, Wedge):
         out = [0] * (n + 1)
-        for a, c in _runs(e.args):
+        for a, c in _tally(_runs(e.args)):
             out = [x + c * y for x, y in zip(out, _red(a, n))]
         return out
     if isinstance(e, Prod):
         out = [1] + [0] * n
-        for a, c in _runs(e.args):
+        for a, c in _tally(_runs(e.args)):
             r = _red(a, n)
             r[0] += 1
             out = _mul(out, r if c == 1 else _pow(r, c, n), n)
@@ -439,7 +496,7 @@ def _red(e: SpaceExpr, n: int) -> list[int]:
         return out
     if isinstance(e, Smash):
         out = None
-        for a, c in _runs(e.args):
+        for a, c in _tally(_runs(e.args)):
             r = _red(a, n)
             if c > 1:
                 r = _pow(r, c, n)
@@ -530,13 +587,14 @@ def _to_spheres(e: SpaceExpr, ceiling: int) -> tuple[dict[int, int], bool]:
     if isinstance(e, Wedge):
         out: Counter = Counter()
         trunc = False
-        for a in e.args:
+        for a, k in _runs(e.args):
             c, t = _to_spheres(a, ceiling)
-            out.update(c)
+            for d, v in c.items():
+                out[d] += v * k
             trunc = trunc or t
         return dict(out), trunc
     if isinstance(e, Smash):
-        parts = [_to_spheres(a, ceiling) for a in e.args]
+        parts = [p for a, k in _runs(e.args) for p in [_to_spheres(a, ceiling)] * k]
         if any(not c and not t for c, t in parts):
             return {}, False
         acc, trunc = {0: 1}, any(t for _, t in parts)
@@ -715,10 +773,12 @@ def hilton_milnor(w: SpaceExpr, cutoff: int) -> SpaceExpr:
 
     The factor for a word depends only on its letter content (smash factors
     commute), so the product is assembled content by content, with Witt's
-    formula giving the number of Lyndon words per content. One expression
-    object is shared across a run of equal factors, which keeps the result
-    usable even when the word count runs into the millions (as it does for
-    a wedge of several S^2 summands at a generous cutoff)."""
+    formula giving the number of Lyndon words per content. One normalized
+    expression object is shared across the run of equal factors of each
+    content, which keeps the result usable even when the word count runs
+    into the millions (as it does for a wedge of several S^2 summands at a
+    generous cutoff): normalize() keys and sorts each shared factor once and
+    returns it unchanged, and series and output walk each run once."""
     if cutoff < 1:
         raise InvalidParameters("cutoff must be at least 1")
     wn = normalize(w)
@@ -785,7 +845,8 @@ def format_sexpr(e: SpaceExpr) -> str:
     if isinstance(e, Atom):
         return f'(atom "{e.name}")'
     if isinstance(e, (Wedge, Prod, Smash)):
-        inner = " ".join(format_sexpr(a) for a in e.args)
+        # one rendering per consecutive run, so the order is kept as is
+        inner = " ".join(" ".join([format_sexpr(a)] * c) for a, c in _runs(e.args))
         return f"({_NAME_OF[type(e)]} {inner})"
     if isinstance(e, (Susp, Loop, Cone)):
         return f"({_NAME_OF[type(e)]} {format_sexpr(e.arg)})"
@@ -797,6 +858,7 @@ def parse_sexpr(text: str) -> SpaceExpr:
     if not tokens:
         raise InvalidParameters("empty expression")
     pos = 0
+    spheres: dict[int, Sphere] = {}
 
     def parse() -> SpaceExpr:
         nonlocal pos
@@ -829,7 +891,10 @@ def parse_sexpr(text: str) -> SpaceExpr:
         if pos >= len(tokens):
             raise InvalidParameters("missing closing parenthesis")
         pos += 1
-        return _build(head, args)
+        node = _build(head, args)
+        # one leaf object per sphere dimension, so the runs of a parsed
+        # term are as long as those of the term that was printed
+        return spheres.setdefault(node.d, node) if isinstance(node, Sphere) else node
 
     expr = parse()
     if pos != len(tokens):

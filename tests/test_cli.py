@@ -44,6 +44,24 @@ def test_output_is_byte_identical(capsys):
     assert json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n" == out1
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("decompose", "path", "12"),
+         "c7b043f9119ec4a1a5341ef0f240e4ad2c30b29271214bb773af6bcfdbcc815f"),
+        (("decompose", "planar-book", "6", "3"),
+         "126b34011f1f94c3a1326d7314ee775afbd0f4e741b201f8f776ad6b1b538f1e"),
+        (("decompose", "planar-book", "4", "2", "--N", "24"),
+         "97a79923a7bfa516020c103dc08ba5a69e12ce6eaf433cb797fc2b3be6d9cae5"),
+    ],
+)
+def test_decompose_stdout_is_pinned(capsys, argv, digest):
+    # sha256 of stdout as first recorded; any change to the bytes fails here
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_text_format(capsys):
     code, out, _ = _run(capsys, "build", "path", "2", "--format", "text")
     assert code == 0

@@ -1,5 +1,8 @@
 """Simplicial complexes, graph families, gluings and isomorphism checks."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -151,6 +154,46 @@ def test_is_flag_families():
     assert not cycle_graph(3).is_flag()  # empty triangle
     assert simplex(3).is_flag()
     assert disjoint_points(3).is_flag()
+
+
+def test_is_chordal():
+    assert path_graph(5).is_chordal()
+    assert disjoint_points(4).is_chordal()
+    assert simplex(3).is_chordal()
+    assert from_facets(0, []).is_chordal()
+    assert not cycle_graph(4).is_chordal()
+    assert not cycle_graph(7).is_chordal()
+    # a 4-cycle with a chord is chordal; a 5-cycle with one chord is not
+    assert from_facets(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]).is_chordal()
+    assert not from_facets(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)]).is_chordal()
+
+
+def _has_induced_long_cycle(K):
+    """Brute force: some vertex set of size >= 4 induces a cycle."""
+    adj = K._adjacency()
+    for r in range(4, len(adj) + 1):
+        for sub in itertools.combinations(adj, r):
+            inside = set(sub)
+            if any(len(adj[v] & inside) != 2 for v in sub):
+                continue
+            seen, stack = {sub[0]}, [sub[0]]
+            while stack:
+                for u in adj[stack.pop()] & inside - seen:
+                    seen.add(u)
+                    stack.append(u)
+            if seen == inside:
+                return True
+    return False
+
+
+def test_is_chordal_matches_brute_force():
+    rng = random.Random(7)
+    for _ in range(300):
+        m = rng.randint(0, 7)
+        pairs = list(itertools.combinations(range(m), 2))
+        edges = [e for e in pairs if rng.random() < rng.choice((0.3, 0.5, 0.7))]
+        K = from_facets(m, edges + [(v,) for v in range(m)])
+        assert K.is_chordal() == (not _has_induced_long_cycle(K)), edges
 
 
 def test_is_flag_rejects_ghosts():

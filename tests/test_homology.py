@@ -155,6 +155,16 @@ def test_zk_sphere_multiset_disjoint_points():
     assert ms.counts == {3: 3, 4: 2}
 
 
+def test_zk_sphere_multiset_refuses_non_chordal():
+    # Z of the 4-cycle is S^3 x S^3: its Betti table {3: 2, 6: 1} is no wedge
+    for K in (cycle_graph(4), cycle_graph(5)):
+        with pytest.raises(InvalidParameters):
+            zk_sphere_multiset(K)
+    # a non-flag complex is refused as well: the hollow triangle
+    with pytest.raises(InvalidParameters):
+        zk_sphere_multiset(cycle_graph(3))
+
+
 def _hochster_reference(K):
     """Hochster's sum over full subcomplexes built one by one."""
     table = {}

@@ -104,7 +104,14 @@ def test_ring_laws(a, b, c):
     assert sa * (sb + sc) == sa * sb + sa * sc
 
 
-@given(st_coeffs.filter(lambda cs: cs[0] in (1, -1)))
+# a unit constant term, drawn directly: filtering st_coeffs for it rejects
+# most draws and trips Hypothesis's filter health check now and then
+st_unit_coeffs = st.tuples(st.sampled_from((1, -1)), st.lists(st.integers(-9, 9), max_size=8)).map(
+    lambda hc: [hc[0]] + hc[1]
+)
+
+
+@given(st_unit_coeffs)
 def test_invert_roundtrip(coeffs):
     s = _of(coeffs)
     prod = s * s.invert()

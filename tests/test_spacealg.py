@@ -1,10 +1,14 @@
 """The space expression algebra: rewriting, certificates, series, splittings."""
 
+import copy
+import pickle
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import spacealg_reference as ref
 
 from polyloop.errors import (
     CeilingExceededError,
@@ -16,6 +20,7 @@ from polyloop.spacealg import (
     INF,
     POINT,
     Cone,
+    Atom,
     HalfSmash,
     Join,
     Loop,
@@ -36,6 +41,7 @@ from polyloop.spacealg import (
     normalize,
     parse_sexpr,
     poincare_series,
+    sort_key,
     sphere_multiset_of,
     susp_wedge_min_dim,
     to_json_obj,
@@ -50,11 +56,20 @@ S1, S2, S3 = Sphere(1), Sphere(2), Sphere(3)
 st_sphere = st.integers(1, 4).map(Sphere)
 
 
+def _interleave(parts):
+    """One n-ary node whose children repeat the same two objects in the
+    drawn pattern, such as Wedge((t, u, t, t))."""
+    cls, t, u, pattern = parts
+    return cls(tuple(t if first else u for first in pattern))
+
+
 def _terms(leaves):
-    """Recursive sphere-built terms closed under the rewrite rules.
+    """Recursive terms closed under the rewrite rules.
 
     Loop only wraps a suspension (so its series and sphere certificates
-    exist) and HalfSmash keeps a recognisable suspension on the left."""
+    exist) and HalfSmash keeps a recognisable suspension on the left. Some
+    nodes repeat one child object among others, and some pair a subterm
+    with a structurally equal but distinct copy of it."""
     return st.recursive(
         leaves,
         lambda sub: st.one_of(
@@ -66,12 +81,34 @@ def _terms(leaves):
             st.tuples(sub.map(Susp), sub).map(lambda ab: HalfSmash(*ab)),
             sub.map(lambda t: Loop(Susp(t))),
             sub.map(Cone),
+            st.tuples(
+                st.sampled_from([Wedge, Prod, Smash]),
+                sub,
+                sub,
+                st.lists(st.booleans(), min_size=2, max_size=5),
+            ).map(_interleave),
+            st.tuples(st.sampled_from([Wedge, Prod, Smash]), sub).map(
+                lambda ct: ct[0]((ct[1], copy.deepcopy(ct[1]), ct[1]))
+            ),
         ),
         max_leaves=6,
     )
 
 
 st_term = _terms(st.one_of(st_sphere, st.just(POINT)))
+
+# Atoms with declared homology, including an empty declaration next to none:
+# the two share a sort key but are different nodes.
+st_atom = st.sampled_from(
+    [
+        atom("A", reduced={1: 1}),
+        atom("A"),
+        atom("A", reduced={}),
+        atom("B", reduced={2: 1, 3: 2}),
+        Atom("B", None, ((1, 1),)),
+    ]
+)
+st_term_atoms = _terms(st.one_of(st_sphere, st.just(POINT), st_atom))
 
 
 # --- normalize ------------------------------------------------------------
@@ -142,6 +179,74 @@ def test_normalize_halfsmash_opaque_left_stays():
 def test_normalize_idempotent(e):
     n1 = normalize(e)
     assert normalize(n1) == n1
+
+
+@settings(max_examples=300)
+@given(st_term_atoms)
+def test_normalize_matches_reference(e):
+    """The shared rewrite agrees with the copy-by-copy reference rewrite."""
+    want = ref.normalize(e)
+    got = normalize(e)
+    assert got == want
+    assert format_sexpr(got) == ref.format_sexpr(want)
+    assert normalize(got) is got
+    assert sort_key(got) == ref.sort_key(got)
+
+
+@settings(max_examples=300)
+@given(st_term_atoms)
+def test_format_sexpr_matches_reference_unnormalized(e):
+    # the emitter repeats consecutive runs only; it never reorders children
+    assert format_sexpr(e) == ref.format_sexpr(e)
+
+
+def test_format_sexpr_keeps_interleaved_order():
+    t, u = Sphere(2), Loop(S3)
+    e = Wedge((t, u, t, t))
+    assert format_sexpr(e) == "(wedge (sphere 2) (loop (sphere 3)) (sphere 2) (sphere 2))"
+    assert format_sexpr(Prod((u, u, t, u))) == ref.format_sexpr(Prod((u, u, t, u)))
+
+
+def test_normalize_shares_repeated_subterms():
+    big = Wedge(tuple([Susp(S2)] * 1000 + [Susp(S1)] * 1000))
+    got = normalize(Loop(big))
+    assert got == ref.normalize(Loop(big))
+    # one object per distinct summand survives the rewrite
+    assert len({id(a) for a in got.arg.args}) == 2
+    # a canonical term comes back as itself, also inside a larger term
+    assert normalize(got) is got
+    outer = normalize(Prod((S1, got, S1)))
+    assert any(a is got for a in outer.args)
+
+
+def test_normalize_keeps_stable_order_of_equal_keys():
+    # atom("A", reduced={}) and atom("A") share a sort key but differ
+    a0, a1, s = atom("A", reduced={}), atom("A"), S2
+    for args in [(a0, a1, a0), (a1, s, a0, a1, a1), (a0, a0, a1)]:
+        for cls in (Wedge, Prod):
+            assert normalize(cls(args)) == ref.normalize(cls(args))
+
+
+def test_caches_stay_out_of_value_semantics():
+    e = Wedge((Loop(S3), Susp(S2), S2))
+    fresh = Wedge((Loop(S3), Susp(S2), S2))
+    n = normalize(e)
+    sort_key(n)
+    assert n == normalize(fresh) and hash(n) == hash(ref.normalize(fresh))
+    assert repr(n) == repr(ref.normalize(fresh))
+    assert to_json_obj(n) == to_json_obj(ref.normalize(fresh))
+    back = pickle.loads(pickle.dumps(n))
+    assert back == n
+    assert "_key" not in vars(back) and "_canon" not in vars(back)
+    assert not back._canon and back._key is None
+
+
+def test_parse_shares_sphere_leaves():
+    e = parse_sexpr("(wedge (sphere 3) (loop (sphere 2)) (sphere 3) (sphere 2))")
+    assert e.args[0] is e.args[2]
+    assert e.args[1].arg is e.args[3]
+    other = parse_sexpr("(sphere 3)")
+    assert other == e.args[0] and other is not e.args[0]
 
 
 @given(st_term)
