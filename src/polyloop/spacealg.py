@@ -25,8 +25,12 @@ desuspension of W), valid when A(W) >= 2.
 
 Poincare series are computed exactly and structurally: a Loop factor inverts
 1 - red(W)(t)/t, with the inner reduced series computed at one extra degree of
-precision per nesting level, so truncated sphere enumeration never pollutes
-series coefficients.
+precision per nesting level. Sphere reports are read off the series, after
+certification: a term that A certifies has free homology, so its sphere counts
+are the coefficients of its reduced Poincare polynomial. A structural top
+dimension (inf through a loop) says whether the ceiling cut spheres off and
+bounds the series order. The James splitting is the sphere report of
+Susp(Loop(Susp(x))).
 
 String form is an s-expression, for example (wedge (sphere 3) (loop (sphere
 2))); a JSON mirror {"op": ..., "args": [...]} carries the same tree.
@@ -37,7 +41,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import CeilingExceededError, InvalidParameters, SeriesDomainError
@@ -50,19 +53,21 @@ INF = math.inf
 class SpaceExpr:
     """Base class; every node is a frozen dataclass below.
 
-    Nodes cache two derived facts outside their dataclass fields: `_key`,
-    the sort_key tuple, and `_canon`, set once normalize() has returned the
-    node. Neither takes part in equality, hashing, repr or pickling."""
+    Nodes cache three derived facts outside their dataclass fields: `_key`,
+    the sort_key tuple, `_canon`, set once normalize() has returned the
+    node, and `_rl`, the runs of a Wedge, Prod or Smash. None of them takes
+    part in equality, hashing, repr or pickling."""
 
     __slots__ = ()
     _key = None
     _canon = False
+    _rl = None
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k not in _CACHES}
 
 
-_CACHES = ("_key", "_canon")
+_CACHES = ("_key", "_canon", "_rl")
 
 
 @dataclass(frozen=True)
@@ -173,7 +178,7 @@ def sort_key(e: SpaceExpr):
     elif isinstance(e, Atom):
         k = (t, (e.name, e.reduced or (), e.loop_reduced or ()))
     elif isinstance(e, (Wedge, Prod, Smash)):
-        k = (t, _repeat_runs((sort_key(a), c) for a, c in _runs(e.args)))
+        k = (t, _repeat_runs((sort_key(a), c) for a, c in _runs(e)))
     elif isinstance(e, (Susp, Loop, Cone)):
         k = (t, (sort_key(e.arg),))
     else:
@@ -210,7 +215,7 @@ def desuspend(e: SpaceExpr) -> SpaceExpr | None:
     if isinstance(e, Susp):
         return e.arg
     if isinstance(e, Wedge):
-        parts = _shared_map(desuspend, e.args)
+        parts = _shared_map(desuspend, e)
         if all(p is not None for p in parts):
             return Wedge(parts)
     if isinstance(e, Smash):
@@ -226,24 +231,28 @@ def desuspend(e: SpaceExpr) -> SpaceExpr | None:
     return None
 
 
-def _runs(args: tuple) -> list[tuple[SpaceExpr, int]]:
-    """Consecutive equal arguments collapsed to (value, count) runs, in order.
+def _runs(e: SpaceExpr) -> tuple[tuple[SpaceExpr, int], ...]:
+    """The arguments of a Wedge, Prod or Smash as (value, count) runs of
+    consecutive equal arguments, in order, cached on the node.
 
     Grouping by identity first keeps this linear with a tiny constant on the
     long runs of one shared object that the decompositions and Hilton-Milnor
     build; an equality check then merges equal but distinct neighbours.
     The walkers that visit each run once and scale by its count (rewrite,
-    sort keys, series, sphere counts, certificates, s-expression output)
+    sort keys, series, certificates, top dimension, s-expression output)
     cost time per run, not per summand."""
+    if e._rl is not None:
+        return e._rl
     out: list[tuple[SpaceExpr, int]] = []
-    for _, grp in itertools.groupby(args, key=id):
+    for _, grp in itertools.groupby(e.args, key=id):
         block = list(grp)
         a = block[0]
         if out and out[-1][0] == a:
             out[-1] = (a, out[-1][1] + len(block))
         else:
             out.append((a, len(block)))
-    return out
+    object.__setattr__(e, "_rl", tuple(out))
+    return e._rl
 
 
 def _tally(runs) -> list[list]:
@@ -276,10 +285,10 @@ def _sorted_args(runs: list) -> tuple:
     return _repeat_runs(groups)
 
 
-def _shared_map(fn, args: tuple) -> tuple:
-    """fn over args, called once per run so that the result shares its nodes
-    the way args does."""
-    return _repeat_runs((fn(a), c) for a, c in _runs(args))
+def _shared_map(fn, e: SpaceExpr) -> tuple:
+    """fn over the arguments of e, called once per run so that the result
+    shares its nodes the way e.args does."""
+    return _repeat_runs((fn(a), c) for a, c in _runs(e))
 
 
 def _rw(e: SpaceExpr, memo: dict) -> SpaceExpr:
@@ -300,13 +309,13 @@ def _rw_node(e: SpaceExpr, memo: dict) -> SpaceExpr:
     if isinstance(e, (Wedge, Prod, Smash)):
         cls = type(e)
         runs = []
-        for a, c in _runs(e.args):
+        for a, c in _runs(e):
             a = _rw(a, memo)
             if isinstance(a, Point):
                 if cls is Smash:
                     return POINT
             elif isinstance(a, cls):
-                runs.extend(_runs(a.args) * c)
+                runs.extend(_runs(a) * c)
             else:
                 runs.append((a, c))
         if cls is Smash:
@@ -327,7 +336,7 @@ def _rw_node(e: SpaceExpr, memo: dict) -> SpaceExpr:
         if isinstance(a, Sphere):
             return Sphere(a.d + 1)
         if isinstance(a, Wedge):
-            return Wedge(_shared_map(Susp, a.args))
+            return Wedge(_shared_map(Susp, a))
         if isinstance(a, Prod):
             parts = []
             for r in range(1, len(a.args) + 1):
@@ -341,7 +350,7 @@ def _rw_node(e: SpaceExpr, memo: dict) -> SpaceExpr:
         if isinstance(a, Point):
             return POINT
         if isinstance(a, Prod):
-            return Prod(_shared_map(Loop, a.args))
+            return Prod(_shared_map(Loop, a))
         return e if a is e.arg else Loop(a)
     if isinstance(e, Join):
         return Susp(Smash((_rw(e.left, memo), _rw(e.right, memo))))
@@ -387,7 +396,7 @@ def wedge_of_spheres_min_dim(e: SpaceExpr):
     if isinstance(e, Sphere):
         return e.d
     if isinstance(e, (Wedge, Smash)):
-        runs = [(wedge_of_spheres_min_dim(a), c) for a, c in _runs(e.args)]
+        runs = [(wedge_of_spheres_min_dim(a), c) for a, c in _runs(e)]
         if any(v is None for v, _ in runs):
             return None
         if isinstance(e, Wedge):
@@ -418,7 +427,7 @@ def susp_wedge_min_dim(e: SpaceExpr):
     if isinstance(e, Sphere):
         return e.d + 1
     if isinstance(e, (Wedge, Prod, Smash)):
-        runs = [(susp_wedge_min_dim(a), c) for a, c in _runs(e.args)]
+        runs = [(susp_wedge_min_dim(a), c) for a, c in _runs(e)]
         if any(v is None for v, _ in runs):
             return None
         if isinstance(e, Wedge):
@@ -483,12 +492,12 @@ def _red(e: SpaceExpr, n: int) -> list[int]:
         return _poly_of(e.reduced, n)
     if isinstance(e, Wedge):
         out = [0] * (n + 1)
-        for a, c in _tally(_runs(e.args)):
+        for a, c in _tally(_runs(e)):
             out = [x + c * y for x, y in zip(out, _red(a, n))]
         return out
     if isinstance(e, Prod):
         out = [1] + [0] * n
-        for a, c in _tally(_runs(e.args)):
+        for a, c in _tally(_runs(e)):
             r = _red(a, n)
             r[0] += 1
             out = _mul(out, r if c == 1 else _pow(r, c, n), n)
@@ -496,7 +505,7 @@ def _red(e: SpaceExpr, n: int) -> list[int]:
         return out
     if isinstance(e, Smash):
         out = None
-        for a, c in _tally(_runs(e.args)):
+        for a, c in _tally(_runs(e)):
             r = _red(a, n)
             if c > 1:
                 r = _pow(r, c, n)
@@ -507,7 +516,8 @@ def _red(e: SpaceExpr, n: int) -> list[int]:
     if isinstance(e, Join):
         return [0] + _mul(_red(e.left, n), _red(e.right, n), n)[:n]
     if isinstance(e, HalfSmash):
-        if wedge_of_spheres_min_dim(e.left) is None and desuspend(e.left) is None:
+        certs = (wedge_of_spheres_min_dim, susp_wedge_min_dim, desuspend)
+        if all(f(e.left) is None for f in certs):
             raise SeriesDomainError("half-smash series needs a suspension on the left")
         ra, rb = _red(e.left, n), _red(e.right, n)
         rb[0] += 1
@@ -553,140 +563,65 @@ def poincare_series(e: SpaceExpr, n: int) -> TruncSeries:
     return TruncSeries(n, tuple([1] + red[1:]))
 
 
-def _convolve(a: dict[int, int], b: dict[int, int], ceiling: int) -> tuple[dict[int, int], bool]:
-    out: Counter = Counter()
-    dropped = False
-    for da, ca in a.items():
-        for db, cb in b.items():
-            if da + db <= ceiling:
-                out[da + db] += ca * cb
-            else:
-                dropped = True
-    return dict(out), dropped
-
-
-def _james_counts(wcounts: dict[int, int], ceiling: int) -> dict[int, int]:
-    """Suspended smash powers of the desuspension of a sphere wedge with
-    reduced content `wcounts` (dims >= 2), collected up to the ceiling."""
-    base = {d - 1: c for d, c in wcounts.items()}
-    out: Counter = Counter()
-    power = dict(base)
-    while power:
-        for d, c in power.items():
-            if d + 1 <= ceiling:
-                out[d + 1] += c
-        power, _ = _convolve(power, base, ceiling - 1)
-    return dict(out)
-
-
-def _to_spheres(e: SpaceExpr, ceiling: int) -> tuple[dict[int, int], bool]:
+def _top_dim(e: SpaceExpr):
+    """Top degree of reduced homology, read off the structure: 0 for a
+    contractible term, inf through a loop on a noncontractible one. Exact on
+    terms that wedge_of_spheres_min_dim certifies, whose homology is free."""
     if isinstance(e, (Point, Cone)):
-        return {}, False
+        return 0
     if isinstance(e, Sphere):
-        return ({e.d: 1}, False) if e.d <= ceiling else ({}, True)
-    if isinstance(e, Wedge):
-        out: Counter = Counter()
-        trunc = False
-        for a, k in _runs(e.args):
-            c, t = _to_spheres(a, ceiling)
-            for d, v in c.items():
-                out[d] += v * k
-            trunc = trunc or t
-        return dict(out), trunc
-    if isinstance(e, Smash):
-        parts = [p for a, k in _runs(e.args) for p in [_to_spheres(a, ceiling)] * k]
-        if any(not c and not t for c, t in parts):
-            return {}, False
-        acc, trunc = {0: 1}, any(t for _, t in parts)
-        for c, _ in parts:
-            acc, dropped = _convolve(acc, c, ceiling)
-            trunc = trunc or dropped
-        return acc, trunc
-    if isinstance(e, Join):
-        return _to_spheres(Susp(Smash((e.left, e.right))), ceiling)
-    if isinstance(e, HalfSmash):
-        # left x| right = left or (left' ^ Susp right); at the level of
-        # sphere counts a wedge of spheres is always a suspension, so the
-        # desuspended dimensions are just shifted down by one.
-        ca, ta = _to_spheres(e.left, ceiling)
-        sb, tb = _to_spheres(Susp(e.right), ceiling)
-        shifted = {d - 1: c for d, c in ca.items()}
-        mixed, dropped = _convolve(shifted, sb, ceiling)
-        out = Counter(ca)
-        out.update(mixed)
-        return dict(out), ta or tb or dropped
+        return e.d
+    if isinstance(e, (Wedge, Prod, Smash)):
+        tops = [(_top_dim(a), c) for a, c in _runs(e)]
+        if isinstance(e, Wedge):
+            return max((t for t, _ in tops), default=0)
+        if isinstance(e, Smash) and any(t == 0 for t, _ in tops):
+            return 0
+        return sum(t * c for t, c in tops)
     if isinstance(e, Susp):
-        inner = e.arg
-        if isinstance(inner, Prod):
-            parts = []
-            for r in range(1, len(inner.args) + 1):
-                for sub in itertools.combinations(inner.args, r):
-                    parts.append(Susp(sub[0] if len(sub) == 1 else Smash(sub)))
-            return _to_spheres(Wedge(tuple(parts)), ceiling)
-        if isinstance(inner, Loop):
-            wcounts, wtrunc = _to_spheres(inner.arg, ceiling)
-            if wcounts and min(wcounts) < 2:
-                raise CeilingExceededError("loop target is not simply connected")
-            if not wcounts:
-                return {}, wtrunc
-            return _james_counts(wcounts, ceiling), True
-        if isinstance(inner, Smash):
-            movable = next(
-                (i for i, a in enumerate(inner.args) if isinstance(a, (Loop, Prod))), None
-            )
-            if movable is not None:
-                args = list(inner.args)
-                args[movable] = Susp(args[movable])
-                return _to_spheres(Smash(tuple(args)), ceiling)
-        if isinstance(inner, HalfSmash):
-            return _to_spheres(
-                Wedge((Susp(inner.left), Susp(Smash((inner.left, inner.right))))), ceiling
-            )
-        counts, trunc = _to_spheres(inner, ceiling)
-        out = {d + 1: c for d, c in counts.items() if d + 1 <= ceiling}
-        trunc = trunc or any(d + 1 > ceiling for d in counts)
-        return out, trunc
-    raise CeilingExceededError(
-        f"cannot reduce a {type(e).__name__} node to spheres below the ceiling"
-    )
+        t = _top_dim(e.arg)
+        return t + 1 if t else 0
+    if isinstance(e, Join):
+        return _top_dim(Susp(Smash((e.left, e.right))))
+    if isinstance(e, HalfSmash):
+        t = _top_dim(e.left)
+        return t + _top_dim(e.right) if t else 0
+    if isinstance(e, Loop):
+        return INF if _top_dim(e.arg) else 0
+    return INF
+
+
+def _sphere_counts(e: SpaceExpr, max_dim: int) -> tuple[dict[int, int], bool]:
+    """Sphere counts through max_dim of a certified wedge of spheres, read off
+    its reduced Poincare polynomial, and whether the ceiling cut any off."""
+    if wedge_of_spheres_min_dim(e) is None:
+        raise CeilingExceededError(f"{type(e).__name__} term not certified a wedge of spheres")
+    top = _top_dim(e)
+    # the series is dense in degree: never compute it past the top sphere
+    red = _red(e, min(top, max_dim))
+    return {d: c for d, c in enumerate(red) if c}, top > max_dim
 
 
 def sphere_multiset_of(e: SpaceExpr, max_dim: int) -> SphereMultiset:
-    """Expand e into spheres up to max_dim; infinite families are truncated
-    and flagged. Raises CeilingExceededError on irreducible subterms."""
+    """The spheres of normalize(e) through max_dim; infinite families are
+    truncated and flagged. Raises CeilingExceededError unless the normalized
+    term is certified a wedge of spheres."""
     if max_dim < 1:
         raise InvalidParameters("sphere ceiling must be at least 1")
-    counts, truncated = _to_spheres(normalize(e), max_dim)
-    return SphereMultiset(dict(sorted(counts.items())), max_dim, truncated)
-
-
-def _wedge_of_sphere_counts(counts: dict[int, int]) -> SpaceExpr:
-    args = []
-    for d in sorted(counts):
-        args.extend([Sphere(d)] * counts[d])
-    if not args:
-        return POINT
-    return args[0] if len(args) == 1 else Wedge(tuple(args))
+    counts, truncated = _sphere_counts(normalize(e), max_dim)
+    return SphereMultiset(counts, max_dim, truncated)
 
 
 def james_split(x: SpaceExpr, cutoff: int) -> SpaceExpr:
     """Expansion of Susp(Loop(Susp(x))) as a sphere wedge through dimension
-    `cutoff`, for x reducible to a wedge of spheres."""
+    `cutoff`, for x whose suspension is certified a wedge of spheres."""
     if cutoff < 1:
         raise InvalidParameters("cutoff must be at least 1")
-    xn = normalize(x)
-    counts, _ = _to_spheres(xn, cutoff)
-    counts = {d: c for d, c in counts.items() if d + 1 <= cutoff}
-    if not counts:
+    counts, _ = _sphere_counts(Susp(Loop(Susp(normalize(x)))), cutoff)
+    args = _repeat_runs((Sphere(d), c) for d, c in counts.items())
+    if not args:
         return POINT
-    out: Counter = Counter()
-    power = dict(counts)
-    while power:
-        for d, c in power.items():
-            if d + 1 <= cutoff:
-                out[d + 1] += c
-        power, _ = _convolve(power, counts, ceiling=cutoff - 1)
-    return _wedge_of_sphere_counts(dict(out))
+    return args[0] if len(args) == 1 else Wedge(args)
 
 
 def lyndon_words(n: int, maxlen: int) -> list[tuple[int, ...]]:
@@ -846,7 +781,7 @@ def format_sexpr(e: SpaceExpr) -> str:
         return f'(atom "{e.name}")'
     if isinstance(e, (Wedge, Prod, Smash)):
         # one rendering per consecutive run, so the order is kept as is
-        inner = " ".join(" ".join([format_sexpr(a)] * c) for a, c in _runs(e.args))
+        inner = " ".join(" ".join([format_sexpr(a)] * c) for a, c in _runs(e))
         return f"({_NAME_OF[type(e)]} {inner})"
     if isinstance(e, (Susp, Loop, Cone)):
         return f"({_NAME_OF[type(e)]} {format_sexpr(e.arg)})"

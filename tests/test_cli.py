@@ -53,6 +53,11 @@ def test_output_is_byte_identical(capsys):
          "126b34011f1f94c3a1326d7314ee775afbd0f4e741b201f8f776ad6b1b538f1e"),
         (("decompose", "planar-book", "4", "2", "--N", "24"),
          "97a79923a7bfa516020c103dc08ba5a69e12ce6eaf433cb797fc2b3be6d9cae5"),
+        # a ceiling far above the top sphere, and a deep one through loops
+        (("decompose", "path", "6", "--max-dim", "3000000"),
+         "65f6cbea1417b5f8917e0d9c61007f952add85306c9c4f2d3ac30e63fde060f2"),
+        (("decompose", "planar-book", "3", "2", "--max-dim", "200"),
+         "e7a9bbdd2c0b7d7f7112eed8d38252e5abac361e828bd83ba86a90f6e5fa3caf"),
     ],
 )
 def test_decompose_stdout_is_pinned(capsys, argv, digest):

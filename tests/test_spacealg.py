@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import spacealg_reference as ref
 
@@ -15,6 +15,8 @@ from polyloop.errors import (
     InvalidParameters,
     SeriesDomainError,
 )
+from polyloop import spacealg
+from polyloop.decomp import porter_wedge
 from polyloop.series import TruncSeries
 from polyloop.spacealg import (
     INF,
@@ -30,6 +32,8 @@ from polyloop.spacealg import (
     Sphere,
     Susp,
     Wedge,
+    _runs,
+    _top_dim,
     atom,
     cp_infinity,
     desuspend,
@@ -235,10 +239,15 @@ def test_caches_stay_out_of_value_semantics():
     assert n == normalize(fresh) and hash(n) == hash(ref.normalize(fresh))
     assert repr(n) == repr(ref.normalize(fresh))
     assert to_json_obj(n) == to_json_obj(ref.normalize(fresh))
+    assert n._rl is not None
     back = pickle.loads(pickle.dumps(n))
     assert back == n
-    assert "_key" not in vars(back) and "_canon" not in vars(back)
-    assert not back._canon and back._key is None
+    assert not {"_key", "_canon", "_rl"} & set(vars(back))
+    assert not back._canon and back._key is None and back._rl is None
+    # cached runs change neither equality nor hashing
+    walked, twin = Wedge((S2, S2, S3)), Wedge((S2, S2, S3))
+    assert _runs(walked) == ((S2, 2), (S3, 1)) and twin._rl is None
+    assert walked == twin and hash(walked) == hash(twin) and repr(walked) == repr(twin)
 
 
 def test_parse_shares_sphere_leaves():
@@ -376,6 +385,10 @@ def test_series_halfsmash_needs_suspension_left():
         poincare_series(HalfSmash(atom("X", reduced={2: 1}), S2), 4)
     ok = poincare_series(HalfSmash(S2, S1), 4)
     assert ok.coeffs == (1, 0, 1, 1, 0)
+    # a left side whose suspension is certified a wedge of spheres also has
+    # free homology: (2t^2 + t^4)(1 + t)
+    ok = poincare_series(HalfSmash(Prod((S2, S2)), S1), 6)
+    assert ok.coeffs == (1, 0, 2, 2, 1, 1, 0)
 
 
 # --- sphere enumeration ---------------------------------------------------
@@ -419,6 +432,85 @@ def test_sphere_multiset_point():
     assert ms.counts == {} and not ms.truncated
 
 
+def test_top_dim():
+    assert _top_dim(POINT) == 0 and _top_dim(Cone(S3)) == 0
+    assert _top_dim(Wedge((S2, Sphere(5), S3))) == 5
+    assert _top_dim(Smash((S2, Wedge((S1, S3))))) == 5
+    assert _top_dim(Smash((S2, Cone(S3)))) == 0
+    assert _top_dim(Prod((S2, S3, POINT))) == 5
+    assert _top_dim(Join(S1, S2)) == 4 and _top_dim(Join(S1, POINT)) == 0
+    assert _top_dim(HalfSmash(S2, S3)) == 5 and _top_dim(HalfSmash(POINT, S3)) == 0
+    assert _top_dim(Susp(Loop(S2))) == INF and _top_dim(Susp(Loop(Cone(S2)))) == 0
+    assert _top_dim(Smash((S2, Loop(S3)))) == INF
+
+
+def test_sphere_multiset_answers_certified_terms():
+    # the sparse engine moved only one suspension into a smash and refused
+    # the loop left behind; Susp(T^2 ^ Loop(S^2)) has reduced series
+    # t(2t + t^2) t/(1 - t)
+    e = Susp(Smash((Prod((S1, S1)), Loop(Susp(S1)))))
+    with pytest.raises(CeilingExceededError):
+        ref.sphere_multiset_of(e, 8)
+    ms = sphere_multiset_of(e, 8)
+    assert ms.counts == {3: 2, 4: 3, 5: 3, 6: 3, 7: 3, 8: 3} and ms.truncated
+
+
+def test_sphere_multiset_halfsmash_certified_after_suspension():
+    e = Susp(HalfSmash(Prod((S2, S2)), Wedge((S1, S2))))
+    for ceiling in (3, 6, 12):
+        want = ref.sphere_multiset_of(e, ceiling)
+        got = sphere_multiset_of(e, ceiling)
+        assert (got.counts, got.truncated) == (want.counts, want.truncated)
+
+
+def test_sphere_multiset_ignores_a_huge_ceiling(monkeypatch):
+    # the series is dense in degree, so it must stop at the top sphere
+    real = spacealg._red
+
+    def bounded(e, n):
+        assert n <= 7, f"series order {n} above the top sphere"
+        return real(e, n)
+
+    monkeypatch.setattr(spacealg, "_red", bounded)
+    huge = sphere_multiset_of(porter_wedge(6), 10**9)
+    assert huge.counts == sphere_multiset_of(porter_wedge(6), 8).counts
+    assert huge.counts == {3: 15, 4: 40, 5: 45, 6: 24, 7: 5} and not huge.truncated
+
+
+def _reference_or_none(fn, *args):
+    try:
+        return fn(*args)
+    except CeilingExceededError:
+        return None
+
+
+def _check_sphere_multiset_against_reference(e, ceiling):
+    want = _reference_or_none(ref.sphere_multiset_of, e, ceiling)
+    if want is None:
+        # the series answers only what the certificate covers
+        try:
+            sphere_multiset_of(e, ceiling)
+        except CeilingExceededError:
+            return
+        assert wedge_of_spheres_min_dim(normalize(e)) is not None
+        return
+    got = sphere_multiset_of(e, ceiling)
+    assert got.counts == want.counts
+    assert got.truncated == want.truncated
+
+
+@settings(max_examples=200)
+@given(st_term, st.sampled_from([3, 6, 12]))
+def test_sphere_multiset_matches_reference(e, ceiling):
+    _check_sphere_multiset_against_reference(e, ceiling)
+
+
+@settings(max_examples=200)
+@given(st_term_atoms, st.sampled_from([3, 6, 12]))
+def test_sphere_multiset_matches_reference_atoms(e, ceiling):
+    _check_sphere_multiset_against_reference(e, ceiling)
+
+
 # --- james ----------------------------------------------------------------
 
 def test_james_split_sphere():
@@ -438,6 +530,38 @@ def test_james_split_wedge():
 def test_james_split_validation():
     with pytest.raises(InvalidParameters):
         james_split(S2, 0)
+
+
+def test_james_split_needs_only_a_certified_suspension():
+    # Susp(T^2) = S^2 v S^2 v S^3, so the counts are the Pell numbers of
+    # 1/(1 - 2t - t^2), shifted up by one
+    with pytest.raises(CeilingExceededError):
+        ref.james_split(Prod((S1, S1)), 6)
+    got = Counter(s.d for s in james_split(Prod((S1, S1)), 6).args)
+    assert got == {2: 2, 3: 5, 4: 12, 5: 29, 6: 70}
+    with pytest.raises(CeilingExceededError):
+        james_split(Loop(S1), 6)
+
+
+@settings(max_examples=200)
+@given(st_term_atoms, st.sampled_from([3, 6, 12]))
+def test_james_split_matches_reference(x, cutoff):
+    # both sides spell out every sphere, and the counts grow like m^cutoff
+    # for m spheres in x: keep the wedges small enough to hold in memory
+    try:
+        counts, _ = spacealg._sphere_counts(Susp(Loop(Susp(normalize(x)))), cutoff)
+        assume(sum(counts.values()) <= 10_000)
+    except CeilingExceededError:
+        pass
+    want = _reference_or_none(ref.james_split, x, cutoff)
+    if want is None:
+        try:
+            james_split(x, cutoff)
+        except CeilingExceededError:
+            return
+        assert susp_wedge_min_dim(normalize(x)) is not None
+        return
+    assert james_split(x, cutoff) == want
 
 
 # --- lyndon words and the weak product splitting --------------------------
