@@ -129,22 +129,28 @@ def _is_flat(v) -> bool:
     return True
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temporary file in the same directory, so
+    path never holds a partial file; the temporary file is removed on any
+    failure."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".polyloop-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _emit(obj: dict, args) -> None:
     if args.format == "json":
         text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
     else:
         text = "\n".join(_text_lines(obj)) + "\n"
     if getattr(args, "out", None):
-        directory = os.path.dirname(os.path.abspath(args.out))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".polyloop-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, args.out)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -294,10 +300,7 @@ def cmd_hochster(args) -> int:
     obj = table.to_json_obj()
     if cache_path is not None:
         os.makedirs(args.cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=args.cache_dir, prefix=".hochster-")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        os.replace(tmp, cache_path)
+        _write_atomic(cache_path, json.dumps(obj, sort_keys=True, separators=(",", ":")))
     _emit(obj, args)
     return 0
 

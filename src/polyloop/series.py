@@ -75,7 +75,7 @@ class TruncSeries:
 
     @classmethod
     def monomial(cls, d: int, n: int, coeff: int = 1) -> "TruncSeries":
-        return cls.of([0] * d + [coeff], n)
+        return cls.of([coeff], n).shift(d)
 
     def _check(self, other: "TruncSeries") -> None:
         if self.n != other.n:
@@ -103,8 +103,10 @@ class TruncSeries:
         return TruncSeries(self.n, tuple(c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)))
 
     def shift(self, d: int) -> "TruncSeries":
-        """Multiply by t**d."""
-        return TruncSeries.of([0] * d + list(self.coeffs), self.n)
+        """Multiply by t**d, for d >= 0."""
+        if d < 0:
+            raise InvalidParameters("series shift degree must be nonnegative")
+        return TruncSeries.of([0] * min(d, self.n + 1) + list(self.coeffs), self.n)
 
     def __getitem__(self, k: int) -> int:
         if k < 0:

@@ -2,8 +2,8 @@
 
 Expressions are built from eleven constructors: Point, Sphere(d), named Atom,
 Wedge, Prod, Smash, Susp, Loop, Join, HalfSmash (the right half-smash
-X x Y / (* x Y)) and Cone. normalize() rewrites to a canonical form using only
-homotopy-valid rules:
+X x Y / (* x Y)) and Cone. normalize() builds a canonical form bottom-up with
+smart constructors, applying these homotopy-valid rules to canonical parts:
 
   - Wedge, Prod, Smash flatten and sort; Point is the unit of Wedge and Prod
     and absorbs Smash; Cone(X) and anything contracted collapses to Point.
@@ -215,19 +215,15 @@ def desuspend(e: SpaceExpr) -> SpaceExpr | None:
     if isinstance(e, Susp):
         return e.arg
     if isinstance(e, Wedge):
-        parts = _shared_map(desuspend, e)
-        if all(p is not None for p in parts):
-            return Wedge(parts)
+        parts = [(desuspend(a), c) for a, c in _runs(e)]
+        if all(p is not None for p, _ in parts):
+            return _nary(Wedge, parts)
     if isinstance(e, Smash):
         for i, a in enumerate(e.args):
-            if a == Sphere(1):
-                rest = e.args[:i] + e.args[i + 1 :]
-                return rest[0] if len(rest) == 1 else Smash(rest)
             down = desuspend(a)
-            if down is not None and not isinstance(down, Point):
-                args = list(e.args)
-                args[i] = down
-                return Smash(tuple(args))
+            if a == Sphere(1) or not (down is None or isinstance(down, Point)):
+                mid = () if down is None else (down,)
+                return _nary(Smash, [(x, 1) for x in e.args[:i] + mid + e.args[i + 1 :]])
     return None
 
 
@@ -238,7 +234,7 @@ def _runs(e: SpaceExpr) -> tuple[tuple[SpaceExpr, int], ...]:
     Grouping by identity first keeps this linear with a tiny constant on the
     long runs of one shared object that the decompositions and Hilton-Milnor
     build; an equality check then merges equal but distinct neighbours.
-    The walkers that visit each run once and scale by its count (rewrite,
+    The walkers that visit each run once and scale by its count (normalize,
     sort keys, series, certificates, top dimension, s-expression output)
     cost time per run, not per summand."""
     if e._rl is not None:
@@ -285,107 +281,103 @@ def _sorted_args(runs: list) -> tuple:
     return _repeat_runs(groups)
 
 
-def _shared_map(fn, e: SpaceExpr) -> tuple:
-    """fn over the arguments of e, called once per run so that the result
-    shares its nodes the way e.args does."""
-    return _repeat_runs((fn(a), c) for a, c in _runs(e))
+def _nary(cls, runs) -> SpaceExpr:
+    """The canonical Wedge, Prod or Smash of canonical (term, count) runs
+    with positive counts: same-class children flatten, Point drops out (or
+    absorbs a Smash), sphere smash factors merge, and the rest is sorted."""
+    flat = []
+    for a, c in runs:
+        if isinstance(a, Point):
+            if cls is Smash:
+                return POINT
+        elif isinstance(a, cls):
+            flat.extend(_runs(a) * c)
+        else:
+            flat.append((a, c))
+    if cls is Smash:
+        sph = sum(a.d * c for a, c in flat if isinstance(a, Sphere))
+        if sph:
+            flat = [(Sphere(sph), 1)] + [r for r in flat if not isinstance(r[0], Sphere)]
+    size = sum(c for _, c in flat)
+    if size == 0:
+        return POINT
+    return flat[0][0] if size == 1 else cls(_sorted_args(flat))
 
 
-def _rw(e: SpaceExpr, memo: dict) -> SpaceExpr:
-    """One bottom-up rewrite pass.
+def _susp(a: SpaceExpr) -> SpaceExpr:
+    """The canonical suspension of a canonical term. It distributes over a
+    wedge, one new summand per run, and splits a product into the wedge of
+    suspended smashes of its nonempty subsets of factors."""
+    if isinstance(a, Point):
+        return POINT
+    if isinstance(a, Sphere):
+        return Sphere(a.d + 1)
+    if isinstance(a, Wedge):
+        return _nary(Wedge, [(_susp(x), c) for x, c in _runs(a)])
+    if isinstance(a, Prod):
+        subs = (s for r in range(1, len(a.args) + 1) for s in itertools.combinations(a.args, r))
+        return _nary(Wedge, [(_susp(_nary(Smash, [(x, 1) for x in s])), 1) for s in subs])
+    return Susp(a)
 
-    memo maps id(node) to (node, result) for the pass; holding the node keeps
-    its id valid, and each shared subterm is rewritten once. A node that no
-    rule changes comes back as itself, as does a node normalize() returned."""
+
+def _loop(a: SpaceExpr) -> SpaceExpr:
+    """The canonical loop space of a canonical term; it distributes over a
+    product, one new factor per run."""
+    if isinstance(a, Point):
+        return POINT
+    if isinstance(a, Prod):
+        return _nary(Prod, [(_loop(x), c) for x, c in _runs(a)])
+    return Loop(a)
+
+
+def _norm(e: SpaceExpr, memo: dict) -> SpaceExpr:
+    """The canonical form of e, rebuilt bottom-up from canonical children.
+    memo maps id(node) to (node, result): holding the node keeps its id
+    valid, and each shared subterm is rebuilt once."""
     if e._canon or isinstance(e, (Point, Sphere, Atom)):
         return e
     hit = memo.get(id(e))
     if hit is None:
-        hit = memo[id(e)] = (e, _rw_node(e, memo))
+        out = _norm_node(e, memo)
+        hit = memo[id(e)] = (e, e if out == e else out)
     return hit[1]
 
 
-def _rw_node(e: SpaceExpr, memo: dict) -> SpaceExpr:
+def _norm_node(e: SpaceExpr, memo: dict) -> SpaceExpr:
     if isinstance(e, (Wedge, Prod, Smash)):
-        cls = type(e)
-        runs = []
-        for a, c in _runs(e):
-            a = _rw(a, memo)
-            if isinstance(a, Point):
-                if cls is Smash:
-                    return POINT
-            elif isinstance(a, cls):
-                runs.extend(_runs(a) * c)
-            else:
-                runs.append((a, c))
-        if cls is Smash:
-            sph = sum(a.d * c for a, c in runs if isinstance(a, Sphere))
-            if sph:
-                runs = [(Sphere(sph), 1)] + [r for r in runs if not isinstance(r[0], Sphere)]
-        size = sum(c for _, c in runs)
-        if size == 0:
-            return POINT
-        if size == 1:
-            return runs[0][0]
-        t = _sorted_args(runs)
-        return e if t == e.args else cls(t)
+        return _nary(type(e), [(_norm(a, memo), c) for a, c in _runs(e)])
     if isinstance(e, Susp):
-        a = _rw(e.arg, memo)
-        if isinstance(a, Point):
-            return POINT
-        if isinstance(a, Sphere):
-            return Sphere(a.d + 1)
-        if isinstance(a, Wedge):
-            return Wedge(_shared_map(Susp, a))
-        if isinstance(a, Prod):
-            parts = []
-            for r in range(1, len(a.args) + 1):
-                for sub in itertools.combinations(a.args, r):
-                    inner = sub[0] if len(sub) == 1 else Smash(sub)
-                    parts.append(Susp(inner))
-            return Wedge(tuple(parts))
-        return e if a is e.arg else Susp(a)
+        return _susp(_norm(e.arg, memo))
     if isinstance(e, Loop):
-        a = _rw(e.arg, memo)
-        if isinstance(a, Point):
-            return POINT
-        if isinstance(a, Prod):
-            return Prod(_shared_map(Loop, a))
-        return e if a is e.arg else Loop(a)
+        return _loop(_norm(e.arg, memo))
     if isinstance(e, Join):
-        return Susp(Smash((_rw(e.left, memo), _rw(e.right, memo))))
+        return _susp(_nary(Smash, [(_norm(e.left, memo), 1), (_norm(e.right, memo), 1)]))
     if isinstance(e, Cone):
         return POINT
     if isinstance(e, HalfSmash):
-        a, b = _rw(e.left, memo), _rw(e.right, memo)
-        if isinstance(a, Point):
-            return POINT
-        if isinstance(b, Point):
+        a, b = _norm(e.left, memo), _norm(e.right, memo)
+        if isinstance(a, Point) or isinstance(b, Point):
             return a
         if a == Sphere(1):
-            return Wedge((a, Susp(b)))
+            return _nary(Wedge, [(a, 1), (_susp(b), 1)])
         down = desuspend(a)
         if down is not None:
-            return Wedge((a, Smash((down, Susp(b)))))
-        return e if a is e.left and b is e.right else HalfSmash(a, b)
+            return _nary(Wedge, [(a, 1), (_nary(Smash, [(down, 1), (_susp(b), 1)]), 1)])
+        return HalfSmash(a, b)
     raise InvalidParameters(f"unknown expression node {type(e).__name__}")
 
 
 def normalize(e: SpaceExpr) -> SpaceExpr:
-    """Rewrite to the canonical fixpoint. Idempotent.
+    """The canonical form of e. Idempotent.
 
-    Each pass costs time per distinct subterm (and per run of a repeated
-    one), not per copy. The fixpoint test is identity, since a pass returns
-    an unchanged node as itself. The result is marked canonical, so handing
-    it back to normalize(), alone or inside a larger term, returns it at
-    once."""
-    for _ in range(200):
-        nxt = _rw(e, {})
-        if nxt is e:
-            object.__setattr__(e, "_canon", True)
-            return e
-        e = nxt
-    raise AssertionError("normalization failed to stabilise")
+    One bottom-up walk rebuilds each node from its canonical children
+    through smart constructors that apply each rule once, so the cost is per
+    distinct subterm (and per run of a repeated one), not per copy. A term
+    already canonical comes back as itself; the result is marked canonical,
+    so normalize() returns it at once, alone or inside a larger term."""
+    out = _norm(e, {})
+    object.__setattr__(out, "_canon", True)
+    return out
 
 
 def wedge_of_spheres_min_dim(e: SpaceExpr):
@@ -618,10 +610,7 @@ def james_split(x: SpaceExpr, cutoff: int) -> SpaceExpr:
     if cutoff < 1:
         raise InvalidParameters("cutoff must be at least 1")
     counts, _ = _sphere_counts(Susp(Loop(Susp(normalize(x)))), cutoff)
-    args = _repeat_runs((Sphere(d), c) for d, c in counts.items())
-    if not args:
-        return POINT
-    return args[0] if len(args) == 1 else Wedge(args)
+    return _nary(Wedge, [(Sphere(d), c) for d, c in counts.items()])
 
 
 def lyndon_words(n: int, maxlen: int) -> list[tuple[int, ...]]:
@@ -708,12 +697,11 @@ def hilton_milnor(w: SpaceExpr, cutoff: int) -> SpaceExpr:
 
     The factor for a word depends only on its letter content (smash factors
     commute), so the product is assembled content by content, with Witt's
-    formula giving the number of Lyndon words per content. One normalized
-    expression object is shared across the run of equal factors of each
-    content, which keeps the result usable even when the word count runs
-    into the millions (as it does for a wedge of several S^2 summands at a
-    generous cutoff): normalize() keys and sorts each shared factor once and
-    returns it unchanged, and series and output walk each run once."""
+    formula giving the number of Lyndon words per content. Each content
+    builds one canonical factor, shared across its run of equal factors,
+    which keeps the result usable even when the word count runs into the
+    millions (as it does for a wedge of several S^2 summands at a generous
+    cutoff): normalize(), series and output walk each run once."""
     if cutoff < 1:
         raise InvalidParameters("cutoff must be at least 1")
     wn = normalize(w)
@@ -722,9 +710,6 @@ def hilton_milnor(w: SpaceExpr, cutoff: int) -> SpaceExpr:
     summands = list(wn.args) if isinstance(wn, Wedge) else [wn]
     bases = []
     for s in summands:
-        if isinstance(s, Sphere) and s.d >= 2:
-            bases.append(Sphere(s.d - 1))
-            continue
         down = desuspend(s)
         if down is None or isinstance(down, Point):
             raise SeriesDomainError(f"wedge summand {format_sexpr(s)} is not a suspension")
@@ -739,17 +724,15 @@ def hilton_milnor(w: SpaceExpr, cutoff: int) -> SpaceExpr:
             count = _lyndon_content_count(content)
             if count == 0:
                 continue
-            letters: list[SpaceExpr] = []
-            for base, m in zip(bases, content):
-                letters.extend([base] * m)
-            inner = letters[0] if len(letters) == 1 else Smash(tuple(letters))
-            factors.extend([normalize(Loop(Susp(inner)))] * count)
+            inner = _nary(Smash, [(b, m) for b, m in zip(bases, content) if m])
+            factors.extend([_loop(_susp(inner))] * count)
     if not factors:
         return POINT
     return factors[0] if len(factors) == 1 else Prod(tuple(factors))
 
 
-_TOKEN = re.compile(r'\(|\)|"[^"]*"|[^\s()"]+')
+# a lone '"', the one non-space character the rest skip, is a token to reject
+_TOKEN = re.compile(r'\(|\)|"[^"]*"|[^\s()"]+|"')
 
 _NODE_NAMES = {
     "point": Point,
@@ -816,6 +799,8 @@ def parse_sexpr(text: str) -> SpaceExpr:
                 args.append(parse())
             else:
                 pos += 1
+                if tok == '"':
+                    raise InvalidParameters("unterminated quoted name")
                 if tok.startswith('"'):
                     args.append(tok[1:-1])
                 else:

@@ -10,7 +10,7 @@ The sphere engine at the end is the sparse one that sphere_multiset_of and
 james_split used before they read their counts off the Poincare series: it
 expands a term into sphere counts by convolving dimension dictionaries and
 splits loops by summing James smash powers. It calls this module's
-normalize(), whose results equal the shared rewrite's.
+normalize(), whose results equal the package's.
 
 Both are kept here, unchanged, as the differential references that
 tests/test_spacealg.py sweeps the package against.

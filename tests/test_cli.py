@@ -208,6 +208,18 @@ def test_hochster_cache_rewrites_a_malformed_entry(tmp_path, capsys, content):
     assert json.loads(entry.read_text()) == json.loads(fresh)
 
 
+def test_hochster_cache_store_failure_leaves_no_temp_file(tmp_path, capsys):
+    # a directory at the entry path: the lookup misses and the store fails
+    cache = tmp_path / "cache"
+    _run(capsys, "hochster", "cycle", "5", "--cache-dir", str(cache))
+    (entry,) = cache.glob("hochster-*.json")
+    entry.unlink()
+    entry.mkdir()
+    code, out, _ = _run(capsys, "hochster", "cycle", "5", "--cache-dir", str(cache))
+    assert code == 2 and out == ""
+    assert os.listdir(cache) == [entry.name]
+
+
 def test_hochster_cache_key_carries_a_schema_version(tmp_path, capsys):
     # an entry under the unversioned key of the same complex is never read
     cache = tmp_path / "cache"

@@ -75,6 +75,17 @@ def test_at_neg_t_and_shift():
     s = _of([1, 2, 3])
     assert s.at_neg_t().coeffs[:3] == (1, -2, 3)
     assert s.shift(2).coeffs[:5] == (0, 0, 1, 2, 3)
+    assert s.shift(0) == s
+    # degrees past the truncation order leave the zero series
+    assert s.shift(9) == s.shift(10**18) == TruncSeries.zero(8)
+    assert TruncSeries.monomial(4, 3) == TruncSeries.zero(3)
+
+
+def test_negative_degrees_are_refused():
+    with pytest.raises(InvalidParameters):
+        TruncSeries.of([1, 2, 3], 4).shift(-1)
+    with pytest.raises(InvalidParameters):
+        TruncSeries.monomial(-2, 3)
 
 
 def test_getitem():

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import spacealg_reference as ref
 
@@ -147,6 +147,9 @@ def test_normalize_susp():
 def test_normalize_susp_of_product_splits():
     got = normalize(Susp(Prod((S1, S2))))
     assert got == Wedge((S2, S3, Sphere(4)))
+    # inside a suspended wedge, the split product flattens into the wedge
+    got = normalize(Susp(Wedge((Prod((S1, S1)), atom("X")))))
+    assert got == Wedge((S2, S2, S3, Susp(atom("X"))))
 
 
 def test_normalize_join_is_suspended_smash():
@@ -188,13 +191,34 @@ def test_normalize_idempotent(e):
 @settings(max_examples=300)
 @given(st_term_atoms)
 def test_normalize_matches_reference(e):
-    """The shared rewrite agrees with the copy-by-copy reference rewrite."""
+    """The one-walk normalize agrees with the copy-by-copy reference rewrite."""
     want = ref.normalize(e)
     got = normalize(e)
     assert got == want
     assert format_sexpr(got) == ref.format_sexpr(want)
     assert normalize(got) is got
     assert sort_key(got) == ref.sort_key(got)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st_term, st_term_atoms))
+@example(Susp(Wedge((Prod((S1, S2)), Loop(S3)))))
+def test_normalize_is_a_fixpoint_of_the_reference_rewrite(e):
+    # the one walk leaves nothing for a further copy-by-copy pass to do
+    n = normalize(e)
+    assert ref._rw(n) == n
+
+
+@settings(max_examples=300)
+@given(st_term_atoms)
+@example(Smash((atom("B"), Susp(atom("A")))))
+@example(Smash((atom("A"), Join(atom("B"), atom("A")))))
+def test_desuspend_keeps_canonical_terms_canonical(e):
+    c = normalize(e)
+    d = desuspend(c)
+    assume(d is not None)
+    assert normalize(d) is d
+    assert ref._rw(d) == d
 
 
 @settings(max_examples=300)
@@ -285,6 +309,10 @@ def test_parse_rejects_garbage():
         parse_sexpr("(frobnicate 3)")
     with pytest.raises(InvalidParameters):
         parse_sexpr("(sphere 0)")
+    # an unmatched quote is refused, not skipped
+    for text in ['(sphere "3)', '(wedge (sphere 2) " (sphere 3))', '(atom "X)', '"', '("']:
+        with pytest.raises(InvalidParameters):
+            parse_sexpr(text)
 
 
 # --- desuspension and certificates ----------------------------------------
@@ -617,6 +645,20 @@ def test_hilton_milnor_matches_word_enumeration():
                 expected[format_sexpr(normalize(Loop(Susp(inner))))] += 1
         got = hilton_milnor(Wedge(summands), cutoff)
         assert Counter(format_sexpr(f) for f in got.args) == expected
+
+
+def test_hilton_milnor_factors_are_canonical():
+    X, Y = atom("X"), atom("Y", reduced={2: 1})
+    for w, cutoff in [
+        (Wedge((S2, S2, S3)), 8),
+        (Wedge((Susp(X), S3, Susp(Smash((X, Y))))), 5),
+        (Wedge((Smash((S1, Prod((S1, S1)))), S2)), 6),
+        (Susp(Prod((S2, X))), 6),
+    ]:
+        got = hilton_milnor(w, cutoff)
+        for f in set(got.args) if isinstance(got, Prod) else {got}:
+            assert normalize(f) is f
+            assert f == ref.normalize(f)
 
 
 def test_hilton_milnor_atoms():
