@@ -32,7 +32,7 @@ from .decomp import (
     poly_fold_decompose,
     porter_wedge,
 )
-from .homology import BettiTable, hochster_zk_betti, reduced_betti, zk_sphere_multiset
+from .homology import BettiTable, hochster_zk_betti, zk_sphere_multiset
 from .series import TruncSeries, hilbert_sr, koszul_loop_series, strip_circles
 from .spacealg import (
     Atom,

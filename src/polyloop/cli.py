@@ -209,11 +209,13 @@ def cmd_verify(args) -> int:
         l = vals[0]
         params = {"l": l}
         if args.mode in ("porter-hochster", "all"):
+            K = complexes.path_graph(l)
+            homology.require_enumerable(K, args.ceiling)  # refuse before the engine runs
             zk = decomp.path_fibre_reduce(l, circles=True)
             from .spacealg import sphere_multiset_of
 
             engine_ms = sphere_multiset_of(zk, max(l + 2, 3))
-            oracle_ms = homology.zk_sphere_multiset(complexes.path_graph(l), jobs=args.jobs)
+            oracle_ms = homology.zk_sphere_multiset(K, ceiling=args.ceiling, jobs=args.jobs)
             checks.append(_multiset_check("porter-hochster", engine_ms.counts, oracle_ms.counts))
         if args.mode in ("koszul", "all"):
             eng = decomp.path_decompose(l, n=args.N, max_dim=max(args.max_dim, l + 2)).series
@@ -315,7 +317,7 @@ def cmd_series(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, *, n=False, max_dim=False, jobs=False) -> None:
+def _add_common(p: argparse.ArgumentParser, *, n=False, max_dim=False, hochster=False) -> None:
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", help="write output atomically to this file instead of stdout")
     if n:
@@ -323,7 +325,8 @@ def _add_common(p: argparse.ArgumentParser, *, n=False, max_dim=False, jobs=Fals
     if max_dim:
         p.add_argument("--max-dim", dest="max_dim", type=int, default=16,
                        help="sphere enumeration ceiling")
-    if jobs:
+    if hochster:
+        p.add_argument("--ceiling", type=int, default=20, help="ground set size cap")
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes for subset enumeration (0 = all cores)")
 
@@ -351,15 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=("porter-hochster", "koszul", "all"))
     p.add_argument("family", choices=("path", "planar-book", "book"))
     p.add_argument("params", nargs="*")
-    _add_common(p, n=True, max_dim=True, jobs=True)
+    _add_common(p, n=True, max_dim=True, hochster=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hochster", help="Betti table of a moment-angle complex")
     p.add_argument("family", choices=sorted(_FAMILY_ARITY))
     p.add_argument("params", nargs="*")
-    p.add_argument("--ceiling", type=int, default=20, help="ground set size cap")
     p.add_argument("--cache-dir", dest="cache_dir", help="content-addressed result cache")
-    _add_common(p, jobs=True)
+    _add_common(p, hochster=True)
     p.set_defaults(func=cmd_hochster)
 
     p = sub.add_parser("series", help="Hilbert or Koszul series of a complex")

@@ -87,18 +87,6 @@ class SimplicialComplex:
             counts[len(f)] += 1
         return tuple(counts)
 
-    def full_subcomplex(self, labels) -> "SimplicialComplex":
-        """Faces contained in `labels`, relabelled order-preservingly to a
-        compact ground set of size len(labels)."""
-        sub = sorted(set(labels))
-        if sub and (sub[0] < 0 or sub[-1] >= self.ground_size):
-            raise InvalidParameters("subset labels outside the ground set")
-        pos = {v: i for i, v in enumerate(sub)}
-        keep = frozenset(
-            tuple(pos[v] for v in f) for f in self.faces if all(v in pos for v in f)
-        )
-        return SimplicialComplex(len(sub), keep)
-
     def relabel(self, perm) -> "SimplicialComplex":
         """Apply a permutation of the ground set, perm[v] = new label of v."""
         perm = tuple(perm)

@@ -1,16 +1,15 @@
-"""Exact simplicial homology and the Hochster subset-sum oracle.
+"""Exact homology ranks and the Hochster oracle for moment-angle complexes.
 
-Reduced Betti numbers are ranks over the rationals from fraction-free
-(Bareiss) integer elimination, so they are exact; torsion is not computed.
-The chain complex is the augmented one: the empty face spans degree -1,
-hence the empty complex {()} has reduced b_-1 = 1.
-
-hochster_zk_betti evaluates, for a complex K on ground set [m],
+Ranks are over the rationals by fraction-free (Bareiss) integer elimination,
+so they are exact; torsion is not computed. hochster_zk_betti evaluates, for
+a complex K on ground set [m],
 
     b_j(Z_K) = sum over I subset of [m] of reduced b_{j - |I| - 1}(K_I),
 
-with K_I the full subcomplex on I, read off bitmask faces without building
-it. The I = {} term contributes 1 in degree 0.
+with K_I the full subcomplex on I; the I = {} term gives 1 in degree 0. A
+graph enters only through |I| and the edge and component counts of K_I, so its
+sum runs over the connected vertex sets of K. Complexes of dimension 2 and up
+visit all 2^m subsets, reading K_I off bitmask faces without building it.
 When K is flag with a chordal 1-skeleton, Z_K is a wedge of spheres
 (Grbic, Panov, Theriault and Wu, Trans. AMS 2016) and the table records it;
 zk_sphere_multiset extracts it and refuses every other K.
@@ -20,8 +19,9 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
+from math import comb
 
-from .complexes import Face, SimplicialComplex
+from .complexes import SimplicialComplex
 from .errors import GhostVertexError, GroundSizeLimitError, InvalidParameters
 from .spheres import SphereMultiset
 
@@ -50,29 +50,6 @@ def bareiss_rank(rows: list[list[int]]) -> int:
         if row == nrows:
             break
     return rank
-
-
-def _boundary_matrix(faces_k: list[Face], faces_km1: list[Face]) -> list[list[int]]:
-    index = {f: i for i, f in enumerate(faces_km1)}
-    rows = []
-    for f in faces_k:
-        row = [0] * len(faces_km1)
-        for j in range(len(f)):
-            row[index[f[:j] + f[j + 1 :]]] = -1 if j % 2 else 1
-        rows.append(row)
-    return rows
-
-
-def reduced_betti(K: SimplicialComplex) -> tuple[int, ...]:
-    """(b_-1, b_0, ..., b_dim), reduced, rational coefficients."""
-    layers = [K.faces_of_size(k) for k in range(K.dim + 2)]
-    ranks = [0] * (len(layers) + 1)
-    for k in range(1, len(layers)):
-        ranks[k] = bareiss_rank(_boundary_matrix(layers[k], layers[k - 1]))
-    out = []
-    for k in range(len(layers)):
-        out.append(len(layers[k]) - ranks[k] - ranks[k + 1])
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -113,6 +90,44 @@ def _mask_boundary_rank(faces_k: list[int], faces_km1: list[int]) -> int:
     return bareiss_rank(rows)
 
 
+def _adjacency_masks(K: SimplicialComplex) -> list[int]:
+    adj = [0] * K.ground_size
+    for a, b in K.faces_of_size(2):
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def _graph_contributions(K: SimplicialComplex) -> dict[int, int]:
+    """Hochster table of a graph K without ghosts. For I != {} of size s,
+    reduced b_0(K_I) = c(I) - 1 lands in degree s + 1 and reduced b_1(K_I) =
+    E(I) - s + c(I) in degree s + 2. Over |I| = s, E(I) sums to E C(m-2, s-2)
+    and c(I) counts the connected sets C inside I with their outer neighbours
+    N(C) outside it: C(m - |C| - |N(C)|, s - |C|) sets I per C."""
+    m, adj = K.ground_size, _adjacency_masks(K)
+    shapes: dict[tuple[int, int], int] = {}  # (|C|, |N(C)|) -> connected sets C
+    for v in range(m):
+        # grow each C from its least vertex v; every frontier vertex u is
+        # either taken or banned, so each C is reached once, with N(C) banned
+        stack = [(1 << v, adj[v], (1 << v) - 1)]
+        while stack:
+            C, near, banned = stack.pop()
+            frontier = near & ~(C | banned)
+            if frontier:
+                u = frontier & -frontier
+                stack.append((C, near, banned | u))
+                stack.append((C | u, near | adj[u.bit_length() - 1], banned))
+            else:
+                shape = (C.bit_count(), (near & ~C).bit_count())
+                shapes[shape] = shapes.get(shape, 0) + 1
+    edges, table = len(K.faces_of_size(2)), [1] + [0] * (m + 2)
+    for s in range(1, m + 1):
+        comps = sum(n * comb(m - k - b, s - k) for (k, b), n in shapes.items() if k <= s)
+        table[s + 1] += comps - comb(m, s)
+        table[s + 2] += comps - s * comb(m, s) + (edges * comb(m - 2, s - 2) if s > 1 else 0)
+    return dict(enumerate(table))
+
+
 def _subset_contributions(K: SimplicialComplex, masks: range) -> dict[int, int]:
     """Hochster terms of the subsets I in masks. Faces are bitmasks and those
     of K_I are the f with f & ~I == 0, so no subcomplex is built. The rank of
@@ -120,10 +135,7 @@ def _subset_contributions(K: SimplicialComplex, masks: range) -> dict[int, int]:
     so graphs need no matrix; larger faces go through bareiss_rank."""
     sizes = range(max(K.dim, 0) + 2)  # a vertex layer even for the empty complex
     layers = [[sum(1 << v for v in f) for f in K.faces_of_size(k)] for k in sizes]
-    adj = [0] * K.ground_size
-    for a, b in K.faces_of_size(2):
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
+    adj = _adjacency_masks(K)
     vertex_mask, face_set, table = sum(layers[1]), set().union(*layers), {}
     for I in masks:
         outside, verts = ~I, I & vertex_mask
@@ -141,11 +153,6 @@ def _subset_contributions(K: SimplicialComplex, masks: range) -> dict[int, int]:
     return table
 
 
-def _worker(args) -> dict[int, int]:
-    K, lo, hi = args
-    return _subset_contributions(K, range(lo, hi))
-
-
 def require_enumerable(K: SimplicialComplex, ceiling: int) -> None:
     """Raise the errors hochster_zk_betti refuses K with: ghosts, or m > ceiling."""
     if K.ghosts:
@@ -157,11 +164,11 @@ def require_enumerable(K: SimplicialComplex, ceiling: int) -> None:
 def hochster_zk_betti(
     K: SimplicialComplex, *, ceiling: int = 20, jobs: int | None = 1
 ) -> BettiTable:
-    """Full Betti table of Z_K by summing over all 2^m full subcomplexes.
-
-    Refuses ground sets above `ceiling`. With jobs > 1 the subset range is
-    split into contiguous blocks handled by worker processes; the final table
-    is a sum, so it is identical for every job count.
+    """Full Betti table of Z_K by Hochster's formula; refuses ghost vertices
+    and ground sets above `ceiling`. A graph (dimension at most 1) takes the
+    connected-set sum, serially. Larger complexes sum over all 2^m full
+    subcomplexes, and with jobs > 1 contiguous blocks of subsets go to worker
+    processes; the table is a sum, so it is identical for every job count.
     """
     require_enumerable(K, ceiling)
     m = K.ground_size
@@ -169,13 +176,15 @@ def hochster_zk_betti(
     if jobs is None:
         jobs = multiprocessing.cpu_count()
     jobs = max(1, min(jobs, total))
-    if jobs == 1 or total < 1 << 10:
+    if K.dim <= 1:
+        table = _graph_contributions(K)
+    elif jobs == 1 or total < 1 << 10:
         table = _subset_contributions(K, range(total))
     else:
         step = -(-total // jobs)
-        chunks = [(K, lo, min(lo + step, total)) for lo in range(0, total, step)]
+        chunks = [(K, range(lo, min(lo + step, total))) for lo in range(0, total, step)]
         with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_worker, chunks)
+            parts = pool.starmap(_subset_contributions, chunks)
         table = {}
         for part in parts:
             for j, b in part.items():

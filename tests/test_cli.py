@@ -239,6 +239,42 @@ def test_verify_porter_hochster(capsys):
     assert obj["checks"] == [{"name": "porter-hochster", "status": "pass"}]
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("hochster", "path", "14"),
+         "c8ceb3a8562cc8a5060ae7f06a454645b3b6b2dc17a3098ced7a04176ba4fd68"),
+        (("hochster", "cycle", "15"),
+         "9ecff42410e855812212947dfb7ef4e10e3de4bb210f42a52d0b6487ac0af144"),
+        (("hochster", "planar-book", "4", "3"),
+         "8c7e38dc4f29211ffa5cbfdb1350437f34e3879ee9302c274545d2b2cd225282"),
+        (("hochster", "planar-book", "5", "3"),
+         "54e68a6503d3db6329905e39b5569d6a71961fcaeb13d317b5f9b4b1c96e29b2"),
+        (("verify", "porter-hochster", "path", "14", "--jobs", "2"),
+         "c36996a199f01d73ac01711b7db5cbf9851ae24c9de9e9848b553c03d275cfbc"),
+    ],
+)
+def test_hochster_stdout_is_pinned(capsys, argv, digest):
+    # sha256 of stdout as recorded while the oracle summed over all 2^m subsets
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mode", ["porter-hochster", "all"])
+def test_verify_ceiling_refuses_before_the_engine_runs(capsys, monkeypatch, mode):
+    def engine_must_not_run(*args, **kwargs):
+        raise AssertionError("the Porter engine ran for a path above the ceiling")
+
+    real = cli.decomp.path_fibre_reduce
+    monkeypatch.setattr(cli.decomp, "path_fibre_reduce", engine_must_not_run)
+    code, out, err = _run(capsys, "verify", mode, "path", "5", "--ceiling", "5")
+    assert code == 5 and out == "" and "cap" in err
+    monkeypatch.setattr(cli.decomp, "path_fibre_reduce", real)
+    code, out, _ = _run(capsys, "verify", mode, "path", "5", "--ceiling", "6")
+    assert code == 0 and json.loads(out)["status"] == "pass"
+
+
 def test_verify_koszul_path_and_book(capsys):
     assert _run(capsys, "verify", "koszul", "path", "3")[0] == 0
     assert _run(capsys, "verify", "koszul", "planar-book", "2", "2")[0] == 0

