@@ -209,7 +209,7 @@ def cmd_verify(args) -> int:
         l = vals[0]
         params = {"l": l}
         if args.mode in ("porter-hochster", "all"):
-            # the oracle refuses l > 20 (exit 5) before the engine builds the 2^l wedge
+            # the oracle refuses m = l + 1 > 20 (exit 5) before the engine builds the 2^l wedge
             oracle_ms = homology.zk_sphere_multiset(complexes.path_graph(l), jobs=args.jobs)
             zk = decomp.path_fibre_reduce(l, circles=True)
             from .spacealg import sphere_multiset_of
