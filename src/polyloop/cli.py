@@ -64,13 +64,18 @@ def _glue_spec_from_obj(obj: dict) -> complexes.GluingSpec:
         raise InvalidParameters("glue spec must be a JSON object")
     try:
         base = complexes.from_json_obj(obj["base"])
-        sub_a = tuple(obj["sub_a"])
-        sub_b = tuple(obj["sub_b"])
+        sub_a = complexes.json_labels(obj["sub_a"], "sub_a")
+        sub_b = complexes.json_labels(obj["sub_b"], "sub_b")
         copies = obj["copies"]
     except KeyError as exc:
         raise InvalidParameters(f"glue spec is missing key {exc}") from exc
-    psi = tuple(obj.get("psi", range(base.ground_size)))
-    phi = tuple(tuple(p) for p in obj.get("phi", ()))
+    if type(copies) is not int:
+        raise InvalidParameters("copies must be an integer")
+    psi = complexes.json_labels(obj.get("psi", list(range(base.ground_size))), "psi")
+    phi = obj.get("phi", [])
+    if not isinstance(phi, list):
+        raise InvalidParameters("phi must be a list of relabellings")
+    phi = tuple(complexes.json_labels(p, "each phi entry") for p in phi)
     return complexes.GluingSpec(base, sub_a, sub_b, psi, copies, phi)
 
 

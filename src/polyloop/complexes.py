@@ -171,9 +171,16 @@ def from_json_obj(obj: dict) -> SimplicialComplex:
         facets = obj["facets"]
     except (TypeError, KeyError) as exc:
         raise InvalidParameters("complex JSON must have keys 'm' and 'facets'") from exc
-    if not isinstance(m, int) or not isinstance(facets, list):
+    if type(m) is not int or not isinstance(facets, list):
         raise InvalidParameters("complex JSON: 'm' must be an int, 'facets' a list")
-    return from_facets(m, facets)
+    return from_facets(m, [json_labels(f, "each facet") for f in facets])
+
+
+def json_labels(v, what: str) -> tuple[int, ...]:
+    """A JSON list of int labels as a tuple (no bools, floats or strings)."""
+    if not isinstance(v, list) or any(type(x) is not int for x in v):
+        raise InvalidParameters(f"{what} must be a list of integer labels")
+    return tuple(v)
 
 
 def path_graph(l: int) -> SimplicialComplex:

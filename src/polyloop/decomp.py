@@ -59,6 +59,7 @@ from .spacealg import (
     Susp,
     Wedge,
     atom,
+    format_sexpr,
     normalize,
     poincare_series,
     sphere_multiset_of,
@@ -80,8 +81,6 @@ class DecompResult:
     provenance: tuple[str, ...]
 
     def to_json_obj(self) -> dict:
-        from .spacealg import format_sexpr
-
         obj: dict = {"family": self.family}
         obj.update(self.params)
         obj["factors"] = [
@@ -113,17 +112,18 @@ def porter_wedge(l: int, circles: bool = True, x: Atom = GENERIC_VERTEX_SPACE) -
     With circles=True each loop factor is a circle and the summands collapse
     to spheres: k-1 copies of S^(k+1) for each of the C(l, k) subsets of size
     k. Symbolically the summands stay as suspended smash powers of Loop(x).
+    Each k gives one run whose count is (k-1)·C(l, k), so the wedge has l-1
+    runs while its summands number about l·2^(l-1).
     """
     if l < 1:
         raise InvalidParameters("need at least one wedge summand")
-    parts: list[SpaceExpr] = []
-    for k in range(2, l + 1):
-        copies = (k - 1) * math.comb(l, k)
-        if circles:
-            parts.extend([Sphere(k + 1)] * copies)
-        else:
-            parts.extend([Susp(Smash(tuple([Loop(x)] * k)))] * copies)
-    return normalize(Wedge(tuple(parts)))
+    runs = ((_smash_power(k, circles, x), (k - 1) * math.comb(l, k)) for k in range(2, l + 1))
+    return normalize(Wedge.of_runs(runs))
+
+
+def _smash_power(k: int, circles: bool, x: Atom) -> SpaceExpr:
+    """The suspended k-fold smash of loop factors: S^(k+1) for circles."""
+    return Sphere(k + 1) if circles else Susp(Smash.of_runs([(Loop(x), k)]))
 
 
 def path_fibre_reduce(l: int, circles: bool = True, x: Atom = GENERIC_VERTEX_SPACE) -> SpaceExpr:
@@ -143,9 +143,9 @@ def cone_loop_split(
     copies of Loop(x) times the loops on the given fibre product zk."""
     if m < 1:
         raise InvalidParameters("need at least one vertex")
-    vertex_loops = normalize(Prod(tuple([Loop(x)] * m)))
+    vertex_loops = normalize(Prod.of_runs([(Loop(x), m)]))
     cone_factor = normalize(Loop(zk))
-    total = normalize(Prod(tuple([Loop(x)] * m) + (Loop(zk),)))
+    total = normalize(Prod.of_runs([(Loop(x), m), (Loop(zk), 1)]))
     return DecompResult(
         family="cone-loop",
         params={"m": m, "N": n},
@@ -161,7 +161,7 @@ def fold_decompose(n_summands: int, x: SpaceExpr, fibre: SpaceExpr, n: int = 16)
     """Loops on an n-fold wedge of a space with chosen map to x and fibre."""
     if n_summands < 1:
         raise InvalidParameters("need at least one wedge summand")
-    fw = normalize(Wedge(tuple([Susp(fibre)] * (n_summands - 1))))
+    fw = normalize(Wedge.of_runs([(Susp(fibre), n_summands - 1)]))
     total = normalize(Prod((Loop(x), Loop(fw))))
     return DecompResult(
         family="fold",
@@ -186,7 +186,7 @@ def poly_fold_decompose(
     suspended gluing fibre. The base factor stays opaque unless the caller
     passes its own expression for it."""
     copies = spec.copies
-    fw = normalize(Wedge(tuple([Susp(fibre_g)] * (copies - 1))))
+    fw = normalize(Wedge.of_runs([(Susp(fibre_g), copies - 1)]))
     base = base_loop if base_loop is not None else Loop(atom("base-product"))
     base = normalize(base)
     total = normalize(Prod((base, Loop(fw))))
@@ -212,16 +212,13 @@ def book_C(l: int, circles: bool = True, x: Atom = GENERIC_VERTEX_SPACE) -> Spac
     """
     if l < 3:
         raise InvalidParameters("the C summand exists for spine length at least 3")
-    parts: list[SpaceExpr] = []
-    for s in range(1, l):
-        copies = math.comb(l - 1, s) - (1 if s == 1 else 0)
-        if circles:
-            parts.extend([Sphere(s + 2)] * copies)
-        else:
-            parts.extend([Susp(Smash(tuple([Loop(x)] * (s + 1))))] * copies)
+    parts = [
+        (_smash_power(s + 1, circles, x), math.comb(l - 1, s) - (1 if s == 1 else 0))
+        for s in range(1, l)
+    ]
     zk = porter_wedge(l - 1, circles=circles, x=x)
     tail = HalfSmash(zk, Sphere(1) if circles else Loop(x))
-    return normalize(Wedge(tuple(parts) + (tail,)))
+    return normalize(Wedge.of_runs(parts + [(tail, 1)]))
 
 
 def endpoint_fibre(l: int, circles: bool = True, x: Atom = GENERIC_VERTEX_SPACE) -> SpaceExpr:
@@ -238,8 +235,7 @@ def endpoint_fibre(l: int, circles: bool = True, x: Atom = GENERIC_VERTEX_SPACE)
     cbit = book_C(l, circles=circles, x=x)
     join_loops = Loop(Sphere(3)) if circles else Loop(Join(Loop(x), Loop(x)))
     tail = Loop(HalfSmash(cbit, join_loops))
-    lead: list[SpaceExpr] = [Sphere(1) if circles else Loop(x)] * (l - 1)
-    return normalize(Prod(tuple(lead) + (tail,)))
+    return normalize(Prod.of_runs([(Sphere(1) if circles else Loop(x), l - 1), (tail, 1)]))
 
 
 def _require_visible(ms: SphereMultiset, name: str) -> None:
@@ -257,7 +253,7 @@ def path_decompose(l: int, n: int = 16, max_dim: int = 16) -> DecompResult:
     if max_dim < 2:
         raise InvalidParameters("sphere ceiling below 2 cannot express anything")
     zk = path_fibre_reduce(l, circles=True)
-    total = normalize(Prod(tuple([Sphere(1)] * (l + 1)) + (Loop(zk),)))
+    total = normalize(Prod.of_runs([(Sphere(1), l + 1), (Loop(zk), 1)]))
     spheres = {"ZPl": sphere_multiset_of(zk, max_dim)}
     _require_visible(spheres["ZPl"], "path fibre")
     return DecompResult(
@@ -265,7 +261,7 @@ def path_decompose(l: int, n: int = 16, max_dim: int = 16) -> DecompResult:
         params={"l": l, "N": n, "max_dim": max_dim},
         total=total,
         factors=(
-            ("circles", normalize(Prod(tuple([Sphere(1)] * (l + 1))))),
+            ("circles", normalize(Prod.of_runs([(Sphere(1), l + 1)]))),
             ("loop-path-fibre", normalize(Loop(zk))),
         ),
         spheres=spheres,
@@ -288,9 +284,9 @@ def dj_book_decompose(l: int, p: int, n: int = 16, max_dim: int = 16) -> DecompR
         raise InvalidParameters("sphere ceiling below 2 cannot express anything")
     zk = path_fibre_reduce(l, circles=True)
     fibre = endpoint_fibre(l, circles=True)
-    fw = normalize(Wedge(tuple([Susp(fibre)] * p)))
-    circles = normalize(Prod(tuple([Sphere(1)] * (l + 1))))
-    total = normalize(Prod(tuple([Sphere(1)] * (l + 1)) + (Loop(zk), Loop(fw))))
+    fw = normalize(Wedge.of_runs([(Susp(fibre), p)]))
+    circles = normalize(Prod.of_runs([(Sphere(1), l + 1)]))
+    total = normalize(Prod.of_runs([(Sphere(1), l + 1), (Loop(zk), 1), (Loop(fw), 1)]))
     spheres = {
         "ZPl": sphere_multiset_of(zk, max_dim),
         "fibre": sphere_multiset_of(fw, max_dim),
@@ -335,7 +331,7 @@ def book_decompose_symbolic(n_spine: int, l: int, p: int, n: int = 16) -> Decomp
     if l < 3 or not 1 <= n_spine <= l - 2 or p < 2:
         raise InvalidParameters("book parameters must satisfy l >= 3, 1 <= n <= l-2, p >= 2")
     page_fibre = atom("page-fibre")
-    fw = normalize(Wedge(tuple([Susp(page_fibre)] * (p - 1))))
+    fw = normalize(Wedge.of_runs([(Susp(page_fibre), p - 1)]))
     base = Loop(atom("cycle-product"))
     total = normalize(Prod((base, Loop(fw))))
     return DecompResult(

@@ -32,6 +32,11 @@ dimension (inf through a loop) says whether the ceiling cut spheres off and
 bounds the series order. The James splitting is the sphere report of
 Susp(Loop(Susp(x))).
 
+Wedge, Prod and Smash store their children as runs: maximal (child, count)
+pairs of consecutive equal children, in order. The decompositions are wedges
+and products with binomially or Witt-many equal parts, and every walk above
+visits each run once and scales by its count. `.args` spells the runs out.
+
 String form is an s-expression, for example (wedge (sphere 3) (loop (sphere
 2))); a JSON mirror {"op": ..., "args": [...]} carries the same tree.
 """
@@ -53,21 +58,17 @@ INF = math.inf
 class SpaceExpr:
     """Base class; every node is a frozen dataclass below.
 
-    Nodes cache three derived facts outside their dataclass fields: `_key`,
-    the sort_key tuple, `_canon`, set once normalize() has returned the
-    node, and `_rl`, the runs of a Wedge, Prod or Smash. None of them takes
-    part in equality, hashing, repr or pickling."""
+    Nodes cache two derived facts outside their dataclass fields: `_key`,
+    the sort_key tuple, and `_canon`, set once normalize() has returned the
+    node. Neither takes part in equality, hashing, repr or pickling."""
 
     __slots__ = ()
     _key = None
     _canon = False
-    _rl = None
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k not in _CACHES}
-
-
-_CACHES = ("_key", "_canon", "_rl")
+        # the caches are the only attributes whose names start with "_"
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
 @dataclass(frozen=True)
@@ -104,19 +105,47 @@ class Atom(SpaceExpr):
                 raise InvalidParameters("declared polynomials: sorted pairs with degrees >= 1")
 
 
-@dataclass(frozen=True)
-class Wedge(SpaceExpr):
-    args: tuple[SpaceExpr, ...]
+@dataclass(frozen=True, init=False)
+class _NAry(SpaceExpr):
+    """A Wedge, Prod or Smash. `runs` holds the maximal runs of consecutive
+    equal children as (child, count) pairs, so equality and hashing on runs
+    are those on the spelled-out children. Wedge((a, b, ...)) takes the
+    children one by one, and Wedge.of_runs(pairs) takes them with counts."""
+
+    runs: tuple[tuple[SpaceExpr, int], ...]
+
+    def __init__(self, args=()):
+        object.__setattr__(self, "runs", self.of_runs(zip(args, itertools.repeat(1))).runs)
+
+    @classmethod
+    def of_runs(cls, pairs):
+        """The node with each child repeated count times, in order: zero
+        counts drop out and equal neighbours merge, by identity first."""
+        runs: list[tuple[SpaceExpr, int]] = []
+        for a, c in pairs:
+            if runs and (runs[-1][0] is a or runs[-1][0] == a):
+                runs[-1] = (runs[-1][0], runs[-1][1] + c)
+            elif c:
+                runs.append((a, c))
+        e = object.__new__(cls)
+        object.__setattr__(e, "runs", tuple(runs))
+        return e
+
+    @property
+    def args(self) -> tuple[SpaceExpr, ...]:
+        return _repeat_runs(self.runs)
 
 
-@dataclass(frozen=True)
-class Prod(SpaceExpr):
-    args: tuple[SpaceExpr, ...]
+class Wedge(_NAry):
+    pass
 
 
-@dataclass(frozen=True)
-class Smash(SpaceExpr):
-    args: tuple[SpaceExpr, ...]
+class Prod(_NAry):
+    pass
+
+
+class Smash(_NAry):
+    pass
 
 
 @dataclass(frozen=True)
@@ -150,19 +179,8 @@ class Cone(SpaceExpr):
 
 POINT = Point()
 
-_TAG = {
-    Point: 0,
-    Sphere: 1,
-    Atom: 2,
-    Wedge: 3,
-    Prod: 4,
-    Smash: 5,
-    Susp: 6,
-    Loop: 7,
-    Join: 8,
-    HalfSmash: 9,
-    Cone: 10,
-}
+_KINDS = (Point, Sphere, Atom, Wedge, Prod, Smash, Susp, Loop, Join, HalfSmash, Cone)
+_TAG = {cls: i for i, cls in enumerate(_KINDS)}
 
 
 def sort_key(e: SpaceExpr):
@@ -178,7 +196,7 @@ def sort_key(e: SpaceExpr):
     elif isinstance(e, Atom):
         k = (t, (e.name, e.reduced or (), e.loop_reduced or ()))
     elif isinstance(e, (Wedge, Prod, Smash)):
-        k = (t, _repeat_runs((sort_key(a), c) for a, c in _runs(e)))
+        k = (t, _repeat_runs((sort_key(a), c) for a, c in e.runs))
     elif isinstance(e, (Susp, Loop, Cone)):
         k = (t, (sort_key(e.arg),))
     else:
@@ -215,53 +233,25 @@ def desuspend(e: SpaceExpr) -> SpaceExpr | None:
     if isinstance(e, Susp):
         return e.arg
     if isinstance(e, Wedge):
-        parts = [(desuspend(a), c) for a, c in _runs(e)]
+        parts = [(desuspend(a), c) for a, c in e.runs]
         if all(p is not None for p, _ in parts):
             return _nary(Wedge, parts)
     if isinstance(e, Smash):
-        for i, a in enumerate(e.args):
+        for i, (a, c) in enumerate(e.runs):
             down = desuspend(a)
             if a == Sphere(1) or not (down is None or isinstance(down, Point)):
-                mid = () if down is None else (down,)
-                return _nary(Smash, [(x, 1) for x in e.args[:i] + mid + e.args[i + 1 :]])
+                mid = [] if down is None else [(down, 1)]
+                return _nary(Smash, [*e.runs[:i], *mid, (a, c - 1), *e.runs[i + 1 :]])
     return None
-
-
-def _runs(e: SpaceExpr) -> tuple[tuple[SpaceExpr, int], ...]:
-    """The arguments of a Wedge, Prod or Smash as (value, count) runs of
-    consecutive equal arguments, in order, cached on the node.
-
-    Grouping by identity first keeps this linear with a tiny constant on the
-    long runs of one shared object that the decompositions and Hilton-Milnor
-    build; an equality check then merges equal but distinct neighbours.
-    The walkers that visit each run once and scale by its count (normalize,
-    sort keys, series, certificates, top dimension, s-expression output)
-    cost time per run, not per summand."""
-    if e._rl is not None:
-        return e._rl
-    out: list[tuple[SpaceExpr, int]] = []
-    for _, grp in itertools.groupby(e.args, key=id):
-        block = list(grp)
-        a = block[0]
-        if out and out[-1][0] == a:
-            out[-1] = (a, out[-1][1] + len(block))
-        else:
-            out.append((a, len(block)))
-    object.__setattr__(e, "_rl", tuple(out))
-    return e._rl
 
 
 def _tally(runs) -> list[list]:
     """Runs added up per object wherever they sit: [value, count] for each
     distinct object, in first-occurrence order. This forgets the order, so
-    it serves only commutative operations (series, canonical sorting)."""
+    it serves only the series, which are commutative."""
     groups: dict[int, list] = {}
     for a, c in runs:
-        g = groups.get(id(a))
-        if g is None:
-            groups[id(a)] = [a, c]
-        else:
-            g[1] += c
+        groups.setdefault(id(a), [a, 0])[1] += c
     return list(groups.values())
 
 
@@ -269,29 +259,20 @@ def _repeat_runs(runs) -> tuple:
     return tuple(itertools.chain.from_iterable(itertools.repeat(a, c) for a, c in runs))
 
 
-def _sorted_args(runs: list) -> tuple:
-    """The arguments spelled out by runs, in sort_key order: equal to a
-    stable sort, with each distinct object keyed and placed once."""
-    groups = sorted(_tally(runs), key=lambda g: sort_key(g[0]))
-    for (a, _), (b, _) in zip(groups, groups[1:]):
-        if sort_key(a) == sort_key(b) and a != b:
-            # equal keys on unequal nodes (an atom declaring () against
-            # None): only the stable sort of the full list fixes the order
-            return tuple(sorted(_repeat_runs(runs), key=sort_key))
-    return _repeat_runs(groups)
-
-
 def _nary(cls, runs) -> SpaceExpr:
-    """The canonical Wedge, Prod or Smash of canonical (term, count) runs
-    with positive counts: same-class children flatten, Point drops out (or
-    absorbs a Smash), sphere smash factors merge, and the rest is sorted."""
+    """The canonical Wedge, Prod or Smash of canonical (term, count) runs:
+    zero counts drop out, same-class children flatten, Point drops out (or
+    absorbs a Smash), sphere smash factors merge, and the runs are sorted
+    stably by sort_key, which spells out to a stable sort of the children."""
     flat = []
     for a, c in runs:
+        if not c:
+            continue
         if isinstance(a, Point):
             if cls is Smash:
                 return POINT
         elif isinstance(a, cls):
-            flat.extend(_runs(a) * c)
+            flat.extend(a.runs * c)
         else:
             flat.append((a, c))
     if cls is Smash:
@@ -299,25 +280,44 @@ def _nary(cls, runs) -> SpaceExpr:
         if sph:
             flat = [(Sphere(sph), 1)] + [r for r in flat if not isinstance(r[0], Sphere)]
     size = sum(c for _, c in flat)
-    if size == 0:
-        return POINT
-    return flat[0][0] if size == 1 else cls(_sorted_args(flat))
+    if size < 2:
+        return flat[0][0] if size else POINT
+    flat.sort(key=lambda r: sort_key(r[0]))
+    return cls.of_runs(flat)
 
 
 def _susp(a: SpaceExpr) -> SpaceExpr:
     """The canonical suspension of a canonical term. It distributes over a
     wedge, one new summand per run, and splits a product into the wedge of
-    suspended smashes of its nonempty subsets of factors."""
+    suspended smashes of its nonempty subsets of factors.
+
+    It walks sub-multisets of the runs, each counted by the subsets giving
+    it, in the order in which itertools.combinations first meets them. Only
+    where unequal summands share a sort key (atoms declaring () and nothing)
+    does the interleaving of the subsets order them: those are spelled out."""
     if isinstance(a, Point):
         return POINT
     if isinstance(a, Sphere):
         return Sphere(a.d + 1)
     if isinstance(a, Wedge):
-        return _nary(Wedge, [(_susp(x), c) for x, c in _runs(a)])
+        return _nary(Wedge, [(_susp(x), c) for x, c in a.runs])
     if isinstance(a, Prod):
-        subs = (s for r in range(1, len(a.args) + 1) for s in itertools.combinations(a.args, r))
-        return _nary(Wedge, [(_susp(_nary(Smash, [(x, 1) for x in s])), 1) for s in subs])
+        parts = _susp_subsets(*zip(*a.runs))
+        first: dict = {}
+        if any(first.setdefault(sort_key(s), s) != s for s, _ in parts):
+            parts = _susp_subsets(a.args, (1,) * len(a.args))
+        return _nary(Wedge, parts)
     return Susp(a)
+
+
+def _susp_subsets(factors, caps) -> list:
+    """(Susp of the smash, count) of each sub-multiset with caps[i] copies
+    of factors[i] at most, in the order of _compositions."""
+    return [
+        (_susp(_nary(Smash, list(zip(factors, ms)))), math.prod(map(math.comb, caps, ms)))
+        for r in range(1, sum(caps) + 1)
+        for ms in _compositions(r, caps)
+    ]
 
 
 def _loop(a: SpaceExpr) -> SpaceExpr:
@@ -326,7 +326,7 @@ def _loop(a: SpaceExpr) -> SpaceExpr:
     if isinstance(a, Point):
         return POINT
     if isinstance(a, Prod):
-        return _nary(Prod, [(_loop(x), c) for x, c in _runs(a)])
+        return _nary(Prod, [(_loop(x), c) for x, c in a.runs])
     return Loop(a)
 
 
@@ -345,7 +345,7 @@ def _norm(e: SpaceExpr, memo: dict) -> SpaceExpr:
 
 def _norm_node(e: SpaceExpr, memo: dict) -> SpaceExpr:
     if isinstance(e, (Wedge, Prod, Smash)):
-        return _nary(type(e), [(_norm(a, memo), c) for a, c in _runs(e)])
+        return _nary(type(e), [(_norm(a, memo), c) for a, c in e.runs])
     if isinstance(e, Susp):
         return _susp(_norm(e.arg, memo))
     if isinstance(e, Loop):
@@ -388,7 +388,7 @@ def wedge_of_spheres_min_dim(e: SpaceExpr):
     if isinstance(e, Sphere):
         return e.d
     if isinstance(e, (Wedge, Smash)):
-        runs = [(wedge_of_spheres_min_dim(a), c) for a, c in _runs(e)]
+        runs = [(wedge_of_spheres_min_dim(a), c) for a, c in e.runs]
         if any(v is None for v, _ in runs):
             return None
         if isinstance(e, Wedge):
@@ -419,7 +419,7 @@ def susp_wedge_min_dim(e: SpaceExpr):
     if isinstance(e, Sphere):
         return e.d + 1
     if isinstance(e, (Wedge, Prod, Smash)):
-        runs = [(susp_wedge_min_dim(a), c) for a, c in _runs(e)]
+        runs = [(susp_wedge_min_dim(a), c) for a, c in e.runs]
         if any(v is None for v, _ in runs):
             return None
         if isinstance(e, Wedge):
@@ -434,7 +434,7 @@ def susp_wedge_min_dim(e: SpaceExpr):
         return None if v is None else (INF if v == INF else v + 1)
     if isinstance(e, Loop):
         if isinstance(e.arg, Prod):
-            return susp_wedge_min_dim(Prod(tuple(Loop(f) for f in e.arg.args)))
+            return susp_wedge_min_dim(Prod.of_runs((Loop(f), c) for f, c in e.arg.runs))
         a = wedge_of_spheres_min_dim(e.arg)
         if a is None or a == 1:
             return None
@@ -484,12 +484,12 @@ def _red(e: SpaceExpr, n: int) -> list[int]:
         return _poly_of(e.reduced, n)
     if isinstance(e, Wedge):
         out = [0] * (n + 1)
-        for a, c in _tally(_runs(e)):
+        for a, c in _tally(e.runs):
             out = [x + c * y for x, y in zip(out, _red(a, n))]
         return out
     if isinstance(e, Prod):
         out = [1] + [0] * n
-        for a, c in _tally(_runs(e)):
+        for a, c in _tally(e.runs):
             r = _red(a, n)
             r[0] += 1
             out = _mul(out, r if c == 1 else _pow(r, c, n), n)
@@ -497,7 +497,7 @@ def _red(e: SpaceExpr, n: int) -> list[int]:
         return out
     if isinstance(e, Smash):
         out = None
-        for a, c in _tally(_runs(e)):
+        for a, c in _tally(e.runs):
             r = _red(a, n)
             if c > 1:
                 r = _pow(r, c, n)
@@ -519,7 +519,7 @@ def _red(e: SpaceExpr, n: int) -> list[int]:
         if isinstance(w, Point):
             return [0] * (n + 1)
         if isinstance(w, Prod):
-            return _red(Prod(tuple(Loop(f) for f in w.args)), n)
+            return _red(Prod.of_runs((Loop(f), c) for f, c in w.runs), n)
         if isinstance(w, Atom) and w.loop_reduced is not None:
             return _poly_of(w.loop_reduced, n)
         a = wedge_of_spheres_min_dim(w)
@@ -564,7 +564,7 @@ def _top_dim(e: SpaceExpr):
     if isinstance(e, Sphere):
         return e.d
     if isinstance(e, (Wedge, Prod, Smash)):
-        tops = [(_top_dim(a), c) for a, c in _runs(e)]
+        tops = [(_top_dim(a), c) for a, c in e.runs]
         if isinstance(e, Wedge):
             return max((t for t, _ in tops), default=0)
         if isinstance(e, Smash) and any(t == 0 for t, _ in tops):
@@ -656,9 +656,7 @@ def _lyndon_content_count(content: tuple[int, ...]) -> int:
     Witt's formula: (1/k) sum over e dividing gcd(content) of
     mobius(e) * multinomial(k/e; content/e), with k the word length."""
     k = sum(content)
-    g = 0
-    for m in content:
-        g = math.gcd(g, m)
+    g = math.gcd(*content)
     total = 0
     for e in range(1, g + 1):
         if g % e:
@@ -673,16 +671,18 @@ def _lyndon_content_count(content: tuple[int, ...]) -> int:
     return total // k
 
 
-def _compositions(total: int, parts: int):
-    """Weak compositions of total into parts, earlier parts largest first.
-
-    This order makes letter-1-heavy contents come first, matching the
-    lexicographic order of the smallest word with each content."""
-    if parts == 1:
-        yield (total,)
+def _compositions(total: int, caps: tuple[int, ...]):
+    """Weak compositions of total with part i at most caps[i], earlier parts
+    largest first. This order makes letter-1-heavy contents come first,
+    matching the lexicographic order of the smallest word with each content,
+    and is the order in which itertools.combinations over spelled-out runs
+    first meets each sub-multiset of size total."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
         return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
+    for first in range(min(total, caps[0]), -1, -1):
+        for rest in _compositions(total - first, caps[1:]):
             yield (first,) + rest
 
 
@@ -698,10 +698,10 @@ def hilton_milnor(w: SpaceExpr, cutoff: int) -> SpaceExpr:
     The factor for a word depends only on its letter content (smash factors
     commute), so the product is assembled content by content, with Witt's
     formula giving the number of Lyndon words per content. Each content
-    builds one canonical factor, shared across its run of equal factors,
-    which keeps the result usable even when the word count runs into the
-    millions (as it does for a wedge of several S^2 summands at a generous
-    cutoff): normalize(), series and output walk each run once."""
+    builds one canonical factor and stores it once, as a run whose count is
+    that number, which keeps the result small even when the word count runs
+    into the millions (as it does for a wedge of several S^2 summands at a
+    generous cutoff): normalize(), series and output walk each run once."""
     if cutoff < 1:
         raise InvalidParameters("cutoff must be at least 1")
     wn = normalize(w)
@@ -716,37 +716,25 @@ def hilton_milnor(w: SpaceExpr, cutoff: int) -> SpaceExpr:
         bases.append(down)
     weights = [b.d if isinstance(b, Sphere) else 1 for b in bases]
     maxlen = (cutoff - 1) // min(weights)
-    factors: list[SpaceExpr] = []
+    factors: list[tuple[SpaceExpr, int]] = []
     for k in range(1, maxlen + 1):
-        for content in _compositions(k, len(bases)):
+        for content in _compositions(k, (k,) * len(bases)):
             if 1 + sum(m * wt for m, wt in zip(content, weights)) > cutoff:
                 continue
             count = _lyndon_content_count(content)
             if count == 0:
                 continue
-            inner = _nary(Smash, [(b, m) for b, m in zip(bases, content) if m])
-            factors.extend([_loop(_susp(inner))] * count)
-    if not factors:
-        return POINT
-    return factors[0] if len(factors) == 1 else Prod(tuple(factors))
+            inner = _nary(Smash, list(zip(bases, content)))
+            factors.append((_loop(_susp(inner)), count))
+    if sum(c for _, c in factors) == 1:
+        return factors[0][0]
+    return Prod.of_runs(factors) if factors else POINT
 
 
 # a lone '"', the one non-space character the rest skip, is a token to reject
 _TOKEN = re.compile(r'\(|\)|"[^"]*"|[^\s()"]+|"')
 
-_NODE_NAMES = {
-    "point": Point,
-    "sphere": Sphere,
-    "atom": Atom,
-    "wedge": Wedge,
-    "prod": Prod,
-    "smash": Smash,
-    "susp": Susp,
-    "loop": Loop,
-    "join": Join,
-    "halfsmash": HalfSmash,
-    "cone": Cone,
-}
+_NODE_NAMES = {cls.__name__.lower(): cls for cls in _TAG}
 _NAME_OF = {v: k for k, v in _NODE_NAMES.items()}
 
 
@@ -764,7 +752,7 @@ def format_sexpr(e: SpaceExpr) -> str:
         return f'(atom "{e.name}")'
     if isinstance(e, (Wedge, Prod, Smash)):
         # one rendering per consecutive run, so the order is kept as is
-        inner = " ".join(" ".join([format_sexpr(a)] * c) for a, c in _runs(e))
+        inner = " ".join(" ".join([format_sexpr(a)] * c) for a, c in e.runs)
         return f"({_NAME_OF[type(e)]} {inner})"
     if isinstance(e, (Susp, Loop, Cone)):
         return f"({_NAME_OF[type(e)]} {format_sexpr(e.arg)})"
@@ -772,52 +760,49 @@ def format_sexpr(e: SpaceExpr) -> str:
 
 
 def parse_sexpr(text: str) -> SpaceExpr:
-    tokens = _TOKEN.findall(text)
-    if not tokens:
-        raise InvalidParameters("empty expression")
-    pos = 0
+    # tokens are read lazily, so a long text is never held as a token list
+    tokens = map(re.Match.group, _TOKEN.finditer(text))
     spheres: dict[int, Sphere] = {}
 
-    def parse() -> SpaceExpr:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise InvalidParameters("unexpected end of expression")
-        tok = tokens[pos]
-        pos += 1
+    def parse(tok: str) -> SpaceExpr:
         if tok == "point":
             return POINT
         if tok != "(":
             raise InvalidParameters(f"unexpected token {tok!r}")
-        head = tokens[pos]
-        pos += 1
+        head = next(tokens, None)
         if head not in _NODE_NAMES:
-            raise InvalidParameters(f"unknown constructor {head!r}")
+            raise InvalidParameters(
+                f"unknown constructor {head!r}" if head else "unexpected end of expression"
+            )
         args = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            tok = tokens[pos]
+        for tok in tokens:
+            if tok == ")":
+                break
             if tok == "(" or tok == "point":
-                args.append(parse())
+                args.append(parse(tok))
+            elif tok == '"':
+                raise InvalidParameters("unterminated quoted name")
+            elif tok.startswith('"'):
+                args.append(tok[1:-1])
             else:
-                pos += 1
-                if tok == '"':
-                    raise InvalidParameters("unterminated quoted name")
-                if tok.startswith('"'):
-                    args.append(tok[1:-1])
-                else:
-                    try:
-                        args.append(int(tok))
-                    except ValueError as exc:
-                        raise InvalidParameters(f"bad literal {tok!r}") from exc
-        if pos >= len(tokens):
+                try:
+                    args.append(int(tok))
+                except ValueError as exc:
+                    raise InvalidParameters(f"bad literal {tok!r}") from exc
+        else:
             raise InvalidParameters("missing closing parenthesis")
-        pos += 1
-        node = _build(head, args)
         # one leaf object per sphere dimension, so the runs of a parsed
         # term are as long as those of the term that was printed
+        if head == "sphere" and len(args) == 1 and args[0] in spheres:
+            return spheres[args[0]]
+        node = _build(head, args)
         return spheres.setdefault(node.d, node) if isinstance(node, Sphere) else node
 
-    expr = parse()
-    if pos != len(tokens):
+    first = next(tokens, None)
+    if first is None:
+        raise InvalidParameters("empty expression")
+    expr = parse(first)
+    if next(tokens, None) is not None:
         raise InvalidParameters("trailing tokens after expression")
     return expr
 

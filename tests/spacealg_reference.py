@@ -36,7 +36,6 @@ from polyloop.spacealg import (
     Sphere,
     Susp,
     Wedge,
-    _runs,
     desuspend,
 )
 from polyloop.spheres import SphereMultiset
@@ -199,14 +198,14 @@ def _to_spheres(e: SpaceExpr, ceiling: int) -> tuple[dict[int, int], bool]:
     if isinstance(e, Wedge):
         out: Counter = Counter()
         trunc = False
-        for a, k in _runs(e):
+        for a, k in e.runs:
             c, t = _to_spheres(a, ceiling)
             for d, v in c.items():
                 out[d] += v * k
             trunc = trunc or t
         return dict(out), trunc
     if isinstance(e, Smash):
-        parts = [p for a, k in _runs(e) for p in [_to_spheres(a, ceiling)] * k]
+        parts = [p for a, k in e.runs for p in [_to_spheres(a, ceiling)] * k]
         if any(not c and not t for c, t in parts):
             return {}, False
         acc, trunc = {0: 1}, any(t for _, t in parts)
@@ -273,12 +272,9 @@ def sphere_multiset_of(e: SpaceExpr, max_dim: int) -> SphereMultiset:
 
 
 def _wedge_of_sphere_counts(counts: dict[int, int]) -> SpaceExpr:
-    args = []
-    for d in sorted(counts):
-        args.extend([Sphere(d)] * counts[d])
-    if not args:
-        return POINT
-    return args[0] if len(args) == 1 else Wedge(tuple(args))
+    if sum(counts.values()) < 2:
+        return next((Sphere(d) for d in counts), POINT)
+    return Wedge.of_runs((Sphere(d), counts[d]) for d in sorted(counts))
 
 
 def james_split(x: SpaceExpr, cutoff: int) -> SpaceExpr:

@@ -98,6 +98,42 @@ def test_glue_spec_file(tmp_path, capsys):
     assert obj["m"] == 3 and len(obj["facets"]) == 2
 
 
+@pytest.mark.parametrize("command", ["build", "hochster"])
+@pytest.mark.parametrize("complex_obj", [
+    {"m": 2, "facets": [[0, "a"]]},
+    {"m": 3, "facets": [5]},
+    {"m": 3, "facets": [[0, 1.5], [1], [2]]},
+    {"m": 2, "facets": [[True, 0]]},
+    {"m": True, "facets": [[0]]},
+])
+def test_malformed_complex_json_is_refused(tmp_path, capsys, command, complex_obj):
+    # exit 2 is bad input; exit 1 would claim a verification mismatch
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(complex_obj))
+    code, out, err = _run(capsys, command, "file", str(path))
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("change", [
+    {"copies": "2"},
+    {"sub_a": 0},
+    {"phi": [5]},
+    {"phi": 5},
+])
+def test_malformed_glue_spec_is_refused(tmp_path, capsys, change):
+    spec = {
+        "base": {"m": 2, "facets": [[0, 1]]},
+        "sub_a": [0],
+        "sub_b": [1],
+        "psi": [1, 0],
+        "copies": 2,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec, **change}))
+    code, out, err = _run(capsys, "build", "glue-spec-file", str(path))
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
 def test_out_writes_atomically(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, _, _ = _run(capsys, "decompose", "path", "2", "--out", str(target))
