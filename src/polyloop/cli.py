@@ -15,13 +15,11 @@ identical bytes) or a plain text rendering with --format text. Exit codes:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 
-from . import complexes, decomp, homology, series
+from . import complexes
 from .errors import (
     CeilingExceededError,
     GroundSizeLimitError,
@@ -138,6 +136,8 @@ def _write_atomic(path: str, text: str) -> None:
     """Write text to path through a temporary file in the same directory, so
     path never holds a partial file; the temporary file is removed on any
     failure."""
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".polyloop-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -167,6 +167,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import decomp
+
     vals = _int_params(args.family, args.params)
     if args.family == "path" and len(vals) == 1:
         result = decomp.path_decompose(vals[0], n=args.N, max_dim=args.max_dim)
@@ -180,7 +182,7 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _series_check(name: str, engine: series.TruncSeries, oracle: series.TruncSeries) -> dict:
+def _series_check(name: str, engine: "series.TruncSeries", oracle: "series.TruncSeries") -> dict:
     for k in range(min(engine.n, oracle.n) + 1):
         if engine[k] != oracle[k]:
             return {
@@ -207,6 +209,9 @@ def _multiset_check(name: str, engine: dict[int, int], oracle: dict[int, int]) -
 
 
 def cmd_verify(args) -> int:
+    from . import decomp, homology, series
+    from .spacealg import sphere_multiset_of
+
     vals = _int_params(args.family, args.params)
     checks: list[dict] = []
     params: dict[str, int] = {}
@@ -217,8 +222,6 @@ def cmd_verify(args) -> int:
             # the oracle refuses m = l + 1 > 20 (exit 5) before the engine builds the 2^l wedge
             oracle_ms = homology.zk_sphere_multiset(complexes.path_graph(l), jobs=args.jobs)
             zk = decomp.path_fibre_reduce(l, circles=True)
-            from .spacealg import sphere_multiset_of
-
             engine_ms = sphere_multiset_of(zk, max(l + 2, 3))
             checks.append(_multiset_check("porter-hochster", engine_ms.counts, oracle_ms.counts))
         if args.mode in ("koszul", "all"):
@@ -289,11 +292,15 @@ def _cached_table(path: str, m: int) -> dict | None:
 
 
 def cmd_hochster(args) -> int:
+    from . import homology
+
     K = complex_from_family(args.family, args.params)
     cache_path = None
     if args.cache_dir:
         # refuse before the lookup, so a cached answer cannot change the exit code
         homology.require_enumerable(K, args.ceiling)
+        import hashlib
+
         keyed = {"complex": K.to_json_obj(), "schema": _CACHE_SCHEMA}
         canonical = json.dumps(keyed, sort_keys=True, separators=(",", ":"))
         key = hashlib.sha256(canonical.encode()).hexdigest()
@@ -312,6 +319,8 @@ def cmd_hochster(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from . import series
+
     K = complex_from_family(args.family, args.params)
     if args.kind == "hilbert":
         s = series.hilbert_sr(K, args.N)

@@ -17,7 +17,6 @@ zk_sphere_multiset extracts it and refuses every other K.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from math import comb
 
@@ -173,14 +172,14 @@ def hochster_zk_betti(
     require_enumerable(K, ceiling)
     m = K.ground_size
     total = 1 << m
-    if jobs is None:
-        jobs = multiprocessing.cpu_count()
-    jobs = max(1, min(jobs, total))
     if K.dim <= 1:
         table = _graph_contributions(K)
-    elif jobs == 1 or total < 1 << 10:
+    elif total < 1 << 10 or (jobs is not None and jobs <= 1):
         table = _subset_contributions(K, range(total))
     else:
+        import multiprocessing  # only the pool needs it: graphs and serial runs skip the import
+
+        jobs = min(jobs or multiprocessing.cpu_count(), total)
         step = -(-total // jobs)
         chunks = [(K, range(lo, min(lo + step, total))) for lo in range(0, total, step)]
         with multiprocessing.Pool(jobs) as pool:

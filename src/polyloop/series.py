@@ -120,14 +120,6 @@ class TruncSeries:
         return f"TruncSeries(n={self.n}, coeffs={list(self.coeffs)})"
 
 
-def geometric(n: int, ratio_degree: int = 1, ratio: int = 1) -> TruncSeries:
-    """1 / (1 - ratio * t**ratio_degree) to order n."""
-    if ratio_degree < 1:
-        raise InvalidParameters("ratio degree must be positive")
-    den = [1] + [0] * (ratio_degree - 1) + [-ratio]
-    return TruncSeries(n, tuple(_invert(den, n)))
-
-
 def hilbert_sr(K: SimplicialComplex, n: int) -> TruncSeries:
     """Stanley-Reisner Hilbert series: sum over faces of (s/(1-s))^|face|."""
     if K.ghosts:

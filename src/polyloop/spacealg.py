@@ -613,28 +613,6 @@ def james_split(x: SpaceExpr, cutoff: int) -> SpaceExpr:
     return _nary(Wedge, [(Sphere(d), c) for d, c in counts.items()])
 
 
-def lyndon_words(n: int, maxlen: int) -> list[tuple[int, ...]]:
-    """Lyndon words over the alphabet 1..n up to the given length, sorted by
-    length then lexicographically. Their count by length is the necklace
-    number M(n, k), which is what makes the Hilton-Milnor bookkeeping exact."""
-    if n < 1:
-        raise InvalidParameters("alphabet size must be at least 1")
-    if maxlen < 1:
-        return []
-    words = []
-    w = [1]
-    while w:
-        words.append(tuple(w))
-        period = len(w)
-        while len(w) < maxlen:
-            w.append(w[len(w) - period])
-        while w and w[-1] == n:
-            w.pop()
-        if w:
-            w[-1] += 1
-    return sorted(words, key=lambda t: (len(t), t))
-
-
 def _mobius(n: int) -> int:
     out = 1
     k = 2

@@ -13,7 +13,9 @@ splits loops by summing James smash powers. It calls this module's
 normalize(), whose results equal the package's.
 
 Both are kept here, unchanged, as the differential references that
-tests/test_spacealg.py sweeps the package against.
+tests/test_spacealg.py sweeps the package against. The Lyndon word
+enumeration at the very end left the package when hilton_milnor came to
+count Lyndon words by content; tests still use it to check those counts.
 """
 
 import itertools
@@ -127,7 +129,10 @@ def _rw(e: SpaceExpr) -> SpaceExpr:
             return a
         if a == Sphere(1):
             return Wedge((a, Susp(b)))
-        down = desuspend(a)
+        # desuspend only a canonical left side: one this pass left unfinished
+        # waits for the next pass, or its desuspension is read off a
+        # non-canonical form
+        down = desuspend(a) if _rw(a) == a else None
         if down is not None:
             return Wedge((a, Smash((down, Susp(b)))))
         return HalfSmash(a, b)
@@ -295,3 +300,25 @@ def james_split(x: SpaceExpr, cutoff: int) -> SpaceExpr:
                 out[d + 1] += c
         power, _ = _convolve(power, counts, ceiling=cutoff - 1)
     return _wedge_of_sphere_counts(dict(out))
+
+
+def lyndon_words(n: int, maxlen: int) -> list[tuple[int, ...]]:
+    """Lyndon words over the alphabet 1..n up to the given length, sorted by
+    length then lexicographically. Their count by length is the necklace
+    number M(n, k), which is what makes the Hilton-Milnor bookkeeping exact."""
+    if n < 1:
+        raise InvalidParameters("alphabet size must be at least 1")
+    if maxlen < 1:
+        return []
+    words = []
+    w = [1]
+    while w:
+        words.append(tuple(w))
+        period = len(w)
+        while len(w) < maxlen:
+            w.append(w[len(w) - period])
+        while w and w[-1] == n:
+            w.pop()
+        if w:
+            w[-1] += 1
+    return sorted(words, key=lambda t: (len(t), t))

@@ -1,12 +1,16 @@
 """Command line interface: output formats, exit codes, caching, atomic writes."""
 
 import hashlib
+import importlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from polyloop import cli
+import polyloop
+from polyloop import cli, decomp, series
 from polyloop.complexes import cycle_graph
 from polyloop.series import TruncSeries
 
@@ -302,7 +306,7 @@ def test_verify_refuses_before_the_engine_runs(capsys, monkeypatch, mode):
     def engine_must_not_run(*args, **kwargs):
         raise AssertionError("the Porter engine ran for a path above the ceiling")
 
-    monkeypatch.setattr(cli.decomp, "path_fibre_reduce", engine_must_not_run)
+    monkeypatch.setattr(decomp, "path_fibre_reduce", engine_must_not_run)
     code, out, err = _run(capsys, "verify", mode, "path", "21")
     assert code == 5 and out == "" and "cap" in err
 
@@ -321,13 +325,13 @@ def test_verify_all_runs_both_checks(capsys):
 
 
 def test_verify_reports_mismatch(capsys, monkeypatch):
-    real = cli.series.koszul_loop_series
+    real = series.koszul_loop_series
 
     def skewed(K, n):
         s = real(K, n)
         return TruncSeries(n, s.coeffs[:5] + (s.coeffs[5] + 1,) + s.coeffs[6:])
 
-    monkeypatch.setattr(cli.series, "koszul_loop_series", skewed)
+    monkeypatch.setattr(series, "koszul_loop_series", skewed)
     code, out, _ = _run(capsys, "verify", "koszul", "path", "2")
     assert code == 1
     obj = json.loads(out)
@@ -382,6 +386,50 @@ def test_verify_book_off_family_is_refused_before_the_oracle_runs(capsys, monkey
     def oracle_must_not_run(K, n):
         raise AssertionError("koszul_loop_series called for a book with no engine")
 
-    monkeypatch.setattr(cli.series, "koszul_loop_series", oracle_must_not_run)
+    monkeypatch.setattr(series, "koszul_loop_series", oracle_must_not_run)
     code, _, err = _run(capsys, "verify", "koszul", "book", "2", "5", "2")
     assert code == 2 and "planar" in err
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+HEAVY = {"polyloop.series", "polyloop.homology", "polyloop.spacealg", "polyloop.decomp",
+         "multiprocessing", "hashlib"}
+
+
+def _modules_after(code: str, *argv: str) -> set[str]:
+    """sys.modules of a fresh `python -S` child (no site imports to mask or
+    add any) after it runs code, which sees argv as sys.argv[1:]."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    script = code + "\nprint(*sorted(sys.modules), sep='\\n', file=sys.stderr)"
+    done = subprocess.run([sys.executable, "-S", "-c", script, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return set(done.stderr.split())
+
+
+def _cli_modules(*argv: str) -> set[str]:
+    return _modules_after("import sys, polyloop.cli\npolyloop.cli.main(sys.argv[1:])", *argv)
+
+
+def test_each_subcommand_imports_only_what_it_runs():
+    build = _cli_modules("build", "path", "8")
+    assert not build & HEAVY
+    assert _cli_modules("series", "koszul", "path", "8", "--N", "8") - build == {"polyloop.series"}
+    hochster = _cli_modules("hochster", "path", "9", "--jobs", "2")
+    assert "polyloop.homology" in hochster
+    assert not hochster & {"multiprocessing", "polyloop.spacealg", "polyloop.decomp"}
+    assert not _cli_modules("decompose", "path", "4") & {"polyloop.homology", "multiprocessing"}
+
+
+def test_bare_package_import_loads_no_submodule():
+    loaded = _modules_after("import sys, polyloop")
+    assert "polyloop" in loaded
+    assert not {m for m in loaded if m.startswith("polyloop.")}
+
+
+def test_package_exports_resolve_to_their_modules():
+    for name in polyloop.__all__:
+        module = importlib.import_module(f"polyloop.{polyloop._EXPORTS[name]}")
+        assert getattr(polyloop, name) is getattr(module, name)
+    assert set(polyloop.__all__) <= set(dir(polyloop))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        polyloop.no_such_name

@@ -15,13 +15,13 @@ from polyloop.complexes import (
     from_facets,
     from_json_obj,
     glue,
-    is_isomorphic,
     path_graph,
     planar_book,
     simplex,
 )
 from polyloop.errors import InvalidParameters
 
+from complexes_reference import is_isomorphic
 from homology_reference import full_subcomplex
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import multiprocessing
 import random
 from pathlib import Path
 
@@ -247,7 +248,7 @@ def test_graph_route_starts_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a graph must not reach the worker pool")
 
-    monkeypatch.setattr(homology.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     assert hochster_zk_betti(path_graph(9), jobs=2).ranks == _kernel_table(path_graph(9))
     # a 2-dimensional complex past the pool threshold still reaches it
     with pytest.raises(AssertionError, match="worker pool"):

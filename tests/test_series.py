@@ -19,11 +19,12 @@ from polyloop.errors import (
 )
 from polyloop.series import (
     TruncSeries,
-    geometric,
     hilbert_sr,
     koszul_loop_series,
     strip_circles,
 )
+
+from series_reference import geometric
 
 st_coeffs = st.lists(st.integers(-9, 9), min_size=1, max_size=9)
 
