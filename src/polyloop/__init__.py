@@ -10,29 +10,27 @@ arithmetic. The names below load their module on first use (PEP 562), so
 
 import importlib
 
-_EXPORTS = {
-    **dict.fromkeys(
-        ("GluingSpec", "SimplicialComplex", "book_graph", "cycle_graph", "disjoint_points",
-         "from_facets", "glue", "path_graph", "planar_book", "simplex"),
-        "complexes",
+_NAMES = {
+    "complexes": (
+        "GluingSpec", "SimplicialComplex", "book_graph", "cycle_graph", "disjoint_points",
+        "from_facets", "glue", "path_graph", "planar_book", "simplex",
     ),
-    **dict.fromkeys(
-        ("DecompResult", "book_C", "cone_loop_split", "dj_book_decompose", "endpoint_fibre",
-         "fold_decompose", "path_decompose", "path_fibre_reduce", "poly_fold_decompose",
-         "porter_wedge"),
-        "decomp",
+    "decomp": (
+        "DecompResult", "book_C", "cone_loop_split", "dj_book_decompose", "endpoint_fibre",
+        "fold_decompose", "path_decompose", "path_fibre_reduce", "poly_fold_decompose",
+        "porter_wedge",
     ),
-    **dict.fromkeys(("BettiTable", "hochster_zk_betti", "zk_sphere_multiset"), "homology"),
-    **dict.fromkeys(("TruncSeries", "hilbert_sr", "koszul_loop_series", "strip_circles"), "series"),
-    "SphereMultiset": "spheres",
-    **dict.fromkeys(
-        ("Atom", "Cone", "HalfSmash", "Join", "Loop", "POINT", "Point", "Prod", "Smash",
-         "SpaceExpr", "Sphere", "Susp", "Wedge", "atom", "cp_infinity", "format_sexpr",
-         "hilton_milnor", "james_split", "normalize", "parse_sexpr", "poincare_series",
-         "sphere_multiset_of"),
-        "spacealg",
+    "homology": ("BettiTable", "hochster_zk_betti", "zk_sphere_multiset"),
+    "series": ("TruncSeries", "hilbert_sr", "koszul_loop_series", "strip_circles"),
+    "spheres": ("SphereMultiset",),
+    "spacealg": (
+        "Atom", "Cone", "HalfSmash", "Join", "Loop", "POINT", "Point", "Prod", "Smash",
+        "SpaceExpr", "Sphere", "Susp", "Wedge", "atom", "cp_infinity", "format_sexpr",
+        "hilton_milnor", "james_split", "normalize", "parse_sexpr", "poincare_series",
+        "sphere_multiset_of",
     ),
 }
+_EXPORTS = {name: module for module, names in _NAMES.items() for name in names}
 
 __all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"

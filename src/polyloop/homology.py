@@ -166,8 +166,9 @@ def hochster_zk_betti(
     """Full Betti table of Z_K by Hochster's formula; refuses ghost vertices
     and ground sets above `ceiling`. A graph (dimension at most 1) takes the
     connected-set sum, serially. Larger complexes sum over all 2^m full
-    subcomplexes, and with jobs > 1 contiguous blocks of subsets go to worker
-    processes; the table is a sum, so it is identical for every job count.
+    subcomplexes, and with jobs > 1 (None: one per core) contiguous blocks of
+    subsets go to worker processes; the table is a sum, so it is identical for
+    every job count.
     """
     require_enumerable(K, ceiling)
     m = K.ground_size
