@@ -21,7 +21,7 @@ _NAMES = {
         "porter_wedge",
     ),
     "homology": ("BettiTable", "hochster_zk_betti", "zk_sphere_multiset"),
-    "series": ("TruncSeries", "hilbert_sr", "koszul_loop_series", "strip_circles"),
+    "series": ("TruncSeries", "hilbert_sr", "koszul_loop_series"),
     "spheres": ("SphereMultiset",),
     "spacealg": (
         "Atom", "Cone", "HalfSmash", "Join", "Loop", "POINT", "Point", "Prod", "Smash",

@@ -3,9 +3,11 @@
 All coefficients are Python ints; there is no floating point anywhere in the
 package. Inversion requires a unit constant term, which keeps every operation
 closed over the integers. hilbert_sr computes the Stanley-Reisner Hilbert
-series face by face, and koszul_loop_series inverts its value at -t, which for
-a flag complex is the Poincare series of the loop space of the associated
-Davis-Januszkiewicz space.
+series, and koszul_loop_series inverts its value at -t, which for a flag
+complex is the Poincare series of the loop space of the associated
+Davis-Januszkiewicz space. Both use the closed form P(t)/(1-t)^d of the
+Hilbert series, d = dim K + 1 and P a polynomial of degree at most d, so each
+inverts a polynomial of degree d to order n: O(n * dim K) steps.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
-from .errors import GhostVertexError, InvalidParameters, NotDivisibleError, NotFlagComplexError
+from .errors import GhostVertexError, InvalidParameters, NotFlagComplexError
 
 
 def _add(a: list[int], b: list[int], n: int) -> list[int]:
@@ -121,19 +123,24 @@ class TruncSeries:
 
 
 def hilbert_sr(K: SimplicialComplex, n: int) -> TruncSeries:
-    """Stanley-Reisner Hilbert series: sum over faces of (s/(1-s))^|face|."""
+    """Stanley-Reisner Hilbert series: sum over faces of (t/(1-t))^|face|.
+
+    With f the face counts by size and d = len(f) - 1 = dim K + 1, this is
+    P(t)/(1-t)^d for P(t) = sum_s f[s] t^s (1-t)^(d-s), a polynomial of degree
+    at most d, so it takes O(n * dim K) steps. Binomials come from Pascal's
+    rule."""
     if K.ghosts:
         raise GhostVertexError(f"ghost vertices {K.ghosts} have no generator degree")
-    g = [0] + [1] * n
-    counts = K.f_vector()
-    acc = [0] * (n + 1)
-    power = [1] + [0] * n
-    for size, cnt in enumerate(counts):
-        if size > 0:
-            power = _mul(power, g, n)
-        if cnt:
-            acc = [a + cnt * p for a, p in zip(acc, power)]
-    return TruncSeries(n, tuple(acc))
+    f = K.f_vector()
+    d = len(f) - 1
+    q = [[1]]  # q[i] = (1-t)^i
+    for i in range(d):
+        q.append(_mul(q[-1], [1, -1], i + 1))
+    p = [0] * (d + 1)
+    for s, cnt in enumerate(f):
+        for j, b in enumerate(q[d - s]):
+            p[s + j] += cnt * b
+    return TruncSeries.of(_mul(p, _invert(q[d], n), n), n)
 
 
 def koszul_loop_series(K: SimplicialComplex, n: int) -> TruncSeries:
@@ -141,29 +148,21 @@ def koszul_loop_series(K: SimplicialComplex, n: int) -> TruncSeries:
 
     Only valid for flag complexes, where loop-space homology of the associated
     polyhedral product of infinite projective spaces is the Koszul dual of the
-    Stanley-Reisner ring. Flagness is re-checked on every call.
+    Stanley-Reisner ring. Flagness is re-checked on every call. With
+    d = dim K + 1 and q = (1+t)^d, q H(-t) = P(-t) is a polynomial of degree at
+    most d, so 1 / H(-t) = q / P(-t) takes O(n * dim K) steps.
     """
     require_flag(K)
-    return hilbert_sr(K, n).at_neg_t().invert()
+    h = hilbert_sr(K, n).at_neg_t()
+    d = K.dim + 1
+    q = [1]
+    for i in range(d):
+        q = _mul(q, [1, 1], i + 1)
+    # coefficients of P(-t) past degree n are not read by the inversion
+    return TruncSeries.of(_mul(q, _invert(_mul(q, list(h.coeffs), d), n), n), n)
 
 
 def require_flag(K: SimplicialComplex) -> None:
     """Raise the error koszul_loop_series refuses a non-flag K with."""
     if not K.is_flag():
         raise NotFlagComplexError("Koszul series oracle requires a flag complex")
-
-
-def strip_circles(p: TruncSeries, m: int) -> TruncSeries:
-    """Divide by (1+t)^m, requiring the quotient to be a genuine Poincare
-    series: every coefficient nonnegative through the truncation order."""
-    if m < 0:
-        raise InvalidParameters("circle count must be nonnegative")
-    q = list(p.coeffs)
-    for _ in range(m):
-        q = _mul(q, _invert([1, 1], p.n), p.n)
-    for k, c in enumerate(q):
-        if c < 0:
-            raise NotDivisibleError(
-                f"(1+t)^{m} does not divide: quotient coefficient {c} at degree {k}"
-            )
-    return TruncSeries(p.n, tuple(q))

@@ -122,11 +122,13 @@ class _NAry(SpaceExpr):
         """The node with each child repeated count times, in order: zero
         counts drop out and equal neighbours merge, by identity first."""
         runs: list[tuple[SpaceExpr, int]] = []
+        last = None  # the child of runs[-1]
         for a, c in pairs:
-            if runs and (runs[-1][0] is a or runs[-1][0] == a):
-                runs[-1] = (runs[-1][0], runs[-1][1] + c)
+            if runs and (last is a or last == a):
+                runs[-1] = (last, runs[-1][1] + c)
             elif c:
                 runs.append((a, c))
+                last = a
         e = object.__new__(cls)
         object.__setattr__(e, "runs", tuple(runs))
         return e
@@ -709,8 +711,10 @@ def hilton_milnor(w: SpaceExpr, cutoff: int) -> SpaceExpr:
     return Prod.of_runs(factors) if factors else POINT
 
 
-# a lone '"', the one non-space character the rest skip, is a token to reject
-_TOKEN = re.compile(r'\(|\)|"[^"]*"|[^\s()"]+|"')
+# a sphere leaf spelled as format_sexpr spells it is one token, its dimension
+# captured (at most 18 digits, so int() never meets its digit limit here); a
+# lone '"', the one non-space character the rest skip, is a token to reject
+_TOKEN = re.compile(r'\(sphere ([1-9][0-9]{0,17})\)|\(|\)|"[^"]*"|[^\s()"]+|"')
 
 _NODE_NAMES = {cls.__name__.lower(): cls for cls in _TAG}
 _NAME_OF = {v: k for k, v in _NODE_NAMES.items()}
@@ -739,25 +743,38 @@ def format_sexpr(e: SpaceExpr) -> str:
 
 def parse_sexpr(text: str) -> SpaceExpr:
     # tokens are read lazily, so a long text is never held as a token list
-    tokens = map(re.Match.group, _TOKEN.finditer(text))
-    spheres: dict[int, Sphere] = {}
+    matches = _TOKEN.finditer(text)
+    # one leaf object per sphere dimension, keyed by its spelling, so the runs
+    # of a parsed term are as long as those of the term that was printed
+    spheres: dict[str, Sphere] = {}
 
-    def parse(tok: str) -> SpaceExpr:
+    def parse(m: re.Match) -> SpaceExpr:
+        d = m[1]
+        if d:
+            return spheres.get(d) or spheres.setdefault(d, Sphere(int(d)))
+        tok = m[0]
         if tok == "point":
             return POINT
         if tok != "(":
             raise InvalidParameters(f"unexpected token {tok!r}")
-        head = next(tokens, None)
+        h = next(matches, None)
+        # a leaf in head place reads as the '(' it starts with
+        head = h and ("(" if h[1] else h[0])
         if head not in _NODE_NAMES:
             raise InvalidParameters(
                 f"unknown constructor {head!r}" if head else "unexpected end of expression"
             )
         args = []
-        for tok in tokens:
+        for m in matches:
+            d = m[1]
+            if d:
+                args.append(spheres.get(d) or spheres.setdefault(d, Sphere(int(d))))
+                continue
+            tok = m[0]
             if tok == ")":
                 break
             if tok == "(" or tok == "point":
-                args.append(parse(tok))
+                args.append(parse(m))
             elif tok == '"':
                 raise InvalidParameters("unterminated quoted name")
             elif tok.startswith('"'):
@@ -769,18 +786,14 @@ def parse_sexpr(text: str) -> SpaceExpr:
                     raise InvalidParameters(f"bad literal {tok!r}") from exc
         else:
             raise InvalidParameters("missing closing parenthesis")
-        # one leaf object per sphere dimension, so the runs of a parsed
-        # term are as long as those of the term that was printed
-        if head == "sphere" and len(args) == 1 and args[0] in spheres:
-            return spheres[args[0]]
         node = _build(head, args)
-        return spheres.setdefault(node.d, node) if isinstance(node, Sphere) else node
+        return spheres.setdefault(str(node.d), node) if isinstance(node, Sphere) else node
 
-    first = next(tokens, None)
+    first = next(matches, None)
     if first is None:
         raise InvalidParameters("empty expression")
     expr = parse(first)
-    if next(tokens, None) is not None:
+    if next(matches, None) is not None:
         raise InvalidParameters("trailing tokens after expression")
     return expr
 

@@ -1,10 +1,19 @@
-"""Test-only helper for polyloop.series: the geometric series, which the
-package itself never builds. Tests use it as a closed form to check Koszul
-series against. It is kept here unchanged from the package.
+"""Test-only code for polyloop.series, kept here unchanged from the package.
+
+geometric builds the geometric series, which the package itself never
+builds; tests use it as a closed form to check Koszul series against.
+strip_circles divides a series by (1+t)^m; no code in the package calls it.
+
+hilbert_sr and koszul_loop_series are the dense oracles as they were before
+the package computed them in closed form: hilbert_sr adds up the powers of
+t/(1-t) face size by face size, O(n^2 * dim K) steps, and koszul_loop_series
+inverts the result at -t, O(n^2) steps. Tests check that the package's
+oracles give the same series and the same errors.
 """
 
-from polyloop.errors import InvalidParameters
-from polyloop.series import TruncSeries, _invert
+from polyloop.complexes import SimplicialComplex
+from polyloop.errors import GhostVertexError, InvalidParameters, NotDivisibleError
+from polyloop.series import TruncSeries, _invert, _mul, require_flag
 
 
 def geometric(n: int, ratio_degree: int = 1, ratio: int = 1) -> TruncSeries:
@@ -13,3 +22,46 @@ def geometric(n: int, ratio_degree: int = 1, ratio: int = 1) -> TruncSeries:
         raise InvalidParameters("ratio degree must be positive")
     den = [1] + [0] * (ratio_degree - 1) + [-ratio]
     return TruncSeries(n, tuple(_invert(den, n)))
+
+
+def hilbert_sr(K: SimplicialComplex, n: int) -> TruncSeries:
+    """Stanley-Reisner Hilbert series: sum over faces of (s/(1-s))^|face|."""
+    if K.ghosts:
+        raise GhostVertexError(f"ghost vertices {K.ghosts} have no generator degree")
+    g = [0] + [1] * n
+    counts = K.f_vector()
+    acc = [0] * (n + 1)
+    power = [1] + [0] * n
+    for size, cnt in enumerate(counts):
+        if size > 0:
+            power = _mul(power, g, n)
+        if cnt:
+            acc = [a + cnt * p for a, p in zip(acc, power)]
+    return TruncSeries(n, tuple(acc))
+
+
+def koszul_loop_series(K: SimplicialComplex, n: int) -> TruncSeries:
+    """1 / H(-t) where H is the Stanley-Reisner Hilbert series of K.
+
+    Only valid for flag complexes, where loop-space homology of the associated
+    polyhedral product of infinite projective spaces is the Koszul dual of the
+    Stanley-Reisner ring. Flagness is re-checked on every call.
+    """
+    require_flag(K)
+    return hilbert_sr(K, n).at_neg_t().invert()
+
+
+def strip_circles(p: TruncSeries, m: int) -> TruncSeries:
+    """Divide by (1+t)^m, requiring the quotient to be a genuine Poincare
+    series: every coefficient nonnegative through the truncation order."""
+    if m < 0:
+        raise InvalidParameters("circle count must be nonnegative")
+    q = list(p.coeffs)
+    for _ in range(m):
+        q = _mul(q, _invert([1, 1], p.n), p.n)
+    for k, c in enumerate(q):
+        if c < 0:
+            raise NotDivisibleError(
+                f"(1+t)^{m} does not divide: quotient coefficient {c} at degree {k}"
+            )
+    return TruncSeries(p.n, tuple(q))

@@ -14,17 +14,24 @@ normalize(), whose results equal the package's.
 
 Both are kept here, unchanged, as the differential references that
 tests/test_spacealg.py sweeps the package against. The Lyndon word
-enumeration at the very end left the package when hilton_milnor came to
-count Lyndon words by content; tests still use it to check those counts.
+enumeration left the package when hilton_milnor came to count Lyndon words
+by content; tests still use it to check those counts.
+
+The s-expression reader at the very end is parse_sexpr as it was before it
+read each sphere leaf as one token: a leaf is four tokens, one recursive call
+and one _build. Tests check that the package's reader gives the same terms,
+runs, errors and messages.
 """
 
 import itertools
+import re
 from collections import Counter
 
 from polyloop.errors import CeilingExceededError, InvalidParameters
 from polyloop.spacealg import (
     POINT,
     _NAME_OF,
+    _NODE_NAMES,
     _TAG,
     Atom,
     Cone,
@@ -38,6 +45,7 @@ from polyloop.spacealg import (
     Sphere,
     Susp,
     Wedge,
+    _build,
     desuspend,
 )
 from polyloop.spheres import SphereMultiset
@@ -322,3 +330,55 @@ def lyndon_words(n: int, maxlen: int) -> list[tuple[int, ...]]:
         if w:
             w[-1] += 1
     return sorted(words, key=lambda t: (len(t), t))
+
+
+# a lone '"', the one non-space character the rest skip, is a token to reject
+_TOKEN = re.compile(r'\(|\)|"[^"]*"|[^\s()"]+|"')
+
+
+def parse_sexpr(text: str) -> SpaceExpr:
+    # tokens are read lazily, so a long text is never held as a token list
+    tokens = map(re.Match.group, _TOKEN.finditer(text))
+    spheres: dict[int, Sphere] = {}
+
+    def parse(tok: str) -> SpaceExpr:
+        if tok == "point":
+            return POINT
+        if tok != "(":
+            raise InvalidParameters(f"unexpected token {tok!r}")
+        head = next(tokens, None)
+        if head not in _NODE_NAMES:
+            raise InvalidParameters(
+                f"unknown constructor {head!r}" if head else "unexpected end of expression"
+            )
+        args = []
+        for tok in tokens:
+            if tok == ")":
+                break
+            if tok == "(" or tok == "point":
+                args.append(parse(tok))
+            elif tok == '"':
+                raise InvalidParameters("unterminated quoted name")
+            elif tok.startswith('"'):
+                args.append(tok[1:-1])
+            else:
+                try:
+                    args.append(int(tok))
+                except ValueError as exc:
+                    raise InvalidParameters(f"bad literal {tok!r}") from exc
+        else:
+            raise InvalidParameters("missing closing parenthesis")
+        # one leaf object per sphere dimension, so the runs of a parsed
+        # term are as long as those of the term that was printed
+        if head == "sphere" and len(args) == 1 and args[0] in spheres:
+            return spheres[args[0]]
+        node = _build(head, args)
+        return spheres.setdefault(node.d, node) if isinstance(node, Sphere) else node
+
+    first = next(tokens, None)
+    if first is None:
+        raise InvalidParameters("empty expression")
+    expr = parse(first)
+    if next(tokens, None) is not None:
+        raise InvalidParameters("trailing tokens after expression")
+    return expr

@@ -24,7 +24,7 @@ from polyloop.decomp import (
     poly_fold_decompose,
 )
 from polyloop.homology import hochster_zk_betti, zk_sphere_multiset
-from polyloop.series import TruncSeries, koszul_loop_series, strip_circles
+from polyloop.series import TruncSeries, koszul_loop_series
 from polyloop.spacealg import (
     POINT,
     Cone,
@@ -42,6 +42,8 @@ from polyloop.spacealg import (
     poincare_series,
     sphere_multiset_of,
 )
+
+from series_reference import strip_circles
 
 _CORPUS = [
     path_graph(2),

@@ -72,6 +72,26 @@ def test_decompose_stdout_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("series", "koszul", "path", "6", "--N", "1024"),
+         "a6f8ca5fec2ff29e9cb9d56b213157f6a719920f2cb389b93c1aa769d0369f7a"),
+        (("series", "hilbert", "cycle", "9", "--N", "1024"),
+         "f308906199f00ea0772d92ddad95ce3fd59ed0fa8210d466d012949d45948db2"),
+        (("series", "koszul", "planar-book", "4", "3", "--N", "960"),
+         "141795c8f8c3c730eb1ba7462903d6f2a738a40596c39241f4d2d2662f05304a"),
+        (("series", "koszul", "cycle", "10", "--N", "1024"),
+         "00d72a9efb816b30adf6385a3c2d6d7ad853d29d6d75f22e07ef0edd1fbb8b5b"),
+    ],
+)
+def test_series_stdout_is_pinned(capsys, argv, digest):
+    # sha256 of stdout as recorded from the dense O(N^2) series oracles
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_text_format(capsys):
     code, out, _ = _run(capsys, "build", "path", "2", "--format", "text")
     assert code == 0

@@ -1,12 +1,18 @@
 """Truncated integer power series and the two series oracles."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
+import series_reference as ref
+from polyloop import series
 from polyloop.complexes import (
     SimplicialComplex,
+    book_graph,
     cycle_graph,
     disjoint_points,
+    from_facets,
     path_graph,
     planar_book,
     simplex,
@@ -16,15 +22,15 @@ from polyloop.errors import (
     InvalidParameters,
     NotDivisibleError,
     NotFlagComplexError,
+    PolyloopError,
 )
 from polyloop.series import (
     TruncSeries,
     hilbert_sr,
     koszul_loop_series,
-    strip_circles,
 )
 
-from series_reference import geometric
+from series_reference import geometric, strip_circles
 
 st_coeffs = st.lists(st.integers(-9, 9), min_size=1, max_size=9)
 
@@ -204,3 +210,64 @@ def test_strip_circles_inverts_circle_products(m, extra):
     for _ in range(m):
         p = p * TruncSeries.of([1, 1], 10)
     assert strip_circles(p, m) == base
+
+
+# --- the closed forms against the dense reference ---------------------------
+
+_FAMILIES = (
+    [path_graph(l) for l in range(1, 9)]
+    + [cycle_graph(l) for l in range(3, 10)]
+    + [disjoint_points(k) for k in range(1, 5)]
+    + [simplex(k) for k in range(5)]
+    + [book_graph(n, l, p) for n, l, p in [(1, 4, 2), (2, 5, 3), (2, 6, 2), (3, 6, 3)]]
+    + [planar_book(l, p) for l in range(2, 6) for p in range(2, 4)]
+    + [SimplicialComplex(3, frozenset({(), (0,), (1,)}))]
+)
+
+
+def _outcome(f, K, n):
+    """The series f gives, or the type and message of the error it raises."""
+    try:
+        return f(K, n)
+    except PolyloopError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_as_reference(K, n):
+    for name in ("hilbert_sr", "koszul_loop_series"):
+        assert _outcome(getattr(series, name), K, n) == _outcome(getattr(ref, name), K, n), name
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2, 17, 300])
+def test_closed_forms_match_the_dense_reference_on_every_family(n):
+    for K in _FAMILIES:
+        _assert_same_as_reference(K, n)
+
+
+def _clique_complex(m, edges):
+    """The flag complex of the graph: every vertex set that is a clique."""
+    cliques = [c for k in range(1, m + 1) for c in itertools.combinations(range(m), k)
+               if all(e in edges for e in itertools.combinations(c, 2))]
+    return from_facets(m, cliques)
+
+
+st_graph = st.integers(1, 7).flatmap(
+    lambda m: st.tuples(
+        st.just(m), st.sets(st.sampled_from(list(itertools.combinations(range(m), 2))))
+        if m > 1 else st.just(set())
+    )
+)
+
+
+@given(st_graph, st.sampled_from([0, 1, 2, 17, 300]))
+def test_closed_forms_match_the_dense_reference_on_random_flag_complexes(graph, n):
+    K = _clique_complex(*graph)
+    assert K.is_flag()
+    _assert_same_as_reference(K, n)
+
+
+@given(st.lists(st.sets(st.integers(0, 5), min_size=1, max_size=4), max_size=6),
+       st.sampled_from([-1, 0, 2, 17]))
+def test_closed_forms_refuse_as_the_dense_reference_does(facets, n):
+    # random complexes on six labels: non-flag ones and ones with ghosts too
+    _assert_same_as_reference(from_facets(6, [tuple(f) for f in facets]), n)

@@ -340,6 +340,59 @@ def test_parse_rejects_garbage():
             parse_sexpr(text)
 
 
+def _nodes(e):
+    """Every node of e in preorder, children in stored run order."""
+    yield e
+    if isinstance(e, (Wedge, Prod, Smash)):
+        for a, _ in e.runs:
+            yield from _nodes(a)
+    elif isinstance(e, (Susp, Loop, Cone)):
+        yield from _nodes(e.arg)
+    elif isinstance(e, (Join, HalfSmash)):
+        yield from _nodes(e.left)
+        yield from _nodes(e.right)
+
+
+def _read(parse, text):
+    """The term parse reads, with the run count of each node and the leaf
+    object behind each sphere, numbered by first appearance; or the type and
+    message of the error it raises."""
+    try:
+        e = parse(text)
+    except InvalidParameters as exc:
+        return type(exc), str(exc)
+    nodes = list(_nodes(e))
+    leaf_ids = list(dict.fromkeys(id(n) for n in nodes if isinstance(n, Sphere)))
+    return (e, [len(n.runs) for n in nodes if isinstance(n, (Wedge, Prod, Smash))],
+            [leaf_ids.index(id(n)) for n in nodes if isinstance(n, Sphere)])
+
+
+@given(st.one_of(st_term, st_term_atoms))
+def test_parse_matches_the_reference_reader(e):
+    text = format_sexpr(e)
+    assert _read(parse_sexpr, text) == _read(ref.parse_sexpr, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(sphere  2)", "(sphere 03)", "(sphere 0)", "(sphere -1)", "(sphere 2 3)", "(sphere 2))",
+        '(atom "x)', "(foo)", "(", "", "   ", ")", "point", "(point)", "(wedge)",
+        "((sphere 3))", "(sphere 3)(sphere 3)", "(sphere\t3)", "(sphere +3)", "(sphere 1_0)",
+        '(sphere "3")', "(sphere (sphere 3))", "(atom (sphere 3))", "(loop (sphere 2) (sphere 2))",
+        "(sphere 123456789012345678)", "(sphere 1234567890123456789)",
+        # past int()'s default limit of 4,300 digits
+        pytest.param("(sphere 1" + "0" * 5000 + ")", id="5001-digit-dimension"),
+        "(wedge (sphere 2) (sphere  2) (sphere 02) (sphere 3) (sphere 2))",
+        '(wedge (sphere 2) " (sphere 3))', "(wedge (sphere 2) (", "(wedge (sphere 2)",
+        "(smash (sphere 1) (loop (sphere 03)) (sphere 3) (sphere 3))",
+        "(wedge (sphere 10) (sphere 1_0) (sphere 010) (sphere 10))",
+    ],
+)
+def test_parse_of_odd_texts_matches_the_reference_reader(text):
+    assert _read(parse_sexpr, text) == _read(ref.parse_sexpr, text)
+
+
 # --- desuspension and certificates ----------------------------------------
 
 def test_desuspend():
