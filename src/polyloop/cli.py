@@ -209,7 +209,7 @@ def _multiset_check(name: str, engine: dict[int, int], oracle: dict[int, int]) -
 
 
 def cmd_verify(args) -> int:
-    from . import decomp, homology, series
+    from . import decomp, series
     from .spacealg import sphere_multiset_of
 
     vals = _int_params(args.family, args.params)
@@ -219,6 +219,8 @@ def cmd_verify(args) -> int:
         l = vals[0]
         params = {"l": l}
         if args.mode in ("porter-hochster", "all"):
+            from . import homology
+
             # the oracle refuses m = l + 1 > 20 (exit 5) before the engine builds the 2^l wedge
             oracle_ms = homology.zk_sphere_multiset(complexes.path_graph(l), jobs=args.jobs)
             zk = decomp.path_fibre_reduce(l, circles=True)

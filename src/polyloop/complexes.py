@@ -17,9 +17,9 @@ of the triangle-free members used by the series oracles.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import InvalidParameters
+from .records import record
 
 Face = tuple[int, ...]
 
@@ -32,7 +32,7 @@ def _closure(facets: list[Face]) -> frozenset[Face]:
     return frozenset(faces)
 
 
-@dataclass(frozen=True)
+@record
 class SimplicialComplex:
     """Immutable simplicial complex. faces holds every face, including ()."""
 
@@ -211,7 +211,7 @@ def simplex(k: int) -> SimplicialComplex:
     return from_facets(k + 1, [tuple(range(k + 1))])
 
 
-@dataclass(frozen=True)
+@record
 class GluingSpec:
     """Data for chaining `copies` copies of `base` along L1 = full(sub_a) and
     L2 = full(sub_b), where psi is an automorphism of `base` swapping the two
@@ -222,7 +222,7 @@ class GluingSpec:
     sub_b: tuple[int, ...]
     psi: tuple[int, ...]
     copies: int
-    phi: tuple[tuple[int, ...], ...] = field(default=())
+    phi: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
         m = self.base.ground_size

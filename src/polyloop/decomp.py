@@ -40,10 +40,10 @@ function documents its validity range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .complexes import GluingSpec
 from .errors import CeilingExceededError, InvalidParameters, SeriesDomainError
+from .records import record
 from .series import TruncSeries
 from .spacealg import (
     Atom,
@@ -68,7 +68,7 @@ from .spacealg import (
 GENERIC_VERTEX_SPACE = atom("X")
 
 
-@dataclass(frozen=True)
+@record
 class DecompResult:
     """A named product decomposition with optional sphere and series reports."""
 

@@ -17,11 +17,11 @@ zk_sphere_multiset extracts it and refuses every other K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .complexes import SimplicialComplex
 from .errors import GhostVertexError, GroundSizeLimitError, InvalidParameters
+from .records import record
 from .spheres import SphereMultiset
 
 
@@ -51,7 +51,7 @@ def bareiss_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-@dataclass(frozen=True)
+@record
 class BettiTable:
     """Nonzero Betti numbers of a moment-angle complex, degree -> rank."""
 

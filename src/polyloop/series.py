@@ -12,10 +12,9 @@ inverts a polynomial of degree d to order n: O(n * dim K) steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import SimplicialComplex
 from .errors import GhostVertexError, InvalidParameters, NotFlagComplexError
+from .records import record
 
 
 def _add(a: list[int], b: list[int], n: int) -> list[int]:
@@ -45,7 +44,7 @@ def _invert(a: list[int], n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class TruncSeries:
     """Power series truncated at degree n, coefficients exact ints."""
 

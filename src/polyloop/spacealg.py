@@ -46,9 +46,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
 
 from .errors import CeilingExceededError, InvalidParameters, SeriesDomainError
+from .records import record
 from .series import TruncSeries, _invert, _mul
 from .spheres import SphereMultiset
 
@@ -56,9 +56,9 @@ INF = math.inf
 
 
 class SpaceExpr:
-    """Base class; every node is a frozen dataclass below.
+    """Base class; every node is a frozen record below.
 
-    Nodes cache two derived facts outside their dataclass fields: `_key`,
+    Nodes cache two derived facts outside their record fields: `_key`,
     the sort_key tuple, and `_canon`, set once normalize() has returned the
     node. Neither takes part in equality, hashing, repr or pickling."""
 
@@ -71,12 +71,12 @@ class SpaceExpr:
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
-@dataclass(frozen=True)
+@record
 class Point(SpaceExpr):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Sphere(SpaceExpr):
     d: int
 
@@ -85,15 +85,15 @@ class Sphere(SpaceExpr):
             raise InvalidParameters("sphere dimension must be at least 1")
 
 
-@dataclass(frozen=True)
+@record
 class Atom(SpaceExpr):
     """Opaque named space. Optional finite reduced homology polynomial, and
     an optional reduced polynomial for its loop space, both as sorted
     ((degree, coeff), ...) tuples with degrees >= 1."""
 
     name: str
-    reduced: tuple[tuple[int, int], ...] | None = field(default=None)
-    loop_reduced: tuple[tuple[int, int], ...] | None = field(default=None)
+    reduced: tuple[tuple[int, int], ...] | None = None
+    loop_reduced: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.name or '"' in self.name:
@@ -105,7 +105,7 @@ class Atom(SpaceExpr):
                 raise InvalidParameters("declared polynomials: sorted pairs with degrees >= 1")
 
 
-@dataclass(frozen=True, init=False)
+@record
 class _NAry(SpaceExpr):
     """A Wedge, Prod or Smash. `runs` holds the maximal runs of consecutive
     equal children as (child, count) pairs, so equality and hashing on runs
@@ -150,23 +150,23 @@ class Smash(_NAry):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Susp(SpaceExpr):
     arg: SpaceExpr
 
 
-@dataclass(frozen=True)
+@record
 class Loop(SpaceExpr):
     arg: SpaceExpr
 
 
-@dataclass(frozen=True)
+@record
 class Join(SpaceExpr):
     left: SpaceExpr
     right: SpaceExpr
 
 
-@dataclass(frozen=True)
+@record
 class HalfSmash(SpaceExpr):
     """Right half-smash: left x right collapsed along basepoint x right."""
 
@@ -174,7 +174,7 @@ class HalfSmash(SpaceExpr):
     right: SpaceExpr
 
 
-@dataclass(frozen=True)
+@record
 class Cone(SpaceExpr):
     arg: SpaceExpr
 

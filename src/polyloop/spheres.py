@@ -7,12 +7,11 @@ symbolic layer it checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidParameters
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class SphereMultiset:
     """Multiset of sphere dimensions. Entries above max_dim are unknown when
     truncated is set, not zero; max_dim None means the multiset is exact."""

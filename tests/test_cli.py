@@ -433,11 +433,20 @@ def test_each_subcommand_imports_only_what_it_runs():
     build = _cli_modules("build", "path", "8")
     assert not build & {"polyloop.series", "polyloop.homology", "polyloop.spacealg",
                         "polyloop.decomp", "multiprocessing", "hashlib"}
-    assert _cli_modules("series", "koszul", "path", "8", "--N", "8") - build == {"polyloop.series"}
+    series = _cli_modules("series", "koszul", "path", "8", "--N", "8")
+    assert series - build == {"polyloop.series"}
     hochster = _cli_modules("hochster", "path", "9", "--jobs", "2")
     assert "polyloop.homology" in hochster
     assert not hochster & {"multiprocessing", "polyloop.spacealg", "polyloop.decomp"}
-    assert not _cli_modules("decompose", "path", "4") & {"polyloop.homology", "multiprocessing"}
+    decompose = _cli_modules("decompose", "path", "4")
+    assert not decompose & {"polyloop.homology", "multiprocessing"}
+    koszul = _cli_modules("verify", "koszul", "planar-book", "3", "2")
+    assert "polyloop.homology" not in koszul
+    every = _cli_modules("verify", "all", "path", "8")
+    assert "polyloop.homology" in every
+    # the value types are records, so start-up loads neither of these
+    for loaded in (build, series, hochster, decompose, koszul, every):
+        assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_bare_package_import_loads_no_submodule():

@@ -38,3 +38,13 @@ def test_reproduce_results_passes_outside_the_repo(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines and not any(line.startswith("FAIL") for line in lines)
     assert any(line.startswith("ok   porter-hochster") for line in lines)
+
+
+def test_child_cpu_reports_one_median_per_command_and_tree(tmp_path):
+    repo = str(SCRIPTS.parent)
+    proc = _run_outside("child_cpu.py", tmp_path, "--runs", "1", repo, repo, "build points 1")
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert header.split("\t") == ["command", repo, repo, "change"]
+    name, a, b, _ = row.split("\t")
+    assert name == "build points 1" and a.endswith(" ms") and float(b[:-3]) > 0

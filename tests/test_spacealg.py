@@ -18,6 +18,7 @@ from polyloop.errors import (
     SeriesDomainError,
 )
 from polyloop import spacealg
+from polyloop.complexes import path_graph
 from polyloop.decomp import porter_wedge
 from polyloop.series import TruncSeries
 from polyloop.spacealg import (
@@ -291,6 +292,19 @@ def test_runs_are_the_stored_form():
         assert cls((u, copy.deepcopy(u), t)).runs == ((u, 2), (t, 1))
         assert cls.of_runs([(u, 0)]) == cls(())
     assert Wedge((t, u)) != Prod((t, u))
+
+
+def test_other_value_types_pickle_round_trip():
+    for value in (path_graph(4), TruncSeries(4, (1, 0, 3, -1, 7))):
+        back = pickle.loads(pickle.dumps(value))
+        assert type(back) is type(value) and back == value and hash(back) == hash(value)
+        assert vars(back) == vars(value)
+    # the stored form is the field dict, in field order (recorded from the
+    # frozen dataclass that TruncSeries used to be)
+    assert pickle.dumps(TruncSeries(1, (1, 0)), protocol=4) == (
+        b"\x80\x04\x95@\x00\x00\x00\x00\x00\x00\x00\x8c\x0fpolyloop.series\x94\x8c\x0bTruncSeries"
+        b"\x94\x93\x94)\x81\x94}\x94(\x8c\x01n\x94K\x01\x8c\x06coeffs\x94K\x01K\x00\x86\x94ub."
+    )
 
 
 def test_susp_of_repeated_factors_walks_sub_multisets():
