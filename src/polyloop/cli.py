@@ -277,7 +277,7 @@ _CACHE_SCHEMA = 1
 
 def _cached_table(path: str, m: int) -> dict | None:
     """The Betti table stored at path, or None if it is missing, unreadable
-    or not a well-formed table for a ground set of size m."""
+    or not the well-formed table, in canonical form, for a ground set of size m."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -288,7 +288,11 @@ def _cached_table(path: str, m: int) -> dict | None:
     betti = obj["betti"]
     if obj["m"] != m or not isinstance(betti, dict) or betti.get("0") != 1:
         return None
-    if not all(k.isascii() and k.isdigit() and type(v) is int and v > 0 for k, v in betti.items()):
+    # a key such as "03" is a miss: a fresh run would print "3"
+    if not all(
+        k.isascii() and k.isdigit() and str(int(k)) == k and type(v) is int and v > 0
+        for k, v in betti.items()
+    ):
         return None
     return obj
 

@@ -36,7 +36,3 @@ class CeilingExceededError(PolyloopError, ValueError):
 class SeriesDomainError(PolyloopError, ValueError):
     """A power series was requested for an expression outside the computable
     fragment (undeclared atom, loop of a non simply connected term, and so on)."""
-
-
-class NotDivisibleError(PolyloopError, ValueError):
-    """A claimed series factor does not divide with nonnegative quotient."""

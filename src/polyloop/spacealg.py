@@ -38,7 +38,7 @@ and products with binomially or Witt-many equal parts, and every walk above
 visits each run once and scales by its count. `.args` spells the runs out.
 
 String form is an s-expression, for example (wedge (sphere 3) (loop (sphere
-2))); a JSON mirror {"op": ..., "args": [...]} carries the same tree.
+2))).
 """
 
 from __future__ import annotations
@@ -725,7 +725,7 @@ def format_sexpr(e: SpaceExpr) -> str:
 
     Atoms serialize by name alone: declared homology is a computational
     annotation for the series engine, not part of the space's structure, so
-    the wire formats do not carry it."""
+    the wire format does not carry it."""
     if isinstance(e, Point):
         return "point"
     if isinstance(e, Sphere):
@@ -823,28 +823,3 @@ def _build(head: str, args: list) -> SpaceExpr:
     if len(args) != 2:
         raise InvalidParameters(f"{head} takes exactly two arguments")
     return cls(args[0], args[1])
-
-
-def to_json_obj(e: SpaceExpr) -> dict:
-    if isinstance(e, Point):
-        return {"op": "point", "args": []}
-    if isinstance(e, Sphere):
-        return {"op": "sphere", "args": [e.d]}
-    if isinstance(e, Atom):
-        return {"op": "atom", "args": [e.name]}
-    if isinstance(e, (Wedge, Prod, Smash)):
-        return {"op": _NAME_OF[type(e)], "args": [to_json_obj(a) for a in e.args]}
-    if isinstance(e, (Susp, Loop, Cone)):
-        return {"op": _NAME_OF[type(e)], "args": [to_json_obj(e.arg)]}
-    return {"op": _NAME_OF[type(e)], "args": [to_json_obj(e.left), to_json_obj(e.right)]}
-
-
-def from_json_obj(obj: dict) -> SpaceExpr:
-    try:
-        head, args = obj["op"], obj["args"]
-    except (TypeError, KeyError) as exc:
-        raise InvalidParameters("expression JSON needs 'op' and 'args'") from exc
-    parsed = [from_json_obj(a) if isinstance(a, dict) else a for a in args]
-    if head not in _NODE_NAMES:
-        raise InvalidParameters(f"unknown constructor {head!r}")
-    return _build(head, parsed)

@@ -26,10 +26,3 @@ class SphereMultiset:
                 raise InvalidParameters("sphere multiset entries must be positive")
             if self.max_dim is not None and d > self.max_dim:
                 raise InvalidParameters("sphere dimension above the declared ceiling")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "counts": {str(d): c for d, c in sorted(self.counts.items())},
-            "max_dim": self.max_dim,
-            "truncated": self.truncated,
-        }

@@ -2,7 +2,13 @@
 
 geometric builds the geometric series, which the package itself never
 builds; tests use it as a closed form to check Koszul series against.
-strip_circles divides a series by (1+t)^m; no code in the package calls it.
+strip_circles divides a series by (1+t)^m; no code in the package calls it,
+and NotDivisibleError is the error it raises.
+
+zero, one, monomial, add, sub, mul, neg, invert, shift and at_neg_t are the
+arithmetic TruncSeries carried as methods before the package stopped using
+it; tests build expected series with them. They are functions here, because a
+subclass of TruncSeries would not compare equal to the package's series.
 
 hilbert_sr and koszul_loop_series are the dense oracles as they were before
 the package computed them in closed form: hilbert_sr adds up the powers of
@@ -12,8 +18,67 @@ oracles give the same series and the same errors.
 """
 
 from polyloop.complexes import SimplicialComplex
-from polyloop.errors import GhostVertexError, InvalidParameters, NotDivisibleError
+from polyloop.errors import GhostVertexError, InvalidParameters, PolyloopError
 from polyloop.series import TruncSeries, _invert, _mul, require_flag
+
+
+class NotDivisibleError(PolyloopError, ValueError):
+    """A claimed series factor does not divide with nonnegative quotient."""
+
+
+def _add(a: list[int], b: list[int], n: int) -> list[int]:
+    return [a[k] + b[k] for k in range(n + 1)]
+
+
+def zero(n: int) -> TruncSeries:
+    return TruncSeries.of([], n)
+
+
+def one(n: int) -> TruncSeries:
+    return TruncSeries.of([1], n)
+
+
+def monomial(d: int, n: int, coeff: int = 1) -> TruncSeries:
+    return shift(TruncSeries.of([coeff], n), d)
+
+
+def _check(a: TruncSeries, b: TruncSeries) -> None:
+    if a.n != b.n:
+        raise InvalidParameters("mixed truncation orders")
+
+
+def add(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    _check(a, b)
+    return TruncSeries(a.n, tuple(_add(list(a.coeffs), list(b.coeffs), a.n)))
+
+
+def sub(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    _check(a, b)
+    return TruncSeries(a.n, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    _check(a, b)
+    return TruncSeries(a.n, tuple(_mul(list(a.coeffs), list(b.coeffs), a.n)))
+
+
+def neg(a: TruncSeries) -> TruncSeries:
+    return TruncSeries(a.n, tuple(-c for c in a.coeffs))
+
+
+def invert(a: TruncSeries) -> TruncSeries:
+    return TruncSeries(a.n, tuple(_invert(list(a.coeffs), a.n)))
+
+
+def at_neg_t(a: TruncSeries) -> TruncSeries:
+    return TruncSeries(a.n, tuple(c if k % 2 == 0 else -c for k, c in enumerate(a.coeffs)))
+
+
+def shift(a: TruncSeries, d: int) -> TruncSeries:
+    """Multiply by t**d, for d >= 0."""
+    if d < 0:
+        raise InvalidParameters("series shift degree must be nonnegative")
+    return TruncSeries.of([0] * min(d, a.n + 1) + list(a.coeffs), a.n)
 
 
 def geometric(n: int, ratio_degree: int = 1, ratio: int = 1) -> TruncSeries:
@@ -48,7 +113,7 @@ def koszul_loop_series(K: SimplicialComplex, n: int) -> TruncSeries:
     Stanley-Reisner ring. Flagness is re-checked on every call.
     """
     require_flag(K)
-    return hilbert_sr(K, n).at_neg_t().invert()
+    return invert(at_neg_t(hilbert_sr(K, n)))
 
 
 def strip_circles(p: TruncSeries, m: int) -> TruncSeries:

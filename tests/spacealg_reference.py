@@ -21,6 +21,11 @@ The s-expression reader at the very end is parse_sexpr as it was before it
 read each sphere leaf as one token: a leaf is four tokens, one recursive call
 and one _build. Tests check that the package's reader gives the same terms,
 runs, errors and messages.
+
+to_json_obj and from_json_obj are the JSON mirror {"op": ..., "args": [...]}
+of an expression tree that the package carried next to its s-expressions.
+The command line only ever wrote s-expressions, so the mirror moved here,
+where round-trip tests still check that it carries the same tree.
 """
 
 import itertools
@@ -382,3 +387,28 @@ def parse_sexpr(text: str) -> SpaceExpr:
     if next(tokens, None) is not None:
         raise InvalidParameters("trailing tokens after expression")
     return expr
+
+
+def to_json_obj(e: SpaceExpr) -> dict:
+    if isinstance(e, Point):
+        return {"op": "point", "args": []}
+    if isinstance(e, Sphere):
+        return {"op": "sphere", "args": [e.d]}
+    if isinstance(e, Atom):
+        return {"op": "atom", "args": [e.name]}
+    if isinstance(e, (Wedge, Prod, Smash)):
+        return {"op": _NAME_OF[type(e)], "args": [to_json_obj(a) for a in e.args]}
+    if isinstance(e, (Susp, Loop, Cone)):
+        return {"op": _NAME_OF[type(e)], "args": [to_json_obj(e.arg)]}
+    return {"op": _NAME_OF[type(e)], "args": [to_json_obj(e.left), to_json_obj(e.right)]}
+
+
+def from_json_obj(obj: dict) -> SpaceExpr:
+    try:
+        head, args = obj["op"], obj["args"]
+    except (TypeError, KeyError) as exc:
+        raise InvalidParameters("expression JSON needs 'op' and 'args'") from exc
+    parsed = [from_json_obj(a) if isinstance(a, dict) else a for a in args]
+    if head not in _NODE_NAMES:
+        raise InvalidParameters(f"unknown constructor {head!r}")
+    return _build(head, parsed)

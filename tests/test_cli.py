@@ -11,9 +11,10 @@ import sys
 import pytest
 
 import polyloop
-from polyloop import cli, decomp, series
+from polyloop import cli, decomp, homology, series
 from polyloop.complexes import cycle_graph
 from polyloop.series import TruncSeries
+from polyloop.spheres import SphereMultiset
 
 
 def _run(capsys, *argv):
@@ -258,6 +259,7 @@ def test_hochster_cache_refuses_ghosts_before_the_lookup(tmp_path, capsys):
     json.dumps({"betti": {"0": 1, "x": 5}, "m": 5}),
     json.dumps({"betti": {"0": 1, "3": -5}, "m": 5}),
     json.dumps({"betti": {"3": 5}, "m": 5}),
+    json.dumps({"betti": {"0": 1, "03": 5, "4": 5, "7": 1}, "m": 5}),
 ])
 def test_hochster_cache_rewrites_a_malformed_entry(tmp_path, capsys, content):
     cache = tmp_path / "cache"
@@ -359,6 +361,30 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
     assert obj["status"] == "fail"
     disc = obj["checks"][0]["first_discrepancy"]
     assert disc["degree"] == 5 and disc["oracle"] == disc["engine"] + 1
+
+
+def test_verify_reports_porter_hochster_mismatch(capsys, monkeypatch):
+    real = homology.zk_sphere_multiset
+
+    def skewed(K, **kwargs):
+        ms = real(K, **kwargs)
+        return SphereMultiset({**ms.counts, 4: ms.counts[4] + 1}, ms.max_dim, ms.truncated)
+
+    monkeypatch.setattr(homology, "zk_sphere_multiset", skewed)
+    code, out, _ = _run(capsys, "verify", "porter-hochster", "path", "3")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["status"] == "fail"
+    assert obj["checks"][0]["first_discrepancy"] == {"dimension": 4, "engine": 2, "oracle": 3}
+    code, out, _ = _run(capsys, "verify", "porter-hochster", "path", "3", "--format", "text")
+    assert code == 1
+    assert out.splitlines()[:5] == [
+        "checks:",
+        "  -",
+        '    first_discrepancy: {"dimension": 4, "engine": 2, "oracle": 3}',
+        '    name: "porter-hochster"',
+        '    status: "fail"',
+    ]
 
 
 def test_verify_rejects_unsupported(capsys):

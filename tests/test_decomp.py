@@ -2,6 +2,8 @@
 
 import pytest
 
+from series_reference import invert
+
 from polyloop.complexes import (
     GluingSpec,
     cycle_graph,
@@ -110,7 +112,7 @@ def test_cone_loop_split_symbolic_has_no_series():
 
 def test_fold_decompose():
     r = fold_decompose(3, Sphere(2), Loop(Sphere(2)), n=8)
-    assert r.series.coeffs == TruncSeries.of([1, -3], 8).invert().coeffs
+    assert r.series.coeffs == invert(TruncSeries.of([1, -3], 8)).coeffs
     # the fibre wedge carries n-1 suspended copies
     fw = r.factors[1][1].arg
     assert len(fw.args) == 2

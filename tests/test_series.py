@@ -20,7 +20,6 @@ from polyloop.complexes import (
 from polyloop.errors import (
     GhostVertexError,
     InvalidParameters,
-    NotDivisibleError,
     NotFlagComplexError,
     PolyloopError,
 )
@@ -30,7 +29,21 @@ from polyloop.series import (
     koszul_loop_series,
 )
 
-from series_reference import geometric, strip_circles
+from series_reference import (
+    NotDivisibleError,
+    add,
+    at_neg_t,
+    geometric,
+    invert,
+    monomial,
+    mul,
+    neg,
+    one,
+    shift,
+    strip_circles,
+    sub,
+    zero,
+)
 
 st_coeffs = st.lists(st.integers(-9, 9), min_size=1, max_size=9)
 
@@ -40,10 +53,9 @@ def _of(coeffs, n=8):
 
 
 def test_constructors():
-    one = TruncSeries.one(4)
-    assert one.coeffs == (1, 0, 0, 0, 0)
-    assert TruncSeries.zero(3).coeffs == (0, 0, 0, 0)
-    assert TruncSeries.monomial(2, 4).coeffs == (0, 0, 1, 0, 0)
+    assert one(4).coeffs == (1, 0, 0, 0, 0)
+    assert zero(3).coeffs == (0, 0, 0, 0)
+    assert monomial(2, 4).coeffs == (0, 0, 1, 0, 0)
     assert _of([1, 2]).coeffs == (1, 2, 0, 0, 0, 0, 0, 0, 0)
 
 
@@ -55,44 +67,44 @@ def test_truncation_of_long_input():
 def test_arithmetic_basics():
     a = _of([1, 1])
     b = _of([1, -1])
-    assert (a * b).coeffs[:3] == (1, 0, -1)
-    assert (a + b).coeffs[:2] == (2, 0)
-    assert (a - b).coeffs[:2] == (0, 2)
-    assert (-a).coeffs[:2] == (-1, -1)
+    assert mul(a, b).coeffs[:3] == (1, 0, -1)
+    assert add(a, b).coeffs[:2] == (2, 0)
+    assert sub(a, b).coeffs[:2] == (0, 2)
+    assert neg(a).coeffs[:2] == (-1, -1)
 
 
 def test_geometric_and_invert():
     g = geometric(6)
     assert g.coeffs == (1,) * 7
-    assert g == _of([1, -1], 6).invert()
+    assert g == invert(_of([1, -1], 6))
     assert geometric(4, ratio_degree=2).coeffs == (1, 0, 1, 0, 1)
     assert geometric(4, ratio=3).coeffs == (1, 3, 9, 27, 81)
 
 
 def test_invert_requires_unit_constant_term():
     with pytest.raises(InvalidParameters):
-        _of([2, 1]).invert()
+        invert(_of([2, 1]))
     with pytest.raises(InvalidParameters):
-        _of([0, 1]).invert()
-    inv = _of([-1, 1]).invert()
-    assert (inv * _of([-1, 1])) == TruncSeries.one(8)
+        invert(_of([0, 1]))
+    inv = invert(_of([-1, 1]))
+    assert mul(inv, _of([-1, 1])) == one(8)
 
 
 def test_at_neg_t_and_shift():
     s = _of([1, 2, 3])
-    assert s.at_neg_t().coeffs[:3] == (1, -2, 3)
-    assert s.shift(2).coeffs[:5] == (0, 0, 1, 2, 3)
-    assert s.shift(0) == s
+    assert at_neg_t(s).coeffs[:3] == (1, -2, 3)
+    assert shift(s, 2).coeffs[:5] == (0, 0, 1, 2, 3)
+    assert shift(s, 0) == s
     # degrees past the truncation order leave the zero series
-    assert s.shift(9) == s.shift(10**18) == TruncSeries.zero(8)
-    assert TruncSeries.monomial(4, 3) == TruncSeries.zero(3)
+    assert shift(s, 9) == shift(s, 10**18) == zero(8)
+    assert monomial(4, 3) == zero(3)
 
 
 def test_negative_degrees_are_refused():
     with pytest.raises(InvalidParameters):
-        TruncSeries.of([1, 2, 3], 4).shift(-1)
+        shift(TruncSeries.of([1, 2, 3], 4), -1)
     with pytest.raises(InvalidParameters):
-        TruncSeries.monomial(-2, 3)
+        monomial(-2, 3)
 
 
 def test_getitem():
@@ -112,14 +124,14 @@ def test_json_shape():
 @given(st_coeffs, st_coeffs)
 def test_mul_commutes(a, b):
     sa, sb = _of(a), _of(b)
-    assert sa * sb == sb * sa
+    assert mul(sa, sb) == mul(sb, sa)
 
 
 @given(st_coeffs, st_coeffs, st_coeffs)
 def test_ring_laws(a, b, c):
     sa, sb, sc = _of(a), _of(b), _of(c)
-    assert (sa * sb) * sc == sa * (sb * sc)
-    assert sa * (sb + sc) == sa * sb + sa * sc
+    assert mul(mul(sa, sb), sc) == mul(sa, mul(sb, sc))
+    assert mul(sa, add(sb, sc)) == add(mul(sa, sb), mul(sa, sc))
 
 
 # a unit constant term, drawn directly: filtering st_coeffs for it rejects
@@ -132,8 +144,8 @@ st_unit_coeffs = st.tuples(st.sampled_from((1, -1)), st.lists(st.integers(-9, 9)
 @given(st_unit_coeffs)
 def test_invert_roundtrip(coeffs):
     s = _of(coeffs)
-    prod = s * s.invert()
-    assert prod == TruncSeries.one(8)
+    prod = mul(s, invert(s))
+    assert prod == one(8)
 
 
 def test_hilbert_path2():
@@ -158,7 +170,7 @@ def test_hilbert_rejects_ghosts():
 def test_koszul_path2_closed_form():
     # (1+t)^2 / (1-t)
     k = koszul_loop_series(path_graph(2), 16)
-    closed = TruncSeries.of([1, 2, 1], 16) * TruncSeries.of([1, -1], 16).invert()
+    closed = mul(TruncSeries.of([1, 2, 1], 16), invert(TruncSeries.of([1, -1], 16)))
     assert k == closed
     assert k.coeffs[:5] == (1, 3, 4, 4, 4)
 
@@ -166,8 +178,8 @@ def test_koszul_path2_closed_form():
 def test_koszul_planar_book_closed_form():
     # (1+t)^2 / ((1-t)(1-2t))
     k = koszul_loop_series(planar_book(2, 2), 16)
-    den = TruncSeries.of([1, -1], 16) * TruncSeries.of([1, -2], 16)
-    closed = TruncSeries.of([1, 2, 1], 16) * den.invert()
+    den = mul(TruncSeries.of([1, -1], 16), TruncSeries.of([1, -2], 16))
+    closed = mul(TruncSeries.of([1, 2, 1], 16), invert(den))
     assert k == closed
     assert k.coeffs[:8] == (1, 5, 14, 32, 68, 140, 284, 572)
 
@@ -194,21 +206,21 @@ def test_strip_circles_path2():
 def test_strip_circles_full_strip_gives_one():
     # the disjoint-points Koszul series over one point is exactly 1+t
     k = koszul_loop_series(disjoint_points(1), 8)
-    assert strip_circles(k, 1) == TruncSeries.one(8)
+    assert strip_circles(k, 1) == one(8)
 
 
 def test_strip_circles_detects_nondivisibility():
     with pytest.raises(NotDivisibleError):
-        strip_circles(TruncSeries.one(8), 1)
+        strip_circles(one(8), 1)
 
 
 @given(st.integers(1, 5), st.integers(0, 3))
 def test_strip_circles_inverts_circle_products(m, extra):
     # (1+t)^m times a nonnegative series is divisible by (1+t)^m
-    base = geometric(10, ratio=extra) if extra else TruncSeries.one(10)
+    base = geometric(10, ratio=extra) if extra else one(10)
     p = base
     for _ in range(m):
-        p = p * TruncSeries.of([1, 1], 10)
+        p = mul(p, TruncSeries.of([1, 1], 10))
     assert strip_circles(p, m) == base
 
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import spacealg_reference as ref
-from spacealg_reference import lyndon_words
+from series_reference import invert, mul, one
+from spacealg_reference import from_json_obj, lyndon_words, to_json_obj
 
 from polyloop.errors import (
     CeilingExceededError,
@@ -40,7 +41,6 @@ from polyloop.spacealg import (
     cp_infinity,
     desuspend,
     format_sexpr,
-    from_json_obj,
     hilton_milnor,
     james_split,
     normalize,
@@ -49,7 +49,6 @@ from polyloop.spacealg import (
     sort_key,
     sphere_multiset_of,
     susp_wedge_min_dim,
-    to_json_obj,
     wedge_of_spheres_min_dim,
 )
 
@@ -485,7 +484,7 @@ def test_series_loop_precision_is_exact():
     got = poincare_series(e, 8)
     # Susp(Loop(S2)) has reduced series t^2+t^3+..., so loops on it invert
     # 1 - (t + t^2 + ...) = (1 - 2t)/(1 - t)
-    want = TruncSeries.of([1, -1], 8) * TruncSeries.of([1, -2], 8).invert()
+    want = mul(TruncSeries.of([1, -1], 8), invert(TruncSeries.of([1, -2], 8)))
     assert got == want
 
 
@@ -493,10 +492,10 @@ def test_series_repeated_factors_group():
     # distinct but equal objects must land in one exponentiation group
     factors = tuple(Loop(Sphere(2)) for _ in range(50))
     got = poincare_series(Prod(factors), 6)
-    base = TruncSeries.of([1, -1], 6).invert()
-    want = TruncSeries.one(6)
+    base = invert(TruncSeries.of([1, -1], 6))
+    want = one(6)
     for _ in range(50):
-        want = want * base
+        want = mul(want, base)
     assert got == want
 
 
@@ -766,7 +765,7 @@ def test_hilton_milnor_single_summand():
 
 def test_hilton_milnor_series_identity_small():
     got = poincare_series(hilton_milnor(Wedge((S3, S3)), 17), 16)
-    want = TruncSeries.of([1, 0, -2], 16).invert()
+    want = invert(TruncSeries.of([1, 0, -2], 16))
     assert got == want
 
 
@@ -782,4 +781,4 @@ def test_hilton_milnor_large_alphabet_is_fast():
     got = hilton_milnor(Wedge((S2, S2, S2)), 17)
     s = poincare_series(got, 16)
     assert time.monotonic() - t0 < 5.0
-    assert s == TruncSeries.of([1, -3], 16).invert()
+    assert s == invert(TruncSeries.of([1, -3], 16))
