@@ -29,6 +29,7 @@ from polyloop.series import TruncSeries, koszul_loop_series
 from polyloop.spacealg import (
     POINT,
     Loop,
+    Prod,
     Sphere,
     Susp,
     Wedge,
@@ -208,6 +209,27 @@ def test_book_decompose_symbolic():
     assert r.params == {"n": 1, "l": 3, "p": 2, "N": 16}
     with pytest.raises(InvalidParameters):
         book_decompose_symbolic(2, 3, 2)
+
+
+def test_total_is_the_normalized_product_of_the_factors():
+    spec = GluingSpec(path_graph(2), (0,), (2,), (2, 1, 0), copies=3)
+    results = [
+        cone_loop_split(1, cp_infinity(), zk=POINT, n=6),
+        cone_loop_split(3, GENERIC_VERTEX_SPACE, zk=porter_wedge(3, circles=False), n=6),
+        fold_decompose(1, Sphere(2), Loop(Sphere(2)), n=6),
+        fold_decompose(4, GENERIC_VERTEX_SPACE, Loop(GENERIC_VERTEX_SPACE), n=6),
+        poly_fold_decompose(spec, GENERIC_VERTEX_SPACE, Loop(Sphere(2))),
+        poly_fold_decompose(spec, GENERIC_VERTEX_SPACE, Loop(Sphere(2)), base_loop=Loop(Sphere(2))),
+        path_decompose(1),
+        path_decompose(2),
+        path_decompose(7, max_dim=9),
+        dj_book_decompose(2, 2),
+        dj_book_decompose(3, 3),
+        book_decompose_symbolic(1, 3, 2),
+        book_decompose_symbolic(2, 5, 4),
+    ]
+    for r in results:
+        assert r.total == normalize(Prod(tuple(e for _, e in r.factors))), r.family
 
 
 def test_decomp_result_json_shape():
