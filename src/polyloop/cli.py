@@ -28,15 +28,17 @@ from .errors import (
     PolyloopError,
 )
 
-_FAMILY_ARITY = {
-    "path": 1,
-    "cycle": 1,
-    "points": 1,
-    "simplex": 1,
-    "book": 3,
-    "planar-book": 2,
-    "glue-spec-file": 1,
-    "file": 1,
+# family -> (its builder in complexes, number of parameters); the builder is
+# looked up at call time, and the two file families read one JSON file
+_FAMILIES = {
+    "path": ("path_graph", 1),
+    "cycle": ("cycle_graph", 1),
+    "points": ("disjoint_points", 1),
+    "simplex": ("simplex", 1),
+    "book": ("book_graph", 3),
+    "planar-book": ("planar_book", 2),
+    "glue-spec-file": ("glue", 1),
+    "file": ("from_json_obj", 1),
 }
 
 
@@ -78,58 +80,40 @@ def _glue_spec_from_obj(obj: dict) -> complexes.GluingSpec:
 
 
 def complex_from_family(family: str, params: list[str]) -> complexes.SimplicialComplex:
-    arity = _FAMILY_ARITY.get(family)
-    if arity is None:
+    if family not in _FAMILIES:
         raise InvalidParameters(f"unknown family {family!r}")
+    builder, arity = _FAMILIES[family]
     if len(params) != arity:
         raise InvalidParameters(f"family {family!r} takes {arity} parameter(s)")
+    build = getattr(complexes, builder)
     if family == "glue-spec-file":
-        return complexes.glue(_glue_spec_from_obj(_load_json(params[0])))
+        return build(_glue_spec_from_obj(_load_json(params[0])))
     if family == "file":
-        return complexes.from_json_obj(_load_json(params[0]))
-    vals = _int_params(family, params)
-    if family == "path":
-        return complexes.path_graph(vals[0])
-    if family == "cycle":
-        return complexes.cycle_graph(vals[0])
-    if family == "points":
-        return complexes.disjoint_points(vals[0])
-    if family == "simplex":
-        return complexes.simplex(vals[0])
-    if family == "book":
-        return complexes.book_graph(*vals)
-    return complexes.planar_book(*vals)
+        return build(_load_json(params[0]))
+    return build(*_int_params(family, params))
 
 
-def _text_lines(obj, indent: int = 0) -> list[str]:
+def _text_lines(obj: dict | list, indent: int = 0) -> list[str]:
+    """Lines of a dict ("key: value", keys sorted) or a list ("- value"); a
+    value holding nested containers goes on the lines below, indented."""
     pad = "  " * indent
-    lines: list[str] = []
     if isinstance(obj, dict):
-        for k in sorted(obj):
-            v = obj[k]
-            if isinstance(v, (dict, list)) and v and not _is_flat(v):
-                lines.append(f"{pad}{k}:")
-                lines.extend(_text_lines(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {json.dumps(v, sort_keys=True)}")
-    elif isinstance(obj, list):
-        for v in obj:
-            if isinstance(v, (dict, list)) and v and not _is_flat(v):
-                lines.append(f"{pad}-")
-                lines.extend(_text_lines(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {json.dumps(v, sort_keys=True)}")
+        items = [(f"{k}:", obj[k]) for k in sorted(obj)]
     else:
-        lines.append(f"{pad}{json.dumps(obj)}")
+        items = [("-", v) for v in obj]
+    lines: list[str] = []
+    for head, v in items:
+        if isinstance(v, (dict, list)) and v and not _is_flat(v):
+            lines.append(f"{pad}{head}")
+            lines.extend(_text_lines(v, indent + 1))
+        else:
+            lines.append(f"{pad}{head} {json.dumps(v, sort_keys=True)}")
     return lines
 
 
-def _is_flat(v) -> bool:
-    if isinstance(v, list):
-        return all(not isinstance(x, (dict, list)) for x in v)
-    if isinstance(v, dict):
-        return all(not isinstance(x, (dict, list)) for x in v.values())
-    return True
+def _is_flat(v: dict | list) -> bool:
+    values = v.values() if isinstance(v, dict) else v
+    return all(not isinstance(x, (dict, list)) for x in values)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -182,81 +166,63 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _series_check(name: str, engine: "series.TruncSeries", oracle: "series.TruncSeries") -> dict:
-    for k in range(min(engine.n, oracle.n) + 1):
-        if engine[k] != oracle[k]:
+def _check(name: str, key: str, engine: dict[int, int], oracle: dict[int, int]) -> dict:
+    """Pass, or fail at the first key (a degree or a dimension) where the
+    engine's count differs from the oracle's; a missing key counts 0."""
+    for k in sorted(engine.keys() | oracle.keys()):
+        e, o = engine.get(k, 0), oracle.get(k, 0)
+        if e != o:
             return {
                 "name": name,
                 "status": "fail",
-                "first_discrepancy": {"degree": k, "engine": engine[k], "oracle": oracle[k]},
+                "first_discrepancy": {key: k, "engine": e, "oracle": o},
             }
     return {"name": name, "status": "pass"}
 
 
-def _multiset_check(name: str, engine: dict[int, int], oracle: dict[int, int]) -> dict:
-    for d in sorted(set(engine) | set(oracle)):
-        if engine.get(d, 0) != oracle.get(d, 0):
-            return {
-                "name": name,
-                "status": "fail",
-                "first_discrepancy": {
-                    "dimension": d,
-                    "engine": engine.get(d, 0),
-                    "oracle": oracle.get(d, 0),
-                },
-            }
-    return {"name": name, "status": "pass"}
+# parameter names of the families that decompose and verify take
+_DECOMP_PARAMS = {"path": ("l",), "planar-book": ("l", "p"), "book": ("n", "l", "p")}
 
 
 def cmd_verify(args) -> int:
     from . import decomp, series
-    from .spacealg import sphere_multiset_of
 
     vals = _int_params(args.family, args.params)
-    checks: list[dict] = []
-    params: dict[str, int] = {}
-    if args.family == "path" and len(vals) == 1:
-        l = vals[0]
-        params = {"l": l}
-        if args.mode in ("porter-hochster", "all"):
-            from . import homology
-
-            # the oracle refuses m = l + 1 > 20 (exit 5) before the engine builds the 2^l wedge
-            oracle_ms = homology.zk_sphere_multiset(complexes.path_graph(l), jobs=args.jobs)
-            zk = decomp.path_fibre_reduce(l, circles=True)
-            engine_ms = sphere_multiset_of(zk, max(l + 2, 3))
-            checks.append(_multiset_check("porter-hochster", engine_ms.counts, oracle_ms.counts))
-        if args.mode in ("koszul", "all"):
-            eng = decomp.path_decompose(l, n=args.N, max_dim=max(args.max_dim, l + 2)).series
-            orc = series.koszul_loop_series(complexes.path_graph(l), args.N)
-            checks.append(_series_check("koszul", eng, orc))
-    elif args.family == "planar-book" and len(vals) == 2:
-        l, p = vals
-        params = {"l": l, "p": p}
-        if args.mode == "porter-hochster":
-            raise InvalidParameters("porter-hochster verification is defined for paths only")
-        eng = decomp.dj_book_decompose(l, p, n=args.N, max_dim=args.max_dim).series
-        orc = series.koszul_loop_series(complexes.planar_book(l, p), args.N)
-        checks.append(_series_check("koszul", eng, orc))
-    elif args.family == "book" and len(vals) == 3:
-        nsp, l, p = vals
-        params = {"n": nsp, "l": l, "p": p}
-        if args.mode == "porter-hochster":
-            raise InvalidParameters("porter-hochster verification is defined for paths only")
-        K = complexes.book_graph(nsp, l, p)
-        if l != 2 * nsp:
+    if len(vals) != len(_DECOMP_PARAMS[args.family]):
+        raise InvalidParameters(f"cannot verify family {args.family!r} with {args.params}")
+    params = dict(zip(_DECOMP_PARAMS[args.family], vals))
+    if args.family != "path" and args.mode == "porter-hochster":
+        raise InvalidParameters("porter-hochster verification is defined for paths only")
+    l, p = params["l"], params.get("p")
+    if args.family == "book":
+        K = complexes.book_graph(params["n"], l, p)
+        if l != 2 * params["n"]:
             # a non-flag book is refused by the oracle (exit 4) before the engine
             series.require_flag(K)
             raise InvalidParameters(
                 "no series engine for books with l != 2n; only the planar family is decomposed"
             )
+        l = params["n"]  # the book is the planar book with p+1 pages of length n
+    checks: list[dict] = []
+    if args.family == "path" and args.mode != "koszul":
+        from . import homology
+        from .spacealg import sphere_multiset_of
+
+        # the oracle refuses m = l + 1 > 20 (exit 5) before the engine builds the 2^l wedge
+        oracle_ms = homology.zk_sphere_multiset(complexes.path_graph(l), jobs=args.jobs)
+        engine_ms = sphere_multiset_of(decomp.path_fibre_reduce(l, circles=True), max(l + 2, 3))
+        checks.append(_check("porter-hochster", "dimension", engine_ms.counts, oracle_ms.counts))
+    if args.mode != "porter-hochster":
+        if args.family == "path":
+            # max_dim only sizes the sphere report, which verify does not read
+            eng = decomp.path_decompose(l, n=args.N, max_dim=l + 2).series
+            K = complexes.path_graph(l)
+        else:
+            eng = decomp.dj_book_decompose(l, p, n=args.N).series
+            K = complexes.planar_book(l, p)
         orc = series.koszul_loop_series(K, args.N)
-        eng = decomp.dj_book_decompose(nsp, p, n=args.N, max_dim=args.max_dim).series
-        checks.append(_series_check("koszul", eng, orc))
-    else:
-        raise InvalidParameters(f"cannot verify family {args.family!r} with {args.params}")
-    if not checks:
-        raise InvalidParameters(f"mode {args.mode!r} does not apply to family {args.family!r}")
+        checks.append(_check("koszul", "degree", dict(enumerate(eng.coeffs)),
+                             dict(enumerate(orc.coeffs))))
     status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
     _emit(
         {
@@ -328,22 +294,18 @@ def cmd_series(args) -> int:
     from . import series
 
     K = complex_from_family(args.family, args.params)
-    if args.kind == "hilbert":
-        s = series.hilbert_sr(K, args.N)
-    else:
-        s = series.koszul_loop_series(K, args.N)
-    _emit(s.to_json_obj(), args)
+    oracle = series.hilbert_sr if args.kind == "hilbert" else series.koszul_loop_series
+    _emit(oracle(K, args.N).to_json_obj(), args)
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, *, n=False, max_dim=False, jobs=False) -> None:
+def _add_common(p: argparse.ArgumentParser, families, *, n=False, jobs=False) -> None:
+    p.add_argument("family", choices=families)
+    p.add_argument("params", nargs="*")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", help="write output atomically to this file instead of stdout")
     if n:
         p.add_argument("--N", type=int, default=16, help="series truncation order")
-    if max_dim:
-        p.add_argument("--max-dim", dest="max_dim", type=int, default=16,
-                       help="sphere enumeration ceiling")
     if jobs:
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes for subset enumeration (0 = all cores); used only"
@@ -358,37 +320,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("build", help="construct a complex and print it")
-    p.add_argument("family", choices=sorted(_FAMILY_ARITY))
-    p.add_argument("params", nargs="*")
-    _add_common(p)
+    _add_common(p, sorted(_FAMILIES))
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("decompose", help="decompose loops on a polyhedral product")
-    p.add_argument("family", choices=("path", "planar-book", "book"))
-    p.add_argument("params", nargs="*")
-    _add_common(p, n=True, max_dim=True)
+    _add_common(p, tuple(_DECOMP_PARAMS), n=True)
+    p.add_argument("--max-dim", dest="max_dim", type=int, default=16,
+                   help="sphere enumeration ceiling")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="check the engine against an independent oracle")
     p.add_argument("mode", choices=("porter-hochster", "koszul", "all"))
-    p.add_argument("family", choices=("path", "planar-book", "book"))
-    p.add_argument("params", nargs="*")
-    _add_common(p, n=True, max_dim=True, jobs=True)
+    _add_common(p, tuple(_DECOMP_PARAMS), n=True, jobs=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hochster", help="Betti table of a moment-angle complex")
-    p.add_argument("family", choices=sorted(_FAMILY_ARITY))
-    p.add_argument("params", nargs="*")
     p.add_argument("--ceiling", type=int, default=20, help="ground set size cap")
     p.add_argument("--cache-dir", dest="cache_dir", help="content-addressed result cache")
-    _add_common(p, jobs=True)
+    _add_common(p, sorted(_FAMILIES), jobs=True)
     p.set_defaults(func=cmd_hochster)
 
     p = sub.add_parser("series", help="Hilbert or Koszul series of a complex")
     p.add_argument("kind", choices=("hilbert", "koszul"))
-    p.add_argument("family", choices=sorted(_FAMILY_ARITY))
-    p.add_argument("params", nargs="*")
-    _add_common(p, n=True)
+    _add_common(p, sorted(_FAMILIES), n=True)
     p.set_defaults(func=cmd_series)
     return ap
 
@@ -399,21 +353,10 @@ def main(argv=None) -> int:
         args.jobs = None
     try:
         return args.func(args)
-    except GroundSizeLimitError as exc:
+    except (PolyloopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except NotFlagComplexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except CeilingExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PolyloopError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        codes = ((GroundSizeLimitError, 5), (NotFlagComplexError, 4), (CeilingExceededError, 3))
+        return next((code for cls, code in codes if isinstance(exc, cls)), 2)
 
 
 if __name__ == "__main__":

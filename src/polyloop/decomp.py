@@ -50,7 +50,6 @@ from .spacealg import (
     HalfSmash,
     Join,
     Loop,
-    POINT,
     Prod,
     Smash,
     SpaceExpr,
@@ -99,11 +98,38 @@ class DecompResult:
         return obj
 
 
-def _try_series(e: SpaceExpr, n: int) -> TruncSeries | None:
+def _result(
+    family: str,
+    params: dict[str, int],
+    factors: tuple[tuple[str, SpaceExpr], ...],
+    provenance: tuple[str, ...],
+    spheres: dict[str, SphereMultiset] | None = None,
+) -> DecompResult:
+    """The decomposition into the named factors: the total is their
+    normalized product, and the series runs through degree params["N"], or
+    is None for a total outside the computable fragment."""
+    total = normalize(Prod(tuple(e for _, e in factors)))
     try:
-        return poincare_series(e, n)
+        series = poincare_series(total, params["N"])
     except SeriesDomainError:
-        return None
+        series = None
+    return DecompResult(family, params, total, factors, spheres, series, provenance)
+
+
+def _fold(
+    family: str,
+    params: dict[str, int],
+    base: SpaceExpr,
+    fibre: SpaceExpr,
+    copies: int,
+    name: str,
+    provenance: str = "polyhedral-fold-splitting",
+) -> DecompResult:
+    """The fold splitting of a space built from copies pieces: the base
+    factor, times loops on a (copies-1)-fold wedge of the suspended fibre."""
+    fw = normalize(Wedge.of_runs([(Susp(fibre), copies - 1)]))
+    factors = (("loop-base", normalize(base)), (name, normalize(Loop(fw))))
+    return _result(family, params, factors, (provenance,))
 
 
 def porter_wedge(l: int, circles: bool = True, x: Atom = GENERIC_VERTEX_SPACE) -> SpaceExpr:
@@ -131,8 +157,6 @@ def path_fibre_reduce(l: int, circles: bool = True, x: Atom = GENERIC_VERTEX_SPA
     disjoint-points case and expanded by Porter's wedge. l = 1 gives a point."""
     if l < 1:
         raise InvalidParameters("path length must be at least 1")
-    if l == 1:
-        return POINT
     return porter_wedge(l, circles=circles, x=x)
 
 
@@ -143,34 +167,20 @@ def cone_loop_split(
     copies of Loop(x) times the loops on the given fibre product zk."""
     if m < 1:
         raise InvalidParameters("need at least one vertex")
-    vertex_loops = normalize(Prod.of_runs([(Loop(x), m)]))
-    cone_factor = normalize(Loop(zk))
-    total = normalize(Prod.of_runs([(Loop(x), m), (Loop(zk), 1)]))
-    return DecompResult(
-        family="cone-loop",
-        params={"m": m, "N": n},
-        total=total,
-        factors=(("vertex-loops", vertex_loops), ("loop-fibre-product", cone_factor)),
-        spheres=None,
-        series=_try_series(total, n),
-        provenance=("cone-fibration-splitting",),
+    factors = (
+        ("vertex-loops", normalize(Prod.of_runs([(Loop(x), m)]))),
+        ("loop-fibre-product", normalize(Loop(zk))),
     )
+    return _result("cone-loop", {"m": m, "N": n}, factors, ("cone-fibration-splitting",))
 
 
 def fold_decompose(n_summands: int, x: SpaceExpr, fibre: SpaceExpr, n: int = 16) -> DecompResult:
     """Loops on an n-fold wedge of a space with chosen map to x and fibre."""
     if n_summands < 1:
         raise InvalidParameters("need at least one wedge summand")
-    fw = normalize(Wedge.of_runs([(Susp(fibre), n_summands - 1)]))
-    total = normalize(Prod((Loop(x), Loop(fw))))
-    return DecompResult(
-        family="fold",
-        params={"n": n_summands, "N": n},
-        total=total,
-        factors=(("loop-base", normalize(Loop(x))), ("loop-fibre-wedge", normalize(Loop(fw)))),
-        spheres=None,
-        series=_try_series(total, n),
-        provenance=("fold-splitting",),
+    return _fold(
+        "fold", {"n": n_summands, "N": n}, Loop(x), fibre, n_summands, "loop-fibre-wedge",
+        "fold-splitting",
     )
 
 
@@ -185,19 +195,9 @@ def poly_fold_decompose(
     product over one copy, times loops on a (copies-1)-fold wedge of the
     suspended gluing fibre. The base factor stays opaque unless the caller
     passes its own expression for it."""
-    copies = spec.copies
-    fw = normalize(Wedge.of_runs([(Susp(fibre_g), copies - 1)]))
     base = base_loop if base_loop is not None else Loop(atom("base-product"))
-    base = normalize(base)
-    total = normalize(Prod((base, Loop(fw))))
-    return DecompResult(
-        family="glued",
-        params={"copies": copies, "N": n},
-        total=total,
-        factors=(("loop-base", base), ("loop-fibre-wedge", normalize(Loop(fw)))),
-        spheres=None,
-        series=_try_series(total, n),
-        provenance=("polyhedral-fold-splitting",),
+    return _fold(
+        "glued", {"copies": spec.copies, "N": n}, base, fibre_g, spec.copies, "loop-fibre-wedge"
     )
 
 
@@ -238,11 +238,26 @@ def endpoint_fibre(l: int, circles: bool = True, x: Atom = GENERIC_VERTEX_SPACE)
     return normalize(Prod.of_runs([(Sphere(1) if circles else Loop(x), l - 1), (tail, 1)]))
 
 
-def _require_visible(ms: SphereMultiset, name: str) -> None:
+def _visible_spheres(e: SpaceExpr, max_dim: int, name: str) -> SphereMultiset:
+    """The spheres of e up to max_dim, refusing a ceiling that hides them all."""
+    ms = sphere_multiset_of(e, max_dim)
     if not ms.counts and ms.truncated:
         raise CeilingExceededError(
-            f"sphere ceiling {ms.max_dim} hides every sphere of the {name} factor"
+            f"sphere ceiling {max_dim} hides every sphere of the {name} factor"
         )
+    return ms
+
+
+# the cone splitting and the path fibre, with the factors they give for a
+# spine path of length l; both families below start with them
+_PATH_STEPS = ("cone-fibration-splitting", "path-to-points-reduction", "porter-fibre")
+
+
+def _path_factors(l: int, zk: SpaceExpr) -> tuple[tuple[str, SpaceExpr], ...]:
+    return (
+        ("circles", normalize(Prod.of_runs([(Sphere(1), l + 1)]))),
+        ("loop-path-fibre", normalize(Loop(zk))),
+    )
 
 
 def path_decompose(l: int, n: int = 16, max_dim: int = 16) -> DecompResult:
@@ -253,20 +268,9 @@ def path_decompose(l: int, n: int = 16, max_dim: int = 16) -> DecompResult:
     if max_dim < 2:
         raise InvalidParameters("sphere ceiling below 2 cannot express anything")
     zk = path_fibre_reduce(l, circles=True)
-    total = normalize(Prod.of_runs([(Sphere(1), l + 1), (Loop(zk), 1)]))
-    spheres = {"ZPl": sphere_multiset_of(zk, max_dim)}
-    _require_visible(spheres["ZPl"], "path fibre")
-    return DecompResult(
-        family="P_l",
-        params={"l": l, "N": n, "max_dim": max_dim},
-        total=total,
-        factors=(
-            ("circles", normalize(Prod.of_runs([(Sphere(1), l + 1)]))),
-            ("loop-path-fibre", normalize(Loop(zk))),
-        ),
-        spheres=spheres,
-        series=poincare_series(total, n),
-        provenance=("cone-fibration-splitting", "path-to-points-reduction", "porter-fibre"),
+    spheres = {"ZPl": _visible_spheres(zk, max_dim, "path fibre")}
+    return _result(
+        "P_l", {"l": l, "N": n, "max_dim": max_dim}, _path_factors(l, zk), _PATH_STEPS, spheres
     )
 
 
@@ -285,14 +289,10 @@ def dj_book_decompose(l: int, p: int, n: int = 16, max_dim: int = 16) -> DecompR
     zk = path_fibre_reduce(l, circles=True)
     fibre = endpoint_fibre(l, circles=True)
     fw = normalize(Wedge.of_runs([(Susp(fibre), p)]))
-    circles = normalize(Prod.of_runs([(Sphere(1), l + 1)]))
-    total = normalize(Prod.of_runs([(Sphere(1), l + 1), (Loop(zk), 1), (Loop(fw), 1)]))
     spheres = {
-        "ZPl": sphere_multiset_of(zk, max_dim),
-        "fibre": sphere_multiset_of(fw, max_dim),
+        "ZPl": _visible_spheres(zk, max_dim, "path fibre"),
+        "fibre": _visible_spheres(fw, max_dim, "page fibre wedge"),
     }
-    _require_visible(spheres["ZPl"], "path fibre")
-    _require_visible(spheres["fibre"], "page fibre wedge")
     if l == 2:
         tail = ("endpoint-join-reduction",)
     else:
@@ -302,25 +302,12 @@ def dj_book_decompose(l: int, p: int, n: int = 16, max_dim: int = 16) -> DecompR
             "james-splitting",
             "halfsmash-splitting",
         )
-    return DecompResult(
-        family="B(l,2l,p)",
-        params={"l": l, "p": p, "N": n, "max_dim": max_dim},
-        total=total,
-        factors=(
-            ("circles", circles),
-            ("loop-path-fibre", normalize(Loop(zk))),
-            ("loop-page-fibre-wedge", normalize(Loop(fw))),
-        ),
-        spheres=spheres,
-        series=poincare_series(total, n),
-        provenance=(
-            "cone-fibration-splitting",
-            "path-to-points-reduction",
-            "porter-fibre",
-            "polyhedral-fold-splitting",
-        )
-        + tail
-        + ("book-sphere-decomposition",),
+    return _result(
+        "B(l,2l,p)",
+        {"l": l, "p": p, "N": n, "max_dim": max_dim},
+        _path_factors(l, zk) + (("loop-page-fibre-wedge", normalize(Loop(fw))),),
+        _PATH_STEPS + ("polyhedral-fold-splitting",) + tail + ("book-sphere-decomposition",),
+        spheres,
     )
 
 
@@ -330,16 +317,7 @@ def book_decompose_symbolic(n_spine: int, l: int, p: int, n: int = 16) -> Decomp
     that stays opaque. No series or sphere report is available here."""
     if l < 3 or not 1 <= n_spine <= l - 2 or p < 2:
         raise InvalidParameters("book parameters must satisfy l >= 3, 1 <= n <= l-2, p >= 2")
-    page_fibre = atom("page-fibre")
-    fw = normalize(Wedge.of_runs([(Susp(page_fibre), p - 1)]))
-    base = Loop(atom("cycle-product"))
-    total = normalize(Prod((base, Loop(fw))))
-    return DecompResult(
-        family="B(n,l,p)",
-        params={"n": n_spine, "l": l, "p": p, "N": n},
-        total=total,
-        factors=(("loop-base", base), ("loop-page-fibre-wedge", normalize(Loop(fw)))),
-        spheres=None,
-        series=None,
-        provenance=("polyhedral-fold-splitting",),
+    return _fold(
+        "B(n,l,p)", {"n": n_spine, "l": l, "p": p, "N": n}, Loop(atom("cycle-product")),
+        atom("page-fibre"), p, "loop-page-fibre-wedge",
     )

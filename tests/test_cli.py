@@ -393,10 +393,15 @@ def test_verify_rejects_unsupported(capsys):
 
 
 def test_exit_codes():
-    # argparse rejects unknown families with its usual exit code
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["build", "dodecahedron", "1"])
-    assert exc.value.code == 2
+    # argparse rejects unknown families, and verify's removed --max-dim, with
+    # its usual exit code
+    for argv in (
+        ["build", "dodecahedron", "1"],
+        ["verify", "koszul", "planar-book", "2", "2", "--max-dim", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
 
 def test_exit_invalid_params(capsys):
@@ -404,6 +409,7 @@ def test_exit_invalid_params(capsys):
     assert _run(capsys, "build", "path")[0] == 2
     assert _run(capsys, "build", "path", "x")[0] == 2
     assert _run(capsys, "decompose", "path", "2", "3")[0] == 2
+    assert _run(capsys, "decompose", "book", "1", "3", "2", "--N", "-1")[0] == 2
 
 
 def test_exit_ceiling_too_small(capsys):

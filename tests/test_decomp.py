@@ -219,7 +219,9 @@ def test_total_is_the_normalized_product_of_the_factors():
         fold_decompose(1, Sphere(2), Loop(Sphere(2)), n=6),
         fold_decompose(4, GENERIC_VERTEX_SPACE, Loop(GENERIC_VERTEX_SPACE), n=6),
         poly_fold_decompose(spec, GENERIC_VERTEX_SPACE, Loop(Sphere(2))),
-        poly_fold_decompose(spec, GENERIC_VERTEX_SPACE, Loop(Sphere(2)), base_loop=Loop(Sphere(2))),
+        poly_fold_decompose(
+            spec, GENERIC_VERTEX_SPACE, Loop(Sphere(2)), base_loop=Loop(Sphere(2))
+        ),
         path_decompose(1),
         path_decompose(2),
         path_decompose(7, max_dim=9),

@@ -40,6 +40,14 @@ def test_reproduce_results_passes_outside_the_repo(tmp_path):
     assert any(line.startswith("ok   porter-hochster") for line in lines)
 
 
+def test_reproduce_results_low_series_order(tmp_path):
+    # the series order no longer sets the sphere ceiling of the book checks
+    proc = _run_outside("reproduce_results.py", tmp_path, "--N", "2", "--max-path", "3")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines and not any(line.startswith("FAIL") for line in lines)
+
+
 def test_child_cpu_reports_one_median_per_command_and_tree(tmp_path):
     repo = str(SCRIPTS.parent)
     proc = _run_outside("child_cpu.py", tmp_path, "--runs", "1", repo, repo, "build points 1")
