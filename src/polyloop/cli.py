@@ -28,8 +28,9 @@ from .errors import (
     PolyloopError,
 )
 
-# family -> (its builder in complexes, number of parameters); the builder is
-# looked up at call time, and the two file families read one JSON file
+# family -> (its builder in complexes, number of parameters); the two file
+# families read one JSON file. The builder is looked up by name at call time,
+# so a wrapper bound in its place on the module (perfbench's tracer) is called.
 _FAMILIES = {
     "path": ("path_graph", 1),
     "cycle": ("cycle_graph", 1),

@@ -393,8 +393,8 @@ def test_verify_rejects_unsupported(capsys):
 
 
 def test_exit_codes():
-    # argparse rejects unknown families, and verify's removed --max-dim, with
-    # its usual exit code
+    # argparse rejects an unknown family, and --max-dim on verify (which has
+    # no such option), with its usual exit code
     for argv in (
         ["build", "dodecahedron", "1"],
         ["verify", "koszul", "planar-book", "2", "2", "--max-dim", "2"],

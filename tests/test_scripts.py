@@ -41,7 +41,7 @@ def test_reproduce_results_passes_outside_the_repo(tmp_path):
 
 
 def test_reproduce_results_low_series_order(tmp_path):
-    # the series order no longer sets the sphere ceiling of the book checks
+    # a low series order must not lower the sphere ceiling of the book checks
     proc = _run_outside("reproduce_results.py", tmp_path, "--N", "2", "--max-path", "3")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
