@@ -28,24 +28,34 @@ from .errors import (
     PolyloopError,
 )
 
-# family -> (its builder in complexes, number of parameters); the two file
-# families read one JSON file. The builder is looked up by name at call time,
-# so a wrapper bound in its place on the module (perfbench's tracer) is called.
+# family -> (its builder in complexes, its parameter names, its builder in
+# decomp or None); decompose and verify take the families with a decomp
+# builder, in this order. The two file families read one JSON file. Builders
+# are looked up by name at call time, so a wrapper bound in their place on the
+# module (perfbench's tracer) is called.
 _FAMILIES = {
-    "path": ("path_graph", 1),
-    "cycle": ("cycle_graph", 1),
-    "points": ("disjoint_points", 1),
-    "simplex": ("simplex", 1),
-    "book": ("book_graph", 3),
-    "planar-book": ("planar_book", 2),
-    "glue-spec-file": ("glue", 1),
-    "file": ("from_json_obj", 1),
+    "path": ("path_graph", ("l",), "path_decompose"),
+    "planar-book": ("planar_book", ("l", "p"), "dj_book_decompose"),
+    "book": ("book_graph", ("n", "l", "p"), "book_decompose_symbolic"),
+    "cycle": ("cycle_graph", ("l",), None),
+    "points": ("disjoint_points", ("n",), None),
+    "simplex": ("simplex", ("k",), None),
+    "glue-spec-file": ("glue", ("file",), None),
+    "file": ("from_json_obj", ("file",), None),
 }
+_DECOMPOSABLE = tuple(f for f, (_, _, build) in _FAMILIES.items() if build)
 
 
-def _int_params(family: str, params: list[str]) -> list[int]:
+def _family_params(family: str, params: list[str]) -> dict:
+    """The parameters of a family by name after its one arity check: a path
+    for the file families, integers for the others."""
+    names = _FAMILIES[family][1]
+    if len(params) != len(names):
+        raise InvalidParameters(f"family {family!r} takes {len(names)} parameter(s)")
+    if names == ("file",):
+        return {"file": params[0]}
     try:
-        return [int(p) for p in params]
+        return dict(zip(names, map(int, params)))
     except ValueError as exc:
         raise InvalidParameters(f"family {family!r} takes integer parameters") from exc
 
@@ -81,17 +91,13 @@ def _glue_spec_from_obj(obj: dict) -> complexes.GluingSpec:
 
 
 def complex_from_family(family: str, params: list[str]) -> complexes.SimplicialComplex:
-    if family not in _FAMILIES:
-        raise InvalidParameters(f"unknown family {family!r}")
-    builder, arity = _FAMILIES[family]
-    if len(params) != arity:
-        raise InvalidParameters(f"family {family!r} takes {arity} parameter(s)")
-    build = getattr(complexes, builder)
+    vals = list(_family_params(family, params).values())
+    build = getattr(complexes, _FAMILIES[family][0])
     if family == "glue-spec-file":
-        return build(_glue_spec_from_obj(_load_json(params[0])))
+        return build(_glue_spec_from_obj(_load_json(vals[0])))
     if family == "file":
-        return build(_load_json(params[0]))
-    return build(*_int_params(family, params))
+        return build(_load_json(vals[0]))
+    return build(*vals)
 
 
 def _text_lines(obj: dict | list, indent: int = 0) -> list[str]:
@@ -154,16 +160,11 @@ def cmd_build(args) -> int:
 def cmd_decompose(args) -> int:
     from . import decomp
 
-    vals = _int_params(args.family, args.params)
-    if args.family == "path" and len(vals) == 1:
-        result = decomp.path_decompose(vals[0], n=args.N, max_dim=args.max_dim)
-    elif args.family == "planar-book" and len(vals) == 2:
-        result = decomp.dj_book_decompose(vals[0], vals[1], n=args.N, max_dim=args.max_dim)
-    elif args.family == "book" and len(vals) == 3:
-        result = decomp.book_decompose_symbolic(vals[0], vals[1], vals[2], n=args.N)
-    else:
-        raise InvalidParameters(f"no decomposition for family {args.family!r} with {args.params}")
-    _emit(result.to_json_obj(), args)
+    params = _family_params(args.family, args.params)
+    build = getattr(decomp, _FAMILIES[args.family][2])
+    # the symbolic book has no sphere report, so it takes no ceiling
+    ceiling = {} if args.family == "book" else {"max_dim": args.max_dim}
+    _emit(build(*params.values(), n=args.N, **ceiling).to_json_obj(), args)
     return 0
 
 
@@ -181,22 +182,15 @@ def _check(name: str, key: str, engine: dict[int, int], oracle: dict[int, int]) 
     return {"name": name, "status": "pass"}
 
 
-# parameter names of the families that decompose and verify take
-_DECOMP_PARAMS = {"path": ("l",), "planar-book": ("l", "p"), "book": ("n", "l", "p")}
-
-
 def cmd_verify(args) -> int:
     from . import decomp, series
 
-    vals = _int_params(args.family, args.params)
-    if len(vals) != len(_DECOMP_PARAMS[args.family]):
-        raise InvalidParameters(f"cannot verify family {args.family!r} with {args.params}")
-    params = dict(zip(_DECOMP_PARAMS[args.family], vals))
+    params = _family_params(args.family, args.params)
     if args.family != "path" and args.mode == "porter-hochster":
         raise InvalidParameters("porter-hochster verification is defined for paths only")
+    K = complex_from_family(args.family, args.params)
     l, p = params["l"], params.get("p")
     if args.family == "book":
-        K = complexes.book_graph(params["n"], l, p)
         if l != 2 * params["n"]:
             # a non-flag book is refused by the oracle (exit 4) before the engine
             series.require_flag(K)
@@ -210,17 +204,15 @@ def cmd_verify(args) -> int:
         from .spacealg import sphere_multiset_of
 
         # the oracle refuses m = l + 1 > 20 (exit 5) before the engine builds the 2^l wedge
-        oracle_ms = homology.zk_sphere_multiset(complexes.path_graph(l), jobs=args.jobs)
+        oracle_ms = homology.zk_sphere_multiset(K, jobs=args.jobs)
         engine_ms = sphere_multiset_of(decomp.path_fibre_reduce(l, circles=True), max(l + 2, 3))
         checks.append(_check("porter-hochster", "dimension", engine_ms.counts, oracle_ms.counts))
     if args.mode != "porter-hochster":
         if args.family == "path":
             # max_dim only sizes the sphere report, which verify does not read
             eng = decomp.path_decompose(l, n=args.N, max_dim=l + 2).series
-            K = complexes.path_graph(l)
         else:
             eng = decomp.dj_book_decompose(l, p, n=args.N).series
-            K = complexes.planar_book(l, p)
         orc = series.koszul_loop_series(K, args.N)
         checks.append(_check("koszul", "degree", dict(enumerate(eng.coeffs)),
                              dict(enumerate(orc.coeffs))))
@@ -325,14 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("decompose", help="decompose loops on a polyhedral product")
-    _add_common(p, tuple(_DECOMP_PARAMS), n=True)
+    _add_common(p, _DECOMPOSABLE, n=True)
     p.add_argument("--max-dim", dest="max_dim", type=int, default=16,
                    help="sphere enumeration ceiling")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="check the engine against an independent oracle")
     p.add_argument("mode", choices=("porter-hochster", "koszul", "all"))
-    _add_common(p, tuple(_DECOMP_PARAMS), n=True, jobs=True)
+    _add_common(p, _DECOMPOSABLE, n=True, jobs=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hochster", help="Betti table of a moment-angle complex")

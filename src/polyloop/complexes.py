@@ -71,14 +71,10 @@ class SimplicialComplex:
         return sorted(f for f in self.faces if len(f) == k)
 
     def facets(self) -> list[Face]:
-        """Maximal nonempty faces, lexicographically sorted."""
-        nonempty = [f for f in self.faces if f]
-        out = [
-            f
-            for f in nonempty
-            if not any(g != f and set(f) <= set(g) for g in nonempty)
-        ]
-        return sorted(out)
+        """Maximal nonempty faces, lexicographically sorted: the nonempty faces
+        that are no boundary face of another face."""
+        covered = {g[:k] + g[k + 1 :] for g in self.faces for k in range(len(g))}
+        return sorted(f for f in self.faces if f and f not in covered)
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_-1, f_0, f_1, ...) = face counts by cardinality, f_-1 = 1."""
@@ -99,53 +95,40 @@ class SimplicialComplex:
         """True when every set of pairwise adjacent vertices spans a face.
 
         Singleton sets are pairwise adjacent vacuously, so a ghost vertex
-        already breaks flagness. For 1-dimensional complexes this reduces to
-        the graph being triangle-free with no ghosts.
+        already breaks flagness. Otherwise a least clique that is not a face,
+        minus its top vertex, is a face f; so K is flag exactly when f + (v,)
+        is a face for every face f and every v > max(f) adjacent to all of f.
         """
         if self.ghosts:
             return False
-        verts = self.vertices
         adj = self._adjacency()
-        # grow cliques; any clique that is not a face is a witness
-        cliques = [tuple([v]) for v in verts]
-        while cliques:
-            nxt = []
-            for c in cliques:
-                if c not in self.faces:
-                    return False
-                common = set(v for v in verts if v > c[-1])
-                for v in c:
-                    common &= adj[v]
-                for w in sorted(common):
-                    nxt.append(c + (w,))
-            cliques = nxt
-        return True
+        return all(
+            f + (v,) in self.faces
+            for f in self.faces
+            if f
+            for v in adj[f[-1]]
+            if v > f[-1] and adj[v].issuperset(f)
+        )
 
     def is_chordal(self) -> bool:
         """True when the 1-skeleton has no induced cycle of length >= 4.
 
-        Maximum cardinality search (Tarjan and Yannakakis): visit next the
-        vertex with the most visited neighbours. The graph is chordal exactly
-        when the visit order, reversed, is a perfect elimination ordering,
-        i.e. when the earlier-visited neighbours of each vertex, minus the
-        latest of them, are all adjacent to that latest one.
+        A graph is chordal exactly when deleting simplicial vertices (those
+        whose neighbours are pairwise adjacent), in any order, empties it
+        (Fulkerson and Gross). Deleting a vertex can only make its neighbours
+        simplicial, so only they are tested again.
         """
         adj = self._adjacency()
-        weight = dict.fromkeys(adj, 0)
-        visited: dict[int, int] = {}
-        while weight:
-            v = max(weight, key=weight.get)
-            del weight[v]
-            earlier = [u for u in adj[v] if u in visited]
-            if earlier:
-                last = max(earlier, key=visited.get)
-                if any(u != last and u not in adj[last] for u in earlier):
-                    return False
-            visited[v] = len(visited)
-            for u in adj[v]:
-                if u in weight:
-                    weight[u] += 1
-        return True
+        todo = list(adj)
+        while todo:
+            v = todo.pop()
+            nb = adj.get(v)
+            if nb is not None and all(len(nb & adj[u]) == len(nb) - 1 for u in nb):
+                del adj[v]
+                for u in nb:
+                    adj[u].discard(v)
+                todo.extend(nb)
+        return not adj
 
     def _adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in self.vertices}

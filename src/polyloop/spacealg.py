@@ -550,7 +550,7 @@ def poincare_series(e: SpaceExpr, n: int) -> TruncSeries:
     test suite checks rather than assumes), and skipping it keeps very large
     products cheap."""
     if n < 0:
-        raise InvalidParameters("series order must be nonnegative")
+        raise InvalidParameters("truncation order must be nonnegative")
     red = _red(e, n)
     if red[0] != 0:
         raise SeriesDomainError("expression has reduced homology in degree 0")

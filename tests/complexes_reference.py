@@ -1,9 +1,14 @@
-"""Test-only helper for polyloop.complexes: an isomorphism test of
-simplicial complexes.
+"""Test-only helpers for polyloop.complexes.
 
-The package never compares complexes up to relabelling; tests use this to
-match book_graph(l, 2l, p) to planar_book(l, p) and to check relabellings. It
-is kept here unchanged from the package.
+An isomorphism test of simplicial complexes: the package never compares
+complexes up to relabelling; tests use this to match book_graph(l, 2l, p) to
+planar_book(l, p) and to check relabellings. It is kept here unchanged from
+the package.
+
+facets, is_flag and is_chordal are the package's earlier bodies of the
+SimplicialComplex methods of those names (a quadratic subset scan, clique
+growing, and maximum cardinality search), kept unchanged with self renamed K
+as differential references for tests/test_complexes.py.
 """
 
 from polyloop.complexes import SimplicialComplex
@@ -52,3 +57,68 @@ def is_isomorphic(K1: SimplicialComplex, K2: SimplicialComplex) -> bool:
         return False
 
     return extend(0, {}, set())
+
+
+def facets(K: SimplicialComplex) -> list:
+    """Maximal nonempty faces, lexicographically sorted."""
+    nonempty = [f for f in K.faces if f]
+    out = [
+        f
+        for f in nonempty
+        if not any(g != f and set(f) <= set(g) for g in nonempty)
+    ]
+    return sorted(out)
+
+
+def is_flag(K: SimplicialComplex) -> bool:
+    """True when every set of pairwise adjacent vertices spans a face.
+
+    Singleton sets are pairwise adjacent vacuously, so a ghost vertex
+    already breaks flagness. For 1-dimensional complexes this reduces to
+    the graph being triangle-free with no ghosts.
+    """
+    if K.ghosts:
+        return False
+    verts = K.vertices
+    adj = K._adjacency()
+    # grow cliques; any clique that is not a face is a witness
+    cliques = [tuple([v]) for v in verts]
+    while cliques:
+        nxt = []
+        for c in cliques:
+            if c not in K.faces:
+                return False
+            common = set(v for v in verts if v > c[-1])
+            for v in c:
+                common &= adj[v]
+            for w in sorted(common):
+                nxt.append(c + (w,))
+        cliques = nxt
+    return True
+
+
+def is_chordal(K: SimplicialComplex) -> bool:
+    """True when the 1-skeleton has no induced cycle of length >= 4.
+
+    Maximum cardinality search (Tarjan and Yannakakis): visit next the
+    vertex with the most visited neighbours. The graph is chordal exactly
+    when the visit order, reversed, is a perfect elimination ordering,
+    i.e. when the earlier-visited neighbours of each vertex, minus the
+    latest of them, are all adjacent to that latest one.
+    """
+    adj = K._adjacency()
+    weight = dict.fromkeys(adj, 0)
+    visited: dict[int, int] = {}
+    while weight:
+        v = max(weight, key=weight.get)
+        del weight[v]
+        earlier = [u for u in adj[v] if u in visited]
+        if earlier:
+            last = max(earlier, key=visited.get)
+            if any(u != last and u not in adj[last] for u in earlier):
+                return False
+        visited[v] = len(visited)
+        for u in adj[v]:
+            if u in weight:
+                weight[u] += 1
+    return True

@@ -140,6 +140,23 @@ def test_malformed_complex_json_is_refused(tmp_path, capsys, command, complex_ob
     assert code == 2 and out == "" and "Traceback" not in err
 
 
+_GLUE_SPEC = {"base": {"m": 2, "facets": [[0, 1]]}, "sub_a": [0], "copies": 2}
+
+
+@pytest.mark.parametrize("family, content, message", [
+    ("file", None, "cannot read"),
+    ("file", "{not json", "is not valid JSON"),
+    ("glue-spec-file", json.dumps([_GLUE_SPEC]), "glue spec must be a JSON object"),
+    ("glue-spec-file", json.dumps(_GLUE_SPEC), "glue spec is missing key 'sub_b'"),
+])
+def test_unloadable_family_file_is_refused(tmp_path, capsys, family, content, message):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = _run(capsys, "build", family, str(path))
+    assert code == 2 and out == "" and message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("change", [
     {"copies": "2"},
     {"sub_a": 0},
@@ -211,10 +228,16 @@ def test_hochster_subcommand(capsys):
     assert json.loads(out) == {"betti": {"0": 1, "3": 2, "6": 1}, "m": 4}
 
 
-def test_hochster_jobs_do_not_change_output(capsys):
+def test_hochster_jobs_do_not_change_output(capsys, monkeypatch):
     _, out1, _ = _run(capsys, "hochster", "path", "5", "--jobs", "1")
     _, out2, _ = _run(capsys, "hochster", "path", "5", "--jobs", "2")
     assert out1 == out2
+    # --jobs 0 asks for every core; a graph starts no pool, so this stays cheap
+    real, jobs = homology.hochster_zk_betti, []
+    monkeypatch.setattr(homology, "hochster_zk_betti",
+                        lambda K, **kw: jobs.append(kw["jobs"]) or real(K, **kw))
+    _, out0, _ = _run(capsys, "hochster", "path", "5", "--jobs", "0")
+    assert out0 == out1 and jobs == [None]
 
 
 def test_hochster_cache(tmp_path, capsys):
@@ -410,6 +433,25 @@ def test_exit_invalid_params(capsys):
     assert _run(capsys, "build", "path", "x")[0] == 2
     assert _run(capsys, "decompose", "path", "2", "3")[0] == 2
     assert _run(capsys, "decompose", "book", "1", "3", "2", "--N", "-1")[0] == 2
+    # build, decompose and verify share one arity check
+    for argv in (["build"], ["decompose"], ["verify", "koszul"], ["verify", "all"]):
+        assert _run(capsys, *argv, "planar-book", "2") == (
+            2, "", "error: family 'planar-book' takes 2 parameter(s)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "path", "3"),
+    ("decompose", "planar-book", "2", "2"),
+    ("decompose", "book", "1", "3", "2"),
+    ("verify", "koszul", "path", "3"),
+    ("verify", "koszul", "book", "2", "4", "2"),
+    ("series", "koszul", "path", "3"),
+    ("series", "hilbert", "path", "3"),
+])
+def test_negative_series_order_has_one_refusal(capsys, argv):
+    # the engine and the oracles word it alike, whichever of them runs first
+    assert _run(capsys, *argv, "--N", "-1") == (
+        2, "", "error: truncation order must be nonnegative\n")
 
 
 def test_exit_ceiling_too_small(capsys):

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polyloop.complexes import (
     GluingSpec,
@@ -21,6 +21,7 @@ from polyloop.complexes import (
 )
 from polyloop.errors import InvalidParameters
 
+import complexes_reference as reference
 from complexes_reference import is_isomorphic
 from homology_reference import full_subcomplex
 
@@ -196,6 +197,55 @@ def test_is_chordal_matches_brute_force():
         edges = [e for e in pairs if rng.random() < rng.choice((0.3, 0.5, 0.7))]
         K = from_facets(m, edges + [(v,) for v in range(m)])
         assert K.is_chordal() == (not _has_induced_long_cycle(K)), edges
+
+
+@st.composite
+def st_sweep_complex(draw):
+    """Complexes of dimension up to 3 with ghosts, clique complexes of random
+    graphs (flag unless a vertex is a ghost), and clique complexes with one
+    facet removed (not flag when that facet has three or more vertices)."""
+    m = draw(st.integers(0, 7))
+    if m == 0 or draw(st.booleans()):
+        facets = draw(st.lists(
+            st.lists(st.integers(0, max(m - 1, 0)), min_size=1, max_size=4, unique=True),
+            max_size=6 if m else 0,
+        ))
+        return from_facets(m, facets)
+    present = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    pairs = list(itertools.combinations(present, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = {e for e, k in zip(pairs, keep) if k}
+    cliques = [
+        c for r in range(1, len(present) + 1) for c in itertools.combinations(present, r)
+        if all(e in edges for e in itertools.combinations(c, 2))
+    ]
+    K = from_facets(m, cliques)
+    if draw(st.booleans()):
+        drop = draw(st.sampled_from(reference.facets(K)))
+        K = SimplicialComplex(m, K.faces - {drop})
+    return K
+
+
+def _every_clique_is_a_face(K):
+    """Brute force: every set of pairwise adjacent ground labels is a face
+    (a single label is pairwise adjacent vacuously, so ghosts fail)."""
+    return all(
+        c in K.faces
+        for r in range(1, K.ground_size + 1)
+        for c in itertools.combinations(range(K.ground_size), r)
+        if all(e in K.faces for e in itertools.combinations(c, 2))
+    )
+
+
+@settings(max_examples=400)
+@given(st_sweep_complex())
+def test_predicates_match_reference_and_definitions(K):
+    facets = K.facets()
+    assert facets == reference.facets(K)
+    assert from_facets(K.ground_size, facets) == K
+    assert not any(set(f) < set(g) for f in facets for g in facets)
+    assert K.is_flag() == reference.is_flag(K) == _every_clique_is_a_face(K)
+    assert K.is_chordal() == reference.is_chordal(K) == (not _has_induced_long_cycle(K))
 
 
 def test_is_flag_rejects_ghosts():

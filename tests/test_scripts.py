@@ -1,10 +1,14 @@
 """The scripts under scripts/ run from any working directory."""
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from polyloop import series
+from polyloop.series import TruncSeries
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -46,6 +50,29 @@ def test_reproduce_results_low_series_order(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert lines and not any(line.startswith("FAIL") for line in lines)
+
+
+def test_reproduce_results_reports_a_mismatch(monkeypatch, capsys):
+    # in-process, with the Koszul oracle skewed in its top degree
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the script prepends src/
+    spec = importlib.util.spec_from_file_location("reproduce_results",
+                                                  SCRIPTS / "reproduce_results.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    real = series.koszul_loop_series
+
+    def skewed(K, n):
+        s = real(K, n)
+        return TruncSeries(n, s.coeffs[:-1] + (s.coeffs[-1] + 1,))
+
+    monkeypatch.setattr(series, "koszul_loop_series", skewed)
+    monkeypatch.setattr(sys, "argv", ["reproduce_results.py", "--max-path", "2", "--books", "2,2"])
+    assert script.main() == 1
+    out = capsys.readouterr()
+    assert [line.split()[:2] for line in out.out.splitlines()] == [
+        ["ok", "porter-hochster"], ["FAIL", "koszul"], ["FAIL", "koszul"], ["FAIL", "koszul"],
+    ]
+    assert "MISMATCH FOUND" in out.err
 
 
 def test_child_cpu_reports_one_median_per_command_and_tree(tmp_path):
