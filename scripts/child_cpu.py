@@ -4,8 +4,11 @@
     python3 scripts/child_cpu.py [--runs N] TREE_A TREE_B "build points 1" ...
 
 Each command runs as `python3 -m polyloop ARGS` with PYTHONPATH=TREE/src, N
-times per tree (default 40), the trees alternating first. The time is read
-from os.wait4, start-up included; PYTHONDONTWRITEBYTECODE picks the cache."""
+times per tree (default 40), the trees alternating first. A command that
+starts with `api`, such as "api hm 2,3 24" or "api readback FILE N", runs as
+the benchmark runs its api jobs: `python3 TREE/perfbench/child.py api ...`.
+The time is read from os.wait4, start-up included; PYTHONDONTWRITEBYTECODE
+picks the cache."""
 
 import argparse
 import os
@@ -16,7 +19,11 @@ from subprocess import DEVNULL, Popen
 
 
 def child_cpu(tree: str, argv: list[str]) -> float:
-    proc = Popen([sys.executable, "-m", "polyloop", *argv], stdout=DEVNULL, stderr=DEVNULL,
+    if argv[:1] == ["api"]:
+        cmd = [sys.executable, os.path.join(tree, "perfbench", "child.py"), *argv]
+    else:
+        cmd = [sys.executable, "-m", "polyloop", *argv]
+    proc = Popen(cmd, stdout=DEVNULL, stderr=DEVNULL,
                  env={**os.environ, "PYTHONPATH": f"{tree}/src"})
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)

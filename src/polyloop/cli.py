@@ -19,7 +19,6 @@ import json
 import os
 import sys
 
-from . import complexes
 from .errors import (
     CeilingExceededError,
     GroundSizeLimitError,
@@ -71,6 +70,8 @@ def _load_json(path: str) -> dict:
 
 
 def _glue_spec_from_obj(obj: dict) -> complexes.GluingSpec:
+    from . import complexes
+
     if not isinstance(obj, dict):
         raise InvalidParameters("glue spec must be a JSON object")
     try:
@@ -91,6 +92,9 @@ def _glue_spec_from_obj(obj: dict) -> complexes.GluingSpec:
 
 
 def complex_from_family(family: str, params: list[str]) -> complexes.SimplicialComplex:
+    # imported here, where a complex is built: decompose never loads it
+    from . import complexes
+
     vals = list(_family_params(family, params).values())
     build = getattr(complexes, _FAMILIES[family][0])
     if family == "glue-spec-file":
@@ -123,16 +127,16 @@ def _is_flat(v: dict | list) -> bool:
     return all(not isinstance(x, (dict, list)) for x in values)
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write text to path through a temporary file in the same directory, so
-    path never holds a partial file; the temporary file is removed on any
-    failure."""
+def _write_atomic(path: str, chunks) -> None:
+    """Write the strings of chunks to path through a temporary file in the
+    same directory, so path never holds a partial file; the temporary file
+    is removed on any failure."""
     import tempfile
 
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".polyloop-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -140,15 +144,38 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(obj: dict, args) -> None:
+# A term that _emit streams stands in its document as this string, which
+# json.dumps writes as the six characters \u0000.
+_HOLE = "\0"
+
+
+def _escape(s: str) -> str:
+    """s as json.dumps writes it inside a string: escaped, ASCII only."""
+    return json.encoder.encode_basestring_ascii(s)[1:-1]
+
+
+def _emit(obj: dict, args, terms=()) -> None:
+    """Write obj as JSON or as text. The k-th _HOLE string in obj, in
+    document order, is filled by the strings of terms[k]: pieces of a JSON
+    string, already escaped, as spacealg.sexpr_pieces gives them. JSON
+    escapes character by character, so the bytes are those of obj with each
+    term's whole string in place of its hole."""
     if args.format == "json":
         text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
     else:
         text = "\n".join(_text_lines(obj)) + "\n"
+    chunks = _filled(text.split(_escape(_HOLE)), terms) if terms else [text]
     if getattr(args, "out", None):
-        _write_atomic(args.out, text)
+        _write_atomic(args.out, chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _filled(parts: list[str], terms):
+    yield parts[0]
+    for term, part in zip(terms, parts[1:]):
+        yield from term
+        yield part
 
 
 def cmd_build(args) -> int:
@@ -159,12 +186,21 @@ def cmd_build(args) -> int:
 
 def cmd_decompose(args) -> int:
     from . import decomp
+    from .spacealg import sexpr_pieces
 
     params = _family_params(args.family, args.params)
     build = getattr(decomp, _FAMILIES[args.family][2])
     # the symbolic book has no sphere report, so it takes no ceiling
     ceiling = {} if args.family == "book" else {"max_dim": args.max_dim}
-    _emit(build(*params.values(), n=args.N, **ceiling).to_json_obj(), args)
+    result = build(*params.values(), n=args.N, **ceiling)
+    # each factor's term is written run by run in its hole, never whole
+    terms = []
+
+    def hole(e):
+        terms.append(sexpr_pieces(e, _escape))
+        return _HOLE
+
+    _emit(result.to_json_obj(hole), args, terms)
     return 0
 
 
@@ -278,7 +314,7 @@ def cmd_hochster(args) -> int:
     obj = table.to_json_obj()
     if cache_path is not None:
         os.makedirs(args.cache_dir, exist_ok=True)
-        _write_atomic(cache_path, json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        _write_atomic(cache_path, [json.dumps(obj, sort_keys=True, separators=(",", ":"))])
     _emit(obj, args)
     return 0
 

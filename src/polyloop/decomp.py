@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import math
 
-from .complexes import GluingSpec
+# GluingSpec in the annotations is polyloop.complexes'. It is not imported,
+# so decompose builds its terms without loading the complexes module.
 from .errors import CeilingExceededError, InvalidParameters, SeriesDomainError
 from .records import record
 from .series import TruncSeries
@@ -79,12 +80,12 @@ class DecompResult:
     series: TruncSeries | None
     provenance: tuple[str, ...]
 
-    def to_json_obj(self) -> dict:
+    def to_json_obj(self, term=format_sexpr) -> dict:
+        """The result as a JSON object; term(expr) gives each factor's term
+        (the command line passes one that leaves a hole it streams into)."""
         obj: dict = {"family": self.family}
         obj.update(self.params)
-        obj["factors"] = [
-            {"name": name, "term": format_sexpr(expr)} for name, expr in self.factors
-        ]
+        obj["factors"] = [{"name": name, "term": term(expr)} for name, expr in self.factors]
         if self.spheres is None:
             obj["spheres"] = None
         else:
@@ -186,7 +187,6 @@ def fold_decompose(n_summands: int, x: SpaceExpr, fibre: SpaceExpr, n: int = 16)
 
 def poly_fold_decompose(
     spec: GluingSpec,
-    x: SpaceExpr,
     fibre_g: SpaceExpr,
     base_loop: SpaceExpr | None = None,
     n: int = 16,

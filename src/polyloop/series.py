@@ -13,7 +13,8 @@ O(n * dim K) steps.
 
 from __future__ import annotations
 
-from .complexes import SimplicialComplex
+# SimplicialComplex in the annotations is polyloop.complexes'. It is not
+# imported: spacealg imports this module, and a symbolic job builds no complex.
 from .errors import GhostVertexError, InvalidParameters, NotFlagComplexError
 from .records import record
 

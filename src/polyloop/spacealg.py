@@ -38,7 +38,11 @@ and products with binomially or Witt-many equal parts, and every walk above
 visits each run once and scales by its count. `.args` spells the runs out.
 
 String form is an s-expression, for example (wedge (sphere 3) (loop (sphere
-2))).
+2))). Both directions cost per run, not per copy. sexpr_pieces writes a run
+as its child's text repeated in bounded batches. parse_sexpr merges runs as
+it reads: the sphere leaves of one read are shared, one object per
+dimension, so a leaf joins the run before it by identity, and only other
+neighbours are compared with ==.
 """
 
 from __future__ import annotations
@@ -129,13 +133,18 @@ class _NAry(SpaceExpr):
             elif c:
                 runs.append((a, c))
                 last = a
-        e = object.__new__(cls)
-        object.__setattr__(e, "runs", tuple(runs))
-        return e
+        return _of_merged_runs(cls, runs)
 
     @property
     def args(self) -> tuple[SpaceExpr, ...]:
         return _repeat_runs(self.runs)
+
+
+def _of_merged_runs(cls, runs) -> _NAry:
+    """The node of runs already maximal and free of zero counts."""
+    e = object.__new__(cls)
+    object.__setattr__(e, "runs", tuple(runs))
+    return e
 
 
 class Wedge(_NAry):
@@ -250,10 +259,16 @@ def desuspend(e: SpaceExpr) -> SpaceExpr | None:
 def _tally(runs) -> list[list]:
     """Runs added up per object wherever they sit: [value, count] for each
     distinct object, in first-occurrence order. This forgets the order, so
-    it serves only the series, which are commutative."""
+    it serves only the series, which are commutative. A read wedge has a
+    run per summand, so only a new object allocates a group."""
     groups: dict[int, list] = {}
     for a, c in runs:
-        groups.setdefault(id(a), [a, 0])[1] += c
+        k = id(a)
+        g = groups.get(k)
+        if g is None:
+            groups[k] = [a, c]
+        else:
+            g[1] += c
     return list(groups.values())
 
 
@@ -389,13 +404,20 @@ def wedge_of_spheres_min_dim(e: SpaceExpr):
         return INF
     if isinstance(e, Sphere):
         return e.d
-    if isinstance(e, (Wedge, Smash)):
+    if isinstance(e, Wedge):
+        mins = [wedge_of_spheres_min_dim(a) for a, _ in e.runs]
+        return None if None in mins else min(mins, default=INF)
+    if isinstance(e, Smash):
         runs = [(wedge_of_spheres_min_dim(a), c) for a, c in e.runs]
-        if any(v is None for v, _ in runs):
-            return None
-        if isinstance(e, Wedge):
-            return min((v for v, _ in runs), default=INF)
-        return sum(v * c for v, c in runs)
+        if any(v == INF for v, _ in runs):
+            return INF  # a contractible factor decides, whatever the others are
+        if all(v is not None for v, _ in runs):
+            return sum(v * c for v, c in runs)
+        # Smash(Susp(a), b) = Susp(Smash(a, b)): a factor that desuspends,
+        # such as a sphere, certifies the others through B; for S^k ^ Y
+        # that gives k - 1 + B(Y)
+        down = desuspend(e)
+        return None if down is None else susp_wedge_min_dim(down)
     if isinstance(e, Susp):
         return susp_wedge_min_dim(e.arg)
     if isinstance(e, Join):
@@ -422,14 +444,14 @@ def susp_wedge_min_dim(e: SpaceExpr):
         return e.d + 1
     if isinstance(e, (Wedge, Prod, Smash)):
         runs = [(susp_wedge_min_dim(a), c) for a, c in e.runs]
+        if isinstance(e, Smash) and any(v == INF for v, _ in runs):
+            return INF  # Susp(a ^ b) = Susp(a) ^ b, contractible with Susp(a)
         if any(v is None for v, _ in runs):
             return None
         if isinstance(e, Wedge):
             return min((v for v, _ in runs), default=INF)
         if isinstance(e, Prod):
             return min((v for v, _ in runs if v != INF), default=INF)
-        if any(v == INF for v, _ in runs):
-            return INF
         return 1 + sum((v - 1) * c for v, c in runs)
     if isinstance(e, Susp):
         v = susp_wedge_min_dim(e.arg)
@@ -726,26 +748,73 @@ def format_sexpr(e: SpaceExpr) -> str:
     Atoms serialize by name alone: declared homology is a computational
     annotation for the series engine, not part of the space's structure, so
     the wire format does not carry it."""
+    return "".join(sexpr_pieces(e))
+
+
+def sexpr_pieces(e: SpaceExpr, escape=str, size: int = 1 << 16):
+    """format_sexpr(e) as a stream of strings, each passed through escape
+    (a per-character map such as JSON string escaping) once.
+
+    A run is written as its child's text repeated count times, in batches of
+    about size characters, and escape sees that text once, not once per
+    copy. A child longer than size is streamed copy by copy instead, so no
+    string much longer than size is ever built."""
     if isinstance(e, Point):
-        return "point"
-    if isinstance(e, Sphere):
-        return f"(sphere {e.d})"
-    if isinstance(e, Atom):
-        return f'(atom "{e.name}")'
-    if isinstance(e, (Wedge, Prod, Smash)):
-        # one rendering per consecutive run, so the order is kept as is
-        inner = " ".join(" ".join([format_sexpr(a)] * c) for a, c in e.runs)
-        return f"({_NAME_OF[type(e)]} {inner})"
-    if isinstance(e, (Susp, Loop, Cone)):
-        return f"({_NAME_OF[type(e)]} {format_sexpr(e.arg)})"
-    return f"({_NAME_OF[type(e)]} {format_sexpr(e.left)} {format_sexpr(e.right)})"
+        yield escape("point")
+    elif isinstance(e, Sphere):
+        yield escape(f"(sphere {e.d})")
+    elif isinstance(e, Atom):
+        yield escape(f'(atom "{e.name}")')
+    elif isinstance(e, (Wedge, Prod, Smash)):
+        yield escape(f"({_NAME_OF[type(e)]}")
+        sep = escape(" ")
+        for a, c in e.runs:
+            # read the child's pieces until they run past size
+            head, n = [sep], 0
+            pieces = sexpr_pieces(a, escape, size)
+            for p in pieces:
+                head.append(p)
+                n += len(p)
+                if n > size:
+                    break
+            else:
+                text = "".join(head)
+                batch = max(1, size // len(text))
+                for _ in range(c // batch):
+                    yield text * batch
+                if c % batch:
+                    yield text * (c % batch)
+                continue
+            yield from head
+            yield from pieces
+            for _ in range(c - 1):
+                yield sep
+                yield from sexpr_pieces(a, escape, size)
+        yield escape(")")
+    else:
+        yield escape(f"({_NAME_OF[type(e)]} ")
+        if isinstance(e, (Susp, Loop, Cone)):
+            yield from sexpr_pieces(e.arg, escape, size)
+        else:
+            yield from sexpr_pieces(e.left, escape, size)
+            yield escape(" ")
+            yield from sexpr_pieces(e.right, escape, size)
+        yield escape(")")
 
 
 def parse_sexpr(text: str) -> SpaceExpr:
-    # tokens are read lazily, so a long text is never held as a token list
+    """The term an s-expression spells, with its runs merged as it is read.
+
+    Tokens are matched lazily, so a long text is never held as a token list,
+    and a sphere leaf as format_sexpr spells it is one token. Every sphere
+    of one read is one shared object per dimension, so two different sphere
+    objects are never equal: a child joins the run before it by identity,
+    and only other neighbours, such as two (loop (sphere 2)), are compared
+    with ==. A Wedge, Prod or Smash is built from those runs as they stand,
+    so a summand repeated a million times costs one run, not a list of its
+    copies that a second pass merges."""
     matches = _TOKEN.finditer(text)
-    # one leaf object per sphere dimension, keyed by its spelling, so the runs
-    # of a parsed term are as long as those of the term that was printed
+    # keyed by its spelling, and by str(d) for a leaf spelled otherwise
     spheres: dict[str, Sphere] = {}
 
     def parse(m: re.Match) -> SpaceExpr:
@@ -764,29 +833,44 @@ def parse_sexpr(text: str) -> SpaceExpr:
             raise InvalidParameters(
                 f"unknown constructor {head!r}" if head else "unexpected end of expression"
             )
-        args = []
+        runs: list[tuple[SpaceExpr, int]] = []
+        literals: list = []
+        last, count = None, 0  # the open run
         for m in matches:
             d = m[1]
             if d:
-                args.append(spheres.get(d) or spheres.setdefault(d, Sphere(int(d))))
-                continue
-            tok = m[0]
-            if tok == ")":
-                break
-            if tok == "(" or tok == "point":
-                args.append(parse(m))
-            elif tok == '"':
-                raise InvalidParameters("unterminated quoted name")
-            elif tok.startswith('"'):
-                args.append(tok[1:-1])
+                a = spheres.get(d) or spheres.setdefault(d, Sphere(int(d)))
+                if a is last:
+                    count += 1
+                    continue
             else:
-                try:
-                    args.append(int(tok))
-                except ValueError as exc:
-                    raise InvalidParameters(f"bad literal {tok!r}") from exc
+                tok = m[0]
+                if tok == ")":
+                    break
+                if tok == "(" or tok == "point":
+                    a = parse(m)
+                    if a is last or (type(a) is not Sphere and a == last):
+                        count += 1
+                        continue
+                elif tok == '"':
+                    raise InvalidParameters("unterminated quoted name")
+                elif tok.startswith('"'):
+                    literals.append(tok[1:-1])
+                    continue
+                else:
+                    try:
+                        literals.append(int(tok))
+                    except ValueError as exc:
+                        raise InvalidParameters(f"bad literal {tok!r}") from exc
+                    continue
+            if count:
+                runs.append((last, count))
+            last, count = a, 1
         else:
             raise InvalidParameters("missing closing parenthesis")
-        node = _build(head, args)
+        if count:
+            runs.append((last, count))
+        node = _build(head, literals, runs)
         return spheres.setdefault(str(node.d), node) if isinstance(node, Sphere) else node
 
     first = next(matches, None)
@@ -798,8 +882,13 @@ def parse_sexpr(text: str) -> SpaceExpr:
     return expr
 
 
-def _build(head: str, args: list) -> SpaceExpr:
+def _build(head: str, literals: list, runs: list) -> SpaceExpr:
+    """The node of a parenthesised form: its head, its literal arguments
+    (ints and quoted names) and the runs of its space arguments."""
     cls = _NODE_NAMES[head]
+    if cls in (Wedge, Prod, Smash) and not literals:
+        return _of_merged_runs(cls, runs)
+    args = literals + list(_repeat_runs(runs))
     if cls is Point:
         if args:
             raise InvalidParameters("point takes no arguments")
@@ -812,10 +901,8 @@ def _build(head: str, args: list) -> SpaceExpr:
         if len(args) != 1 or not isinstance(args[0], str):
             raise InvalidParameters("atom takes one quoted name")
         return Atom(args[0])
-    if not all(isinstance(a, SpaceExpr) for a in args):
+    if literals:
         raise InvalidParameters(f"{head} takes space arguments")
-    if cls in (Wedge, Prod, Smash):
-        return cls(tuple(args))
     if cls in (Susp, Loop, Cone):
         if len(args) != 1:
             raise InvalidParameters(f"{head} takes exactly one argument")

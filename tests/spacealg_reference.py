@@ -18,9 +18,11 @@ enumeration left the package when hilton_milnor came to count Lyndon words
 by content; tests still use it to check those counts.
 
 The s-expression reader at the very end is parse_sexpr as it was before it
-read each sphere leaf as one token: a leaf is four tokens, one recursive call
-and one _build. Tests check that the package's reader gives the same terms,
-runs, errors and messages.
+read each sphere leaf as one token and merged runs as it read: a leaf is four
+tokens, one recursive call and one _build (the package's, as it was, kept
+after it), and a Wedge, Prod or Smash is built from the spelled-out list of
+its children, whose runs the constructor merges with ==. Tests check that
+the package's reader gives the same terms, runs, errors and messages.
 
 to_json_obj and from_json_obj are the JSON mirror {"op": ..., "args": [...]}
 of an expression tree that the package carried next to its s-expressions.
@@ -50,7 +52,6 @@ from polyloop.spacealg import (
     Sphere,
     Susp,
     Wedge,
-    _build,
     desuspend,
 )
 from polyloop.spheres import SphereMultiset
@@ -387,6 +388,33 @@ def parse_sexpr(text: str) -> SpaceExpr:
     if next(tokens, None) is not None:
         raise InvalidParameters("trailing tokens after expression")
     return expr
+
+
+def _build(head: str, args: list) -> SpaceExpr:
+    cls = _NODE_NAMES[head]
+    if cls is Point:
+        if args:
+            raise InvalidParameters("point takes no arguments")
+        return POINT
+    if cls is Sphere:
+        if len(args) != 1 or not isinstance(args[0], int):
+            raise InvalidParameters("sphere takes one integer dimension")
+        return Sphere(args[0])
+    if cls is Atom:
+        if len(args) != 1 or not isinstance(args[0], str):
+            raise InvalidParameters("atom takes one quoted name")
+        return Atom(args[0])
+    if not all(isinstance(a, SpaceExpr) for a in args):
+        raise InvalidParameters(f"{head} takes space arguments")
+    if cls in (Wedge, Prod, Smash):
+        return cls(tuple(args))
+    if cls in (Susp, Loop, Cone):
+        if len(args) != 1:
+            raise InvalidParameters(f"{head} takes exactly one argument")
+        return cls(args[0])
+    if len(args) != 2:
+        raise InvalidParameters(f"{head} takes exactly two arguments")
+    return cls(args[0], args[1])
 
 
 def to_json_obj(e: SpaceExpr) -> dict:

@@ -17,7 +17,6 @@ from polyloop.complexes import (
     simplex,
 )
 from polyloop.decomp import (
-    GENERIC_VERTEX_SPACE,
     dj_book_decompose,
     path_decompose,
     path_fibre_reduce,
@@ -172,7 +171,7 @@ def test_acceptance_7_rewrite_soundness():
         ok = ok and poincare_series(e, 10) == poincare_series(n1, 10)
     for copies in (2, 3, 4):
         spec = GluingSpec(path_graph(2), (0,), (2,), (2, 1, 0), copies=copies)
-        r = poly_fold_decompose(spec, GENERIC_VERTEX_SPACE, Loop(Sphere(2)))
+        r = poly_fold_decompose(spec, Loop(Sphere(2)))
         fw = r.factors[1][1].arg
         size = len(fw.args) if isinstance(fw, Wedge) else 1
         ok = ok and size == copies - 1

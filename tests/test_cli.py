@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import cli_reference
 import polyloop
 from polyloop import cli, decomp, homology, series
 from polyloop.complexes import cycle_graph
@@ -192,6 +193,32 @@ def test_out_into_missing_directory_fails_cleanly(tmp_path, capsys):
     code, _, err = _run(capsys, "build", "path", "2", "--out", str(target))
     assert code == 2
     assert "error" in err
+
+
+# the decompositions of the benchmark's symbolic jobs, and a book whose atom
+# names are quoted inside the JSON string
+_STREAMED = (
+    [("path", str(l)) for l in range(1, 17)]
+    + [("planar-book", str(l), str(p)) for l in (5, 6, 7) for p in (2, 3, 4)]
+    + [("book", "1", "3", "2")]
+)
+
+
+@pytest.mark.parametrize("params", _STREAMED, ids=" ".join)
+def test_decompose_writes_the_bytes_of_the_whole_document(capsys, tmp_path, params):
+    for fmt in ("json", "text"):
+        argv = ["decompose", *params, "--format", fmt]
+        assert cli.main(argv) == 0
+        got = capsys.readouterr().out
+        cli_reference.cmd_decompose(cli.build_parser().parse_args(argv))
+        want = capsys.readouterr().out
+        assert got == want
+        new, old = tmp_path / f"new.{fmt}", tmp_path / f"old.{fmt}"
+        assert cli.main(argv + ["--out", str(new)]) == 0
+        cli_reference.cmd_decompose(cli.build_parser().parse_args(argv + ["--out", str(old)]))
+        assert capsys.readouterr().out == ""
+        assert new.read_bytes() == old.read_bytes() == want.encode()
+    assert sorted(os.listdir(tmp_path)) == ["new.json", "new.text", "old.json", "old.text"]
 
 
 def test_decompose_planar_book(capsys):
@@ -513,7 +540,12 @@ def test_each_subcommand_imports_only_what_it_runs():
     assert "polyloop.homology" in hochster
     assert not hochster & {"multiprocessing", "polyloop.spacealg", "polyloop.decomp"}
     decompose = _cli_modules("decompose", "path", "4")
-    assert not decompose & {"polyloop.homology", "multiprocessing"}
+    assert not decompose & {"polyloop.homology", "polyloop.complexes", "multiprocessing"}
+    # nor does spacealg, alone or after the command line as the benchmark's
+    # api jobs import it
+    for code in ("import sys, polyloop.spacealg", "import sys, polyloop.cli, polyloop.spacealg"):
+        loaded = _modules_after(code)
+        assert "polyloop.spacealg" in loaded and "polyloop.complexes" not in loaded
     koszul = _cli_modules("verify", "koszul", "planar-book", "3", "2")
     assert "polyloop.homology" not in koszul
     every = _cli_modules("verify", "all", "path", "8")

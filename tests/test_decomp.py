@@ -124,7 +124,7 @@ def test_fold_decompose():
 def test_poly_fold_fibre_wedge_size():
     for copies in (2, 3, 5):
         spec = GluingSpec(path_graph(2), (0,), (2,), (2, 1, 0), copies=copies)
-        r = poly_fold_decompose(spec, GENERIC_VERTEX_SPACE, Loop(Sphere(2)))
+        r = poly_fold_decompose(spec, Loop(Sphere(2)))
         fw = r.factors[1][1].arg
         n_summands = len(fw.args) if isinstance(fw, Wedge) else 1
         assert n_summands == copies - 1
@@ -134,9 +134,7 @@ def test_poly_fold_fibre_wedge_size():
 
 def test_poly_fold_with_explicit_base_gets_a_series():
     spec = GluingSpec(path_graph(2), (0,), (2,), (2, 1, 0), copies=3)
-    r = poly_fold_decompose(
-        spec, GENERIC_VERTEX_SPACE, Loop(Sphere(2)), base_loop=Loop(Sphere(2)), n=6
-    )
+    r = poly_fold_decompose(spec, Loop(Sphere(2)), base_loop=Loop(Sphere(2)), n=6)
     assert r.series is not None
     assert r.series == poincare_series(r.total, 6)
 
@@ -218,10 +216,8 @@ def test_total_is_the_normalized_product_of_the_factors():
         cone_loop_split(3, GENERIC_VERTEX_SPACE, zk=porter_wedge(3, circles=False), n=6),
         fold_decompose(1, Sphere(2), Loop(Sphere(2)), n=6),
         fold_decompose(4, GENERIC_VERTEX_SPACE, Loop(GENERIC_VERTEX_SPACE), n=6),
-        poly_fold_decompose(spec, GENERIC_VERTEX_SPACE, Loop(Sphere(2))),
-        poly_fold_decompose(
-            spec, GENERIC_VERTEX_SPACE, Loop(Sphere(2)), base_loop=Loop(Sphere(2))
-        ),
+        poly_fold_decompose(spec, Loop(Sphere(2))),
+        poly_fold_decompose(spec, Loop(Sphere(2)), base_loop=Loop(Sphere(2))),
         path_decompose(1),
         path_decompose(2),
         path_decompose(7, max_dim=9),

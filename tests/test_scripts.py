@@ -83,3 +83,25 @@ def test_child_cpu_reports_one_median_per_command_and_tree(tmp_path):
     assert header.split("\t") == ["command", repo, repo, "change"]
     name, a, b, _ = row.split("\t")
     assert name == "build points 1" and a.endswith(" ms") and float(b[:-3]) > 0
+
+
+def test_child_cpu_runs_api_jobs_through_the_benchmark_child(tmp_path, monkeypatch):
+    # in-process, so the commands each run spawns can be read back
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    spec = importlib.util.spec_from_file_location("child_cpu", SCRIPTS / "child_cpu.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    spawned = []
+    real = script.Popen
+    monkeypatch.setattr(script, "Popen", lambda cmd, **kw: spawned.append(cmd) or real(cmd, **kw))
+    text = tmp_path / "porter.txt"
+    text.write_text("(wedge (sphere 3) (sphere 3) (sphere 4))", encoding="utf-8")
+    repo = str(SCRIPTS.parent)
+    for argv in (["api", "hm", "2,3", "8"], ["api", "readback", str(text), "5"], ["build", "points", "1"]):
+        assert script.child_cpu(repo, argv) > 0
+    child = os.path.join(repo, "perfbench", "child.py")
+    assert spawned == [
+        [sys.executable, child, "api", "hm", "2,3", "8"],
+        [sys.executable, child, "api", "readback", str(text), "5"],
+        [sys.executable, "-m", "polyloop", "build", "points", "1"],
+    ]

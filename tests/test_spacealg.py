@@ -1,6 +1,7 @@
 """The space expression algebra: rewriting, certificates, series, splittings."""
 
 import copy
+import json
 import math
 import pickle
 import random
@@ -46,6 +47,7 @@ from polyloop.spacealg import (
     normalize,
     parse_sexpr,
     poincare_series,
+    sexpr_pieces,
     sort_key,
     sphere_multiset_of,
     susp_wedge_min_dim,
@@ -349,9 +351,16 @@ def test_normalize_preserves_series(e):
 @example(Loop(HalfSmash(S2, S1)))
 @example(Loop(Susp(Loop(Prod((S2, S3))))))
 @example(Wedge((HalfSmash(Wedge((S1, S2)), S2), S3)))
+# a factor that desuspends, a sphere or a suspension, certifies the other
+# factors of a smash by B, so these normal forms, loops on wedges with such
+# smashes, keep the raw terms' series
+@example(Loop(Susp(Loop(HalfSmash(Susp(Loop(Prod.of_runs([(S2, 2)]))), S1)))))
+@example(Loop(Susp(Loop(HalfSmash(Susp(Loop(Join(S1, S1))), Loop(Join(S1, S1)))))))
+# a contractible factor decides a smash before an uncertified one refuses it
+@example(Loop(Susp(Join(POINT, atom("A", {1: 1})))))
 def test_raw_series_agrees_with_the_normal_form(e):
-    # sound but not complete: a raw term may be refused where its normal
-    # form has a series, such as Loop(Susp(Join(POINT, atom("A", {1: 1}))))
+    # sound but not complete: a raw term may still be refused where its
+    # normal form has a series, so only a raw series is compared
     try:
         raw = poincare_series(e, 8)
     except SeriesDomainError:
@@ -365,6 +374,31 @@ def test_sexpr_roundtrip(e):
     assert from_json_obj(to_json_obj(e)) == e
 
 
+# names JSON escapes: a backslash, control and non-ASCII characters, and a
+# character outside the basic plane, which ASCII JSON writes as a surrogate pair
+st_named = _terms(st.one_of(
+    st_sphere,
+    st.sampled_from(["back\\slash", "tab\tnew\nline", "caf\u00e9", "clef \U0001d11e", "X"]).map(atom),
+))
+
+
+@settings(max_examples=150)
+@given(st.one_of(st_term_atoms, st_named), st.sampled_from([1, 12, 64, 1 << 16]))
+def test_sexpr_pieces_spell_the_reference_text(e, size):
+    text = ref.format_sexpr(e)
+    pieces = list(sexpr_pieces(e, size=size))
+    assert "".join(pieces) == text
+    # escaping piece by piece gives the JSON string of the whole text
+    escape = json.encoder.encode_basestring_ascii
+    escaped = list(sexpr_pieces(e, lambda p: escape(p)[1:-1], size))
+    assert "".join(escaped) == json.dumps(text)[1:-1]
+    # a piece is a leaf, a head such as "(halfsmash ", or at most size + 1
+    # characters: no piece grows with the counts of the runs
+    leaves = [a for a in _nodes(e) if isinstance(a, (Point, Sphere, Atom))]
+    longest = max(len(escape(ref.format_sexpr(a))) - 2 for a in leaves)
+    assert max(map(len, escaped)) <= max(size + 1, longest, len("(halfsmash "))
+
+
 def test_sexpr_atom_quoting():
     # names survive the round-trip; homology declarations are engine-side
     # annotations and intentionally do not
@@ -374,18 +408,27 @@ def test_sexpr_atom_quoting():
     assert format_sexpr(a) == '(atom "page-fibre")'
 
 
-def test_parse_rejects_garbage():
-    with pytest.raises(InvalidParameters):
-        parse_sexpr("(wedge (sphere 3)")
-    with pytest.raises(InvalidParameters):
-        parse_sexpr("(frobnicate 3)")
-    with pytest.raises(InvalidParameters):
-        parse_sexpr("(sphere 0)")
+# every text the tests know the reader to refuse
+_REFUSED = [
+    "(wedge (sphere 3)", "(frobnicate 3)", "(sphere 0)",
     # an unmatched quote is refused, not skipped
-    for text in ['(sphere "3)', '(wedge (sphere 2) " (sphere 3))', '(atom "X)', '"', '("',
-                 "(", "(wedge (sphere 2) ("]:
+    '(sphere "3)', '(wedge (sphere 2) " (sphere 3))', '(atom "X)', '"', '("',
+    "(", "(wedge (sphere 2) (",
+    # literals among space arguments, and arities
+    "(wedge (sphere 2) 3)", "(wedge 3 (sphere 2)", '(wedge "x" (foo))', '(wedge (sphere 2) "x")',
+    "(wedge 1_0 (sphere 2))", "(wedge (sphere 2) x)", "(wedge (sphere 2) (sphere 2) 5 (sphere 2))",
+    "(prod (loop (sphere 2)) (loop (sphere 2)) 7)", "(loop 3)", "(point 3)", "(point (sphere 2))",
+    "(atom 3)", '(atom "a" "b")', '(atom "")', "(sphere 3 (sphere 2))", "(join (sphere 2))",
+    "(susp)", "(halfsmash (sphere 2) (sphere 2) (sphere 2))", "(susp (sphere 2) (sphere 2))",
+]
+
+
+def test_parse_rejects_garbage():
+    for text in _REFUSED:
         with pytest.raises(InvalidParameters):
             parse_sexpr(text)
+        # with the reference reader's error and message
+        assert _read(parse_sexpr, text) == _read(ref.parse_sexpr, text)
 
 
 def _nodes(e):
@@ -435,9 +478,27 @@ def test_parse_matches_the_reference_reader(e):
         '(wedge (sphere 2) " (sphere 3))', "(wedge (sphere 2) (", "(wedge (sphere 2)",
         "(smash (sphere 1) (loop (sphere 03)) (sphere 3) (sphere 3))",
         "(wedge (sphere 10) (sphere 1_0) (sphere 010) (sphere 10))",
+        # a leaf spelled otherwise is the same object as the one spelled plainly
+        "(wedge (sphere 03) (sphere 3) (sphere 3) (sphere 03) (sphere 4))",
+        "(wedge (sphere 3) (sphere 03))", "(prod (loop (sphere 03)) (loop (sphere 3)))",
+        # equal neighbours that are not leaves merge by ==
+        "(wedge (loop (sphere 2)) (loop (sphere 2)) (sphere 3) (loop (sphere 2)))",
+        '(prod (atom "A") (atom "A") (atom "B") (atom "A"))',
+        "(smash (wedge (sphere 2) (sphere 3)) (wedge (sphere 2) (sphere 3)) (sphere 2))",
+        "(wedge (wedge) (wedge) point point (point) (sphere 2) (sphere 2))",
+        "(wedge (susp (loop (sphere 2))) (susp (loop (sphere 2))) (susp (loop (sphere 3))))",
     ],
 )
 def test_parse_of_odd_texts_matches_the_reference_reader(text):
+    assert _read(parse_sexpr, text) == _read(ref.parse_sexpr, text)
+
+
+@pytest.mark.parametrize("l", range(3, 11))
+def test_parse_of_shuffled_porter_wedges_matches_the_reference_reader(l):
+    # the read-back texts: Porter's wedge with its summands in random order
+    parts = [format_sexpr(a) for a in porter_wedge(l).args]
+    random.Random(l).shuffle(parts)
+    text = f"(wedge {' '.join(parts)})"
     assert _read(parse_sexpr, text) == _read(ref.parse_sexpr, text)
 
 
@@ -477,6 +538,24 @@ def test_susp_wedge_certificate():
     assert susp_wedge_min_dim(Loop(S1)) is None
     assert susp_wedge_min_dim(Prod((Loop(S2), Loop(S3)))) == 2
     assert susp_wedge_min_dim(HalfSmash(S2, Loop(S2))) == 3
+
+
+def test_smash_certificates_use_sphere_and_contractible_factors():
+    # S^k ^ Y = Susp^(k-1)(Susp Y): the sphere factors certify Y through B,
+    # and so does any factor that desuspends
+    assert wedge_of_spheres_min_dim(Smash((S2, Loop(S2)))) == 3
+    assert wedge_of_spheres_min_dim(Smash((S1, S2, Prod((S2, S2))))) == 5
+    assert wedge_of_spheres_min_dim(Smash((Loop(S3), Susp(Loop(S3))))) == 5
+    assert wedge_of_spheres_min_dim(Smash((Loop(S2), Loop(S3)))) is None
+    assert wedge_of_spheres_min_dim(Smash((S2, atom("X")))) is None
+    # a contractible factor decides before an uncertified one refuses
+    assert wedge_of_spheres_min_dim(Smash((Susp(POINT), atom("X")))) == INF
+    assert susp_wedge_min_dim(Smash((Cone(S1), atom("X")))) == INF
+    zero = poincare_series(POINT, 8)
+    assert poincare_series(Loop(Susp(Join(POINT, atom("A", {1: 1})))), 8) == zero
+    e = Loop(Susp(Loop(HalfSmash(Susp(Loop(Prod.of_runs([(S2, 2)]))), S1))))
+    want = (1, 2, 13, 79, 483, 2951, 18031, 110171, 673155)
+    assert poincare_series(e, 8).coeffs == poincare_series(normalize(e), 8).coeffs == want
 
 
 # --- series ---------------------------------------------------------------
