@@ -751,14 +751,18 @@ def format_sexpr(e: SpaceExpr) -> str:
     return "".join(sexpr_pieces(e))
 
 
-def sexpr_pieces(e: SpaceExpr, escape=str, size: int = 1 << 16):
+# the batch size, in characters, of a run's repeated text in sexpr_pieces
+_PIECE_CHARS = 1 << 16
+
+
+def sexpr_pieces(e: SpaceExpr, escape=str):
     """format_sexpr(e) as a stream of strings, each passed through escape
     (a per-character map such as JSON string escaping) once.
 
     A run is written as its child's text repeated count times, in batches of
-    about size characters, and escape sees that text once, not once per
-    copy. A child longer than size is streamed copy by copy instead, so no
-    string much longer than size is ever built."""
+    about _PIECE_CHARS characters, and escape sees that text once, not once
+    per copy. A longer child is streamed copy by copy instead, so no string
+    much longer than _PIECE_CHARS is ever built."""
     if isinstance(e, Point):
         yield escape("point")
     elif isinstance(e, Sphere):
@@ -768,10 +772,13 @@ def sexpr_pieces(e: SpaceExpr, escape=str, size: int = 1 << 16):
     elif isinstance(e, (Wedge, Prod, Smash)):
         yield escape(f"({_NAME_OF[type(e)]}")
         sep = escape(" ")
+        size = _PIECE_CHARS
+        if not e.runs:
+            yield sep
         for a, c in e.runs:
             # read the child's pieces until they run past size
             head, n = [sep], 0
-            pieces = sexpr_pieces(a, escape, size)
+            pieces = sexpr_pieces(a, escape)
             for p in pieces:
                 head.append(p)
                 n += len(p)
@@ -789,16 +796,16 @@ def sexpr_pieces(e: SpaceExpr, escape=str, size: int = 1 << 16):
             yield from pieces
             for _ in range(c - 1):
                 yield sep
-                yield from sexpr_pieces(a, escape, size)
+                yield from sexpr_pieces(a, escape)
         yield escape(")")
     else:
         yield escape(f"({_NAME_OF[type(e)]} ")
         if isinstance(e, (Susp, Loop, Cone)):
-            yield from sexpr_pieces(e.arg, escape, size)
+            yield from sexpr_pieces(e.arg, escape)
         else:
-            yield from sexpr_pieces(e.left, escape, size)
+            yield from sexpr_pieces(e.left, escape)
             yield escape(" ")
-            yield from sexpr_pieces(e.right, escape, size)
+            yield from sexpr_pieces(e.right, escape)
         yield escape(")")
 
 
