@@ -23,6 +23,9 @@ from .records import record
 
 Face = tuple[int, ...]
 
+# a refusal message lists at most this many ghost vertices
+_GHOSTS_SHOWN = 10
+
 
 def _closure(facets: list[Face]) -> frozenset[Face]:
     faces: set[Face] = {()}
@@ -63,6 +66,20 @@ class SimplicialComplex:
         used = set(self.vertices)
         return tuple(v for v in range(self.ground_size) if v not in used)
 
+    def ghost_note(self) -> str:
+        """'' when every label is a vertex, else the ghosts for a message:
+        all of them, or their total and the first _GHOSTS_SHOWN. O(faces)
+        steps, however large ground_size is."""
+        used = {f[0] for f in self.faces if len(f) == 1}
+        total = self.ground_size - len(used)
+        if not total:
+            return ""
+        ghosts = (v for v in range(self.ground_size) if v not in used)
+        first = tuple(itertools.islice(ghosts, _GHOSTS_SHOWN))
+        if total > _GHOSTS_SHOWN:
+            return f"{total} ghost vertices, first {first}"
+        return f"ghost vertices {first}"
+
     @property
     def dim(self) -> int:
         return max(len(f) for f in self.faces) - 1
@@ -99,9 +116,9 @@ class SimplicialComplex:
         minus its top vertex, is a face f; so K is flag exactly when f + (v,)
         is a face for every face f and every v > max(f) adjacent to all of f.
         """
-        if self.ghosts:
-            return False
         adj = self._adjacency()
+        if len(adj) < self.ground_size:
+            return False  # a ghost
         return all(
             f + (v,) in self.faces
             for f in self.faces

@@ -47,7 +47,6 @@ from .errors import CeilingExceededError, InvalidParameters, SeriesDomainError
 from .records import record
 from .series import TruncSeries
 from .spacealg import (
-    Atom,
     HalfSmash,
     Join,
     Loop,
@@ -133,32 +132,32 @@ def _fold(
     return _result(family, params, factors, (provenance,))
 
 
-def porter_wedge(l: int, circles: bool = True, x: Atom = GENERIC_VERTEX_SPACE) -> SpaceExpr:
+def porter_wedge(l: int, circles: bool = True) -> SpaceExpr:
     """Fibre of the inclusion of an l-fold wedge into the l-fold product.
 
     With circles=True each loop factor is a circle and the summands collapse
     to spheres: k-1 copies of S^(k+1) for each of the C(l, k) subsets of size
-    k. Symbolically the summands stay as suspended smash powers of Loop(x).
+    k. Symbolically they are suspended smash powers of Loop(GENERIC_VERTEX_SPACE).
     Each k gives one run whose count is (k-1)·C(l, k), so the wedge has l-1
     runs while its summands number about l·2^(l-1).
     """
     if l < 1:
         raise InvalidParameters("need at least one wedge summand")
-    runs = ((_smash_power(k, circles, x), (k - 1) * math.comb(l, k)) for k in range(2, l + 1))
+    runs = ((_smash_power(k, circles), (k - 1) * math.comb(l, k)) for k in range(2, l + 1))
     return normalize(Wedge.of_runs(runs))
 
 
-def _smash_power(k: int, circles: bool, x: Atom) -> SpaceExpr:
+def _smash_power(k: int, circles: bool) -> SpaceExpr:
     """The suspended k-fold smash of loop factors: S^(k+1) for circles."""
-    return Sphere(k + 1) if circles else Susp(Smash.of_runs([(Loop(x), k)]))
+    return Sphere(k + 1) if circles else Susp(Smash.of_runs([(Loop(GENERIC_VERTEX_SPACE), k)]))
 
 
-def path_fibre_reduce(l: int, circles: bool = True, x: Atom = GENERIC_VERTEX_SPACE) -> SpaceExpr:
+def path_fibre_reduce(l: int, circles: bool = True) -> SpaceExpr:
     """Fibre polyhedral product over a path with l edges, reduced to the
     disjoint-points case and expanded by Porter's wedge. l = 1 gives a point."""
     if l < 1:
         raise InvalidParameters("path length must be at least 1")
-    return porter_wedge(l, circles=circles, x=x)
+    return porter_wedge(l, circles=circles)
 
 
 def cone_loop_split(
@@ -201,7 +200,7 @@ def poly_fold_decompose(
     )
 
 
-def book_C(l: int, circles: bool = True, x: Atom = GENERIC_VERTEX_SPACE) -> SpaceExpr:
+def book_C(l: int, circles: bool = True) -> SpaceExpr:
     """Wedge summand C in the page fibre for spine paths of length l >= 3.
 
     Indexed by nonempty proper subsets I of {0..l-2} with I != {0}: each
@@ -213,15 +212,15 @@ def book_C(l: int, circles: bool = True, x: Atom = GENERIC_VERTEX_SPACE) -> Spac
     if l < 3:
         raise InvalidParameters("the C summand exists for spine length at least 3")
     parts = [
-        (_smash_power(s + 1, circles, x), math.comb(l - 1, s) - (1 if s == 1 else 0))
+        (_smash_power(s + 1, circles), math.comb(l - 1, s) - (1 if s == 1 else 0))
         for s in range(1, l)
     ]
-    zk = porter_wedge(l - 1, circles=circles, x=x)
-    tail = HalfSmash(zk, Sphere(1) if circles else Loop(x))
+    zk = porter_wedge(l - 1, circles=circles)
+    tail = HalfSmash(zk, Sphere(1) if circles else Loop(GENERIC_VERTEX_SPACE))
     return normalize(Wedge.of_runs(parts + [(tail, 1)]))
 
 
-def endpoint_fibre(l: int, circles: bool = True, x: Atom = GENERIC_VERTEX_SPACE) -> SpaceExpr:
+def endpoint_fibre(l: int, circles: bool = True) -> SpaceExpr:
     """Fibre of the inclusion of one page into the polyhedral product over a
     book whose pages are paths of length l glued along both endpoints.
 
@@ -230,12 +229,13 @@ def endpoint_fibre(l: int, circles: bool = True, x: Atom = GENERIC_VERTEX_SPACE)
     loops on the join of two vertex loop spaces."""
     if l < 2:
         raise InvalidParameters("page paths must have length at least 2")
+    loop_x = Loop(GENERIC_VERTEX_SPACE)
     if l == 2:
-        return Sphere(1) if circles else normalize(Loop(x))
-    cbit = book_C(l, circles=circles, x=x)
-    join_loops = Loop(Sphere(3)) if circles else Loop(Join(Loop(x), Loop(x)))
+        return Sphere(1) if circles else normalize(loop_x)
+    cbit = book_C(l, circles=circles)
+    join_loops = Loop(Sphere(3)) if circles else Loop(Join(loop_x, loop_x))
     tail = Loop(HalfSmash(cbit, join_loops))
-    return normalize(Prod.of_runs([(Sphere(1) if circles else Loop(x), l - 1), (tail, 1)]))
+    return normalize(Prod.of_runs([(Sphere(1) if circles else loop_x, l - 1), (tail, 1)]))
 
 
 def _visible_spheres(e: SpaceExpr, max_dim: int, name: str) -> SphereMultiset:

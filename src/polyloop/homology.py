@@ -154,8 +154,8 @@ def _subset_contributions(K: SimplicialComplex, masks: range) -> dict[int, int]:
 
 def require_enumerable(K: SimplicialComplex, ceiling: int) -> None:
     """Raise the errors hochster_zk_betti refuses K with: ghosts, or m > ceiling."""
-    if K.ghosts:
-        raise GhostVertexError(f"ghost vertices {K.ghosts}: Z_K would carry dead circle factors")
+    if note := K.ghost_note():
+        raise GhostVertexError(f"{note}: Z_K would carry dead circle factors")
     if (m := K.ground_size) > ceiling:
         raise GroundSizeLimitError(f"ground set size {m} exceeds the enumeration cap {ceiling}")
 
@@ -202,7 +202,7 @@ def zk_sphere_multiset(K: SimplicialComplex, **kwargs) -> SphereMultiset:
     need not come from a wedge of spheres: Z of the 4-cycle is S^3 x S^3.
     Ghost vertices are refused by hochster_zk_betti as before.
     """
-    if not K.ghosts and not (K.is_flag() and K.is_chordal()):
+    if not K.ghost_note() and not (K.is_flag() and K.is_chordal()):
         raise InvalidParameters(
             "Z_K is certified a wedge of spheres only for a flag complex with a chordal 1-skeleton"
         )

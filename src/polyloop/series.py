@@ -42,6 +42,18 @@ def _invert(a: list[int], n: int) -> list[int]:
     return out
 
 
+def _pow(base: list[int], k: int, n: int) -> list[int]:
+    """base**k through degree n by binary exponentiation."""
+    out = [1] + [0] * n
+    while k:
+        if k & 1:
+            out = _mul(out, base, n)
+        k >>= 1
+        if k:
+            base = _mul(base, base, n)
+    return out
+
+
 @record
 class TruncSeries:
     """Power series truncated at degree n, coefficients exact ints."""
@@ -76,27 +88,19 @@ class TruncSeries:
         return f"TruncSeries(n={self.n}, coeffs={list(self.coeffs)})"
 
 
-def _binomial(c: int, d: int) -> list[int]:
-    """Coefficients of (1 + c t)^d."""
-    out = [1]
-    for i in range(d):
-        out = _mul(out, [1, c], i + 1)
-    return out
-
-
 def _hilbert_numerator(K: SimplicialComplex) -> tuple[list[int], int]:
     """P and d with H(t) = P(t)/(1-t)^d, H the Stanley-Reisner Hilbert series.
 
     H is the sum over faces of (t/(1-t))^|face|. With f the face counts by size
     and d = len(f) - 1 = dim K + 1, P(t) = sum_s f[s] t^s (1-t)^(d-s), a
     polynomial of degree at most d with P(0) = 1."""
-    if K.ghosts:
-        raise GhostVertexError(f"ghost vertices {K.ghosts} have no generator degree")
+    if note := K.ghost_note():
+        raise GhostVertexError(f"{note} have no generator degree")
     f = K.f_vector()
     d = len(f) - 1
     p = [0] * (d + 1)
     for s, cnt in enumerate(f):
-        for j, b in enumerate(_binomial(-1, d - s)):
+        for j, b in enumerate(_pow([1, -1], d - s, d - s)):
             p[s + j] += cnt * b
     return p, d
 
@@ -105,7 +109,7 @@ def hilbert_sr(K: SimplicialComplex, n: int) -> TruncSeries:
     """Stanley-Reisner Hilbert series P(t) (1-t)^(-d) to order n, in
     O(n * dim K) steps."""
     p, d = _hilbert_numerator(K)
-    return TruncSeries.of(_mul(p, _invert(_binomial(-1, d), n), n), n)
+    return TruncSeries.of(_mul(p, _invert(_pow([1, -1], d, d), n), n), n)
 
 
 def koszul_loop_series(K: SimplicialComplex, n: int) -> TruncSeries:
@@ -120,7 +124,7 @@ def koszul_loop_series(K: SimplicialComplex, n: int) -> TruncSeries:
     require_flag(K)
     p, d = _hilbert_numerator(K)
     p_neg = [c if k % 2 == 0 else -c for k, c in enumerate(p)]
-    return TruncSeries.of(_mul(_binomial(1, d), _invert(p_neg, n), n), n)
+    return TruncSeries.of(_mul(_pow([1, 1], d, d), _invert(p_neg, n), n), n)
 
 
 def require_flag(K: SimplicialComplex) -> None:

@@ -34,8 +34,9 @@ Susp(Loop(Susp(x))).
 
 Wedge, Prod and Smash store their children as runs: maximal (child, count)
 pairs of consecutive equal children, in order. The decompositions are wedges
-and products with binomially or Witt-many equal parts, and every walk above
-visits each run once and scales by its count. `.args` spells the runs out.
+and products with binomially or Witt-many equal parts, and every walk above,
+sort_key included, visits each run once and scales by its count. `.args`
+spells the runs out.
 
 String form is an s-expression, for example (wedge (sphere 3) (loop (sphere
 2))). Both directions cost per run, not per copy. sexpr_pieces writes a run
@@ -53,7 +54,7 @@ import re
 
 from .errors import CeilingExceededError, InvalidParameters, SeriesDomainError
 from .records import record
-from .series import TruncSeries, _invert, _mul
+from .series import TruncSeries, _invert, _mul, _pow
 from .spheres import SphereMultiset
 
 INF = math.inf
@@ -195,7 +196,12 @@ _TAG = {cls: i for i, cls in enumerate(_KINDS)}
 
 
 def sort_key(e: SpaceExpr):
-    """Total-order key of the canonical child order, computed once per node."""
+    """Total-order key of the canonical child order, computed once per node.
+
+    Defined on canonical terms. A Wedge, Prod or Smash has one entry per
+    maximal run of equal child keys, (key, 1, -count), or (key, 0, count)
+    for the last: its children are sorted, so a run's count matters to the
+    spelled-out child keys only through whether a larger key follows."""
     k = e._key
     if k is not None:
         return k
@@ -207,7 +213,10 @@ def sort_key(e: SpaceExpr):
     elif isinstance(e, Atom):
         k = (t, (e.name, e.reduced or (), e.loop_reduced or ()))
     elif isinstance(e, (Wedge, Prod, Smash)):
-        k = (t, _repeat_runs((sort_key(a), c) for a, c in e.runs))
+        keyed = itertools.groupby(((sort_key(a), c) for a, c in e.runs), key=lambda r: r[0])
+        runs = [(ka, sum(c for _, c in g)) for ka, g in keyed]
+        n = len(runs) - 1
+        k = (t, tuple((ka, 0, c) if i == n else (ka, 1, -c) for i, (ka, c) in enumerate(runs)))
     elif isinstance(e, (Susp, Loop, Cone)):
         k = (t, (sort_key(e.arg),))
     else:
@@ -389,7 +398,8 @@ def normalize(e: SpaceExpr) -> SpaceExpr:
 
     One bottom-up walk rebuilds each node from its canonical children
     through smart constructors that apply each rule once, so the cost is per
-    distinct subterm (and per run of a repeated one), not per copy. A term
+    distinct subterm (and per run of a repeated one), not per copy; the sort
+    keys it orders children by are per run too. A term
     already canonical comes back as itself; the result is marked canonical,
     so normalize() returns it at once, alone or inside a larger term."""
     out = _norm(e, {})
@@ -483,19 +493,6 @@ def _poly_of(pairs: tuple[tuple[int, int], ...], n: int) -> list[int]:
     return out
 
 
-def _pow(base: list[int], k: int, n: int) -> list[int]:
-    """base**k through degree n by binary exponentiation."""
-    out = [1] + [0] * n
-    b = base
-    while k:
-        if k & 1:
-            out = _mul(out, b, n)
-        k >>= 1
-        if k:
-            b = _mul(b, b, n)
-    return out
-
-
 def _red(e: SpaceExpr, n: int) -> list[int]:
     """Reduced Poincare polynomial of e through degree n, exact."""
     if isinstance(e, (Point, Cone)):
@@ -516,15 +513,13 @@ def _red(e: SpaceExpr, n: int) -> list[int]:
         for a, c in _tally(e.runs):
             r = _red(a, n)
             r[0] += 1
-            out = _mul(out, r if c == 1 else _pow(r, c, n), n)
+            out = _mul(out, _pow(r, c, n), n)
         out[0] -= 1
         return out
     if isinstance(e, Smash):
         out = None
         for a, c in _tally(e.runs):
-            r = _red(a, n)
-            if c > 1:
-                r = _pow(r, c, n)
+            r = _pow(_red(a, n), c, n)
             out = r if out is None else _mul(out, r, n)
         return out if out is not None else [0] * (n + 1)
     if isinstance(e, Susp):

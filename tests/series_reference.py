@@ -10,6 +10,10 @@ arithmetic TruncSeries carried as methods before the package stopped using
 it; tests build expected series with them. They are functions here, because a
 subclass of TruncSeries would not compare equal to the package's series.
 
+_binomial builds (1 + c t)^d one factor at a time, as the oracles did
+before they raised [1, c] to the power d with the package's _pow; tests
+check that the two agree.
+
 hilbert_sr and koszul_loop_series are the dense oracles as they were before
 the package computed them in closed form: hilbert_sr adds up the powers of
 t/(1-t) face size by face size, O(n^2 * dim K) steps, and koszul_loop_series
@@ -79,6 +83,14 @@ def shift(a: TruncSeries, d: int) -> TruncSeries:
     if d < 0:
         raise InvalidParameters("series shift degree must be nonnegative")
     return TruncSeries.of([0] * min(d, a.n + 1) + list(a.coeffs), a.n)
+
+
+def _binomial(c: int, d: int) -> list[int]:
+    """Coefficients of (1 + c t)^d."""
+    out = [1]
+    for i in range(d):
+        out = _mul(out, [1, c], i + 1)
+    return out
 
 
 def geometric(n: int, ratio_degree: int = 1, ratio: int = 1) -> TruncSeries:

@@ -300,6 +300,16 @@ def test_hochster_cache_refuses_ghosts_before_the_lookup(tmp_path, capsys):
     assert code == 2 and out == "" and not cache.exists()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("hochster",), 2), (("series", "hilbert"), 2), (("series", "koszul"), 4),
+])
+def test_a_ghost_refusal_is_short_however_many_ghosts(tmp_path, capsys, argv, code):
+    spec = tmp_path / "ghosts.json"
+    spec.write_text(json.dumps({"m": 3_000_000, "facets": [[0, 1]]}))
+    got, out, err = _run(capsys, *argv, "file", str(spec))
+    assert got == code and out == "" and len(err) < 1024
+
+
 @pytest.mark.parametrize("content", [
     "{not json",
     "\udcff",

@@ -76,6 +76,9 @@ def test_ghosts_and_vertices():
     assert K.ghosts == (1, 3)
     assert K.dim == 1
     assert disjoint_points(2).ghosts == ()
+    assert K.ghost_note() == "ghost vertices (1, 3)" and disjoint_points(2).ghost_note() == ""
+    many = from_facets(10**9, [(0, 1)])
+    assert many.ghost_note() == "999999998 ghost vertices, first (2, 3, 4, 5, 6, 7, 8, 9, 10, 11)"
 
 
 def test_empty_complex():
@@ -148,6 +151,8 @@ def test_json_roundtrip(K):
 def test_json_shape():
     obj = path_graph(1).to_json_obj()
     assert obj == {"m": 2, "facets": [[0, 1]]}
+    with pytest.raises(InvalidParameters, match="keys 'm' and 'facets'"):
+        from_json_obj([2, [[0, 1]]])
 
 
 def test_is_flag_families():
@@ -282,6 +287,9 @@ def test_glue_validation():
     with pytest.raises(InvalidParameters):
         # psi must be an automorphism
         GluingSpec(path_graph(2), (0,), (2,), (2, 2, 0), copies=2)
+    with pytest.raises(InvalidParameters, match="sub_b onto sub_a"):
+        # a 3-cycle of the triangle carries 0 to 1 but 1 to 2, not back to 0
+        GluingSpec(cycle_graph(3), (0,), (1,), (1, 2, 0), copies=2)
 
 
 def test_book_graph_shapes():
@@ -300,6 +308,8 @@ def test_book_graph_validation():
         book_graph(2, 3, 2)  # n must be at most l-2
     with pytest.raises(InvalidParameters):
         book_graph(1, 3, 1)
+    with pytest.raises(InvalidParameters):
+        book_graph(1, 2, 2)  # l must be at least 3
 
 
 def test_planar_book_shapes():

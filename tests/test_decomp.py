@@ -50,6 +50,8 @@ def test_porter_wedge_values():
     assert _counts(porter_wedge(3)) == {3: 3, 4: 2}
     assert _counts(porter_wedge(4)) == {3: 6, 4: 8, 5: 3}
     assert _counts(porter_wedge(5)) == {3: 10, 4: 20, 5: 15, 6: 4}
+    with pytest.raises(InvalidParameters):
+        porter_wedge(0)
 
 
 def test_porter_wedge_symbolic_mode():
@@ -76,6 +78,8 @@ def test_book_C_values():
     assert _counts(book_C(3)) == {3: 2, 4: 2}
     assert _counts(book_C(4)) == {3: 5, 4: 8, 5: 3}
     assert _counts(book_C(5)) == {3: 9, 4: 20, 5: 15, 6: 4}
+    with pytest.raises(InvalidParameters):
+        book_C(2)
 
 
 def test_book_C_plus_one_sphere_is_the_path_fibre():
@@ -109,6 +113,8 @@ def test_cone_loop_split_symbolic_has_no_series():
     assert r.series is None
     assert r.factors[0][0] == "vertex-loops"
     assert r.provenance == ("cone-fibration-splitting",)
+    with pytest.raises(InvalidParameters):
+        cone_loop_split(0, GENERIC_VERTEX_SPACE, zk=Sphere(3))
 
 
 def test_fold_decompose():
@@ -119,6 +125,8 @@ def test_fold_decompose():
     assert len(fw.args) == 2
     single = fold_decompose(1, Sphere(2), Loop(Sphere(2)), n=4)
     assert single.series == poincare_series(Loop(Sphere(2)), 4)
+    with pytest.raises(InvalidParameters):
+        fold_decompose(0, Sphere(2), Loop(Sphere(2)))
 
 
 def test_poly_fold_fibre_wedge_size():
@@ -195,6 +203,8 @@ def test_dj_book_validation_and_ceiling():
         dj_book_decompose(1, 2)
     with pytest.raises(InvalidParameters):
         dj_book_decompose(2, 1)
+    with pytest.raises(InvalidParameters):
+        dj_book_decompose(2, 2, max_dim=1)
     with pytest.raises(CeilingExceededError):
         # every page fibre sphere sits above dimension 2 for l = 3
         dj_book_decompose(3, 2, n=8, max_dim=2)

@@ -85,6 +85,16 @@ def test_child_cpu_reports_one_median_per_command_and_tree(tmp_path):
     assert name == "build points 1" and a.endswith(" ms") and float(b[:-3]) > 0
 
 
+def test_child_cpu_shows_a_failing_command_and_exits_1(tmp_path):
+    repo = str(SCRIPTS.parent)
+    proc = _run_outside("child_cpu.py", tmp_path, "--runs", "1", repo, repo,
+                        "build points 1", "decompose path x")
+    assert proc.returncode == 1, proc.stderr
+    _, ok, bad = proc.stdout.splitlines()
+    assert ok.split("\t")[0] == "build points 1" and ok.endswith("%")
+    assert bad.split("\t") == ["decompose path x", "exit 2", "exit 2", "-"]
+
+
 def test_child_cpu_runs_api_jobs_through_the_benchmark_child(tmp_path, monkeypatch):
     # in-process, so the commands each run spawns can be read back
     monkeypatch.setattr(sys, "path", sys.path[:])
@@ -98,7 +108,8 @@ def test_child_cpu_runs_api_jobs_through_the_benchmark_child(tmp_path, monkeypat
     text.write_text("(wedge (sphere 3) (sphere 3) (sphere 4))", encoding="utf-8")
     repo = str(SCRIPTS.parent)
     for argv in (["api", "hm", "2,3", "8"], ["api", "readback", str(text), "5"], ["build", "points", "1"]):
-        assert script.child_cpu(repo, argv) > 0
+        seconds, code = script.child_cpu(repo, argv)
+        assert seconds > 0 and code == 0
     child = os.path.join(repo, "perfbench", "child.py")
     assert spawned == [
         [sys.executable, child, "api", "hm", "2,3", "8"],

@@ -148,6 +148,12 @@ def test_invert_roundtrip(coeffs):
     assert prod == one(8)
 
 
+@pytest.mark.parametrize("c", [-1, 1])
+def test_pow_of_a_linear_factor_is_the_binomial(c):
+    for d in range(9):
+        assert series._pow([1, c], d, d) == ref._binomial(c, d)
+
+
 def test_hilbert_path2():
     # two edges on three vertices: 1 + 3s/(1-s) + 2(s/(1-s))^2
     h = hilbert_sr(path_graph(2), 6)
