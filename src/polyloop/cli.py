@@ -240,7 +240,7 @@ def cmd_verify(args) -> int:
         from .spacealg import sphere_multiset_of
 
         # the oracle refuses m = l + 1 > 20 (exit 5) before the engine builds the 2^l wedge
-        oracle_ms = homology.zk_sphere_multiset(K, jobs=args.jobs)
+        oracle_ms = homology.zk_sphere_multiset(K)
         engine_ms = sphere_multiset_of(decomp.path_fibre_reduce(l, circles=True), max(l + 2, 3))
         checks.append(_check("porter-hochster", "dimension", engine_ms.counts, oracle_ms.counts))
     if args.mode != "porter-hochster":
@@ -310,7 +310,7 @@ def cmd_hochster(args) -> int:
         if cached is not None:
             _emit(cached, args)
             return 0
-    table = homology.hochster_zk_betti(K, ceiling=args.ceiling, jobs=args.jobs)
+    table = homology.hochster_zk_betti(K, ceiling=args.ceiling)
     obj = table.to_json_obj()
     if cache_path is not None:
         os.makedirs(args.cache_dir, exist_ok=True)
@@ -337,8 +337,7 @@ def _add_common(p: argparse.ArgumentParser, families, *, n=False, jobs=False) ->
         p.add_argument("--N", type=int, default=16, help="series truncation order")
     if jobs:
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for subset enumeration (0 = all cores); used only"
-                       " by complexes of dimension >= 2, so graphs and verify ignore it")
+                       help="accepted and ignored: the Hochster oracle runs in one process")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "jobs", None) == 0:
-        args.jobs = None
     try:
         return args.func(args)
     except (PolyloopError, OSError) as exc:

@@ -1,15 +1,18 @@
 """Exact homology ranks and the Hochster oracle for moment-angle complexes.
 
-Ranks are over the rationals by fraction-free (Bareiss) integer elimination,
-so they are exact; torsion is not computed. hochster_zk_betti evaluates, for
-a complex K on ground set [m],
+Ranks are over the rationals by sparse integer elimination that never forms
+a fraction, so they are exact; torsion is not computed. hochster_zk_betti
+evaluates, for a complex K on ground set [m],
 
     b_j(Z_K) = sum over I subset of [m] of reduced b_{j - |I| - 1}(K_I),
 
 with K_I the full subcomplex on I; the I = {} term gives 1 in degree 0. A
 graph enters only through |I| and the edge and component counts of K_I, so its
 sum runs over the connected vertex sets of K. Complexes of dimension 2 and up
-visit all 2^m subsets, reading K_I off bitmask faces without building it.
+visit all 2^m subsets in one process, reading K_I off bitmask faces without
+building it, and skip the K_I that are simplices or, for K flag, cones. Row
+reduction on unit pivots follows Kaczynski, Mischaikow and Mrozek,
+Computational Homology (Springer 2004).
 When K is flag with a chordal 1-skeleton, Z_K is a wedge of spheres
 (Grbic, Panov, Theriault and Wu, Trans. AMS 2016) and the table records it;
 zk_sphere_multiset extracts it and refuses every other K.
@@ -17,38 +20,12 @@ zk_sphere_multiset extracts it and refuses every other K.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, gcd
 
 from .complexes import SimplicialComplex
 from .errors import GhostVertexError, GroundSizeLimitError, InvalidParameters
 from .records import record
 from .spheres import SphereMultiset
-
-
-def bareiss_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
-    m = [row[:] for row in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        for r in range(row + 1, nrows):
-            for c in range(col + 1, ncols):
-                m[r][c] = (m[row][col] * m[r][c] - m[r][col] * m[row][c]) // prev
-            m[r][col] = 0
-        prev = m[row][col]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
 
 
 @record
@@ -75,18 +52,6 @@ def _components(verts: int, adj: list[int]) -> int:
             todo ^= low | reach
         count += 1
     return count
-
-
-def _mask_boundary_rank(faces_k: list[int], faces_km1: list[int]) -> int:
-    """Boundary rank between mask layers; dropping v from f has sign (-1)^#{u in f: u < v}."""
-    index = {g: i for i, g in enumerate(faces_km1)}
-    rows = []
-    for f in faces_k:
-        row = [0] * len(faces_km1)
-        for j, bit in enumerate(1 << v for v in range(f.bit_length()) if f >> v & 1):
-            row[index[f ^ bit]] = -1 if j % 2 else 1
-        rows.append(row)
-    return bareiss_rank(rows)
 
 
 def _adjacency_masks(K: SimplicialComplex) -> list[int]:
@@ -127,28 +92,76 @@ def _graph_contributions(K: SimplicialComplex) -> dict[int, int]:
     return dict(enumerate(table))
 
 
-def _subset_contributions(K: SimplicialComplex, masks: range) -> dict[int, int]:
-    """Hochster terms of the subsets I in masks. Faces are bitmasks and those
-    of K_I are the f with f & ~I == 0, so no subcomplex is built. The rank of
-    the boundary from edges to vertices is |V_I| - c(I), exact over Q and Z,
-    so graphs need no matrix; larger faces go through bareiss_rank."""
-    sizes = range(max(K.dim, 0) + 2)  # a vertex layer even for the empty complex
-    layers = [[sum(1 << v for v in f) for f in K.faces_of_size(k)] for k in sizes]
-    adj = _adjacency_masks(K)
-    vertex_mask, face_set, table = sum(layers[1]), set().union(*layers), {}
-    for I in masks:
-        outside, verts = ~I, I & vertex_mask
-        if verts and verts in face_set:
-            continue  # K_I is a simplex, so its reduced homology vanishes
+def sparse_rank(rows) -> int:
+    """Rank over Q of integer rows given as {column: entry} dicts with no zero
+    entries; the dicts are consumed. Each row is taken once and reduced by the
+    pivot rows kept so far, leading column first, until it vanishes or leads
+    in a new column and is kept. A pivot a = +-1 clears entry b by subtracting
+    a b times its row. Any other pivot scales the row by a / gcd(a, b) first,
+    and the result is divided by the gcd of its entries: no fraction arises."""
+    pivots: dict[int, dict[int, int]] = {}  # leading column -> pivot row
+    for row in rows:
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            a, b = pivot[col], row[col]
+            unit = a in (1, -1)
+            if unit:
+                factor = a * b
+            else:
+                g = gcd(a, b)
+                factor, row = b // g, {c: a // g * e for c, e in row.items()}
+            for c, e in pivot.items():
+                if e := row.get(c, 0) - factor * e:
+                    row[c] = e
+                else:
+                    del row[c]  # e == 0 only where row had an entry
+            if not unit and row and (g := gcd(*row.values())) > 1:
+                row = {c: e // g for c, e in row.items()}
+    return len(pivots)
+
+
+def _subset_contributions(K: SimplicialComplex) -> dict[int, int]:
+    """Hochster table of K without ghosts, over all 2^m subsets I. Faces are
+    bitmasks and those of K_I are the f with f & ~I == 0, so no subcomplex is
+    built. K_I has no reduced homology, and is skipped, when it is a simplex
+    or, for K flag, a cone: then some v in I is adjacent to all of I - v, and
+    every face of K_I spans a face with v. The rank of the boundary from edges
+    to vertices is |I| - c(I), exact over Q and Z, so graphs need no matrix;
+    larger faces go through sparse_rank."""
+    m, adj = K.ground_size, _adjacency_masks(K)
+    layers = [[sum(1 << v for v in f) for f in K.faces_of_size(k)] for k in range(K.dim + 2)]
+    face_set, half = set().union(*layers), m // 2
+    # boundary rows keyed by face mask: dropping v from f has sign (-1)^#{u in f: u < v}
+    boundary = {
+        f: {f ^ bit: -1 if j % 2 else 1
+            for j, bit in enumerate(1 << v for v in range(f.bit_length()) if f >> v & 1)}
+        for layer in layers[3:] for f in layer
+    }
+    # for K flag, the apexes of a cone K_I are I & AND of star(u) = u + its
+    # neighbours over u in I, read from AND tables over each half of [m];
+    # zero stars switch the test off for K not flag
+    stars = [a | 1 << v for v, a in enumerate(adj)] if K.is_flag() else [0] * m
+    low, high = [-1], [-1]
+    for v, star in enumerate(stars):
+        tab = low if v < half else high
+        tab += [t & star for t in tab]
+    table = {0: 1}  # I = {}: reduced b_-1 of the empty complex
+    for I in range(1, 1 << m):
+        if I in face_set or I & low[I & (1 << half) - 1] & high[I >> half]:
+            continue
+        outside, size = ~I, I.bit_count()
         inside = [[f for f in layer if not f & outside] for layer in layers[2:]]
-        counts = [1, verts.bit_count()] + [len(layer) for layer in inside]
-        ranks = [0, 1 if verts else 0, counts[1] - _components(verts, adj)]
-        ranks += [_mask_boundary_rank(hi, lo) for lo, hi in zip(inside, inside[1:])] + [0]
+        counts = [1, size] + [len(layer) for layer in inside]
+        ranks = [0, 1, size - _components(I, adj)]
+        ranks += [sparse_rank(boundary[f].copy() for f in hi) for hi in inside[1:]] + [0]
         for k, count in enumerate(counts):
-            b = count - ranks[k] - ranks[k + 1]
-            if b:  # reduced b_{k-1}(K_I) lands in degree (k - 1) + |I| + 1
-                j = k + I.bit_count()
-                table[j] = table.get(j, 0) + b
+            if b := count - ranks[k] - ranks[k + 1]:
+                # reduced b_{k-1}(K_I) lands in degree (k - 1) + |I| + 1
+                table[k + size] = table.get(k + size, 0) + b
     return table
 
 
@@ -160,39 +173,17 @@ def require_enumerable(K: SimplicialComplex, ceiling: int) -> None:
         raise GroundSizeLimitError(f"ground set size {m} exceeds the enumeration cap {ceiling}")
 
 
-def hochster_zk_betti(
-    K: SimplicialComplex, *, ceiling: int = 20, jobs: int | None = 1
-) -> BettiTable:
+def hochster_zk_betti(K: SimplicialComplex, *, ceiling: int = 20) -> BettiTable:
     """Full Betti table of Z_K by Hochster's formula; refuses ghost vertices
     and ground sets above `ceiling`. A graph (dimension at most 1) takes the
-    connected-set sum, serially. Larger complexes sum over all 2^m full
-    subcomplexes, and with jobs > 1 (None: one per core) contiguous blocks of
-    subsets go to worker processes; the table is a sum, so it is identical for
-    every job count.
+    connected-set sum; larger complexes sum over all 2^m full subcomplexes.
     """
     require_enumerable(K, ceiling)
-    m = K.ground_size
-    total = 1 << m
-    if K.dim <= 1:
-        table = _graph_contributions(K)
-    elif total < 1 << 10 or (jobs is not None and jobs <= 1):
-        table = _subset_contributions(K, range(total))
-    else:
-        import multiprocessing  # only the pool needs it: graphs and serial runs skip the import
-
-        jobs = min(jobs or multiprocessing.cpu_count(), total)
-        step = -(-total // jobs)
-        chunks = [(K, range(lo, min(lo + step, total))) for lo in range(0, total, step)]
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.starmap(_subset_contributions, chunks)
-        table = {}
-        for part in parts:
-            for j, b in part.items():
-                table[j] = table.get(j, 0) + b
-    return BettiTable({j: b for j, b in sorted(table.items()) if b}, m)
+    table = _graph_contributions(K) if K.dim <= 1 else _subset_contributions(K)
+    return BettiTable({j: b for j, b in sorted(table.items()) if b}, K.ground_size)
 
 
-def zk_sphere_multiset(K: SimplicialComplex, **kwargs) -> SphereMultiset:
+def zk_sphere_multiset(K: SimplicialComplex, *, ceiling: int = 20) -> SphereMultiset:
     """Sphere dimensions of Z_K read off the Betti table.
 
     Only for K flag with a chordal 1-skeleton, where Z_K is a wedge of
@@ -206,7 +197,7 @@ def zk_sphere_multiset(K: SimplicialComplex, **kwargs) -> SphereMultiset:
         raise InvalidParameters(
             "Z_K is certified a wedge of spheres only for a flag complex with a chordal 1-skeleton"
         )
-    table = hochster_zk_betti(K, **kwargs)
+    table = hochster_zk_betti(K, ceiling=ceiling)
     if table.ranks.get(0) != 1:
         raise InvalidParameters("expected a connected moment-angle complex with b_0 = 1")
     counts = {j: b for j, b in table.ranks.items() if j > 0}

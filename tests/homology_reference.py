@@ -5,11 +5,85 @@ subcomplexes built one by one as new SimplicialComplex values. The package
 reads full subcomplexes off bitmask faces instead and never calls these; they
 are kept, unchanged, as the slow references that tests/test_homology.py and
 tests/test_complexes.py check the package against.
+
+bareiss_rank, _mask_boundary_rank and _subset_contributions are the package's
+earlier 2^m kernel, kept verbatim: dense fraction-free (Bareiss) elimination
+and no cone skip. The package kernel is checked against them on sweeps of
+complexes of dimension 2 and up.
 """
 
 from polyloop.complexes import Face, SimplicialComplex
 from polyloop.errors import InvalidParameters
-from polyloop.homology import bareiss_rank
+from polyloop.homology import _adjacency_masks, _components
+
+
+def bareiss_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free elimination."""
+    m = [row[:] for row in rows]
+    if not m or not m[0]:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        for r in range(row + 1, nrows):
+            for c in range(col + 1, ncols):
+                m[r][c] = (m[row][col] * m[r][c] - m[r][col] * m[row][c]) // prev
+            m[r][col] = 0
+        prev = m[row][col]
+        rank += 1
+        row += 1
+        if row == nrows:
+            break
+    return rank
+
+
+def _mask_boundary_rank(faces_k: list[int], faces_km1: list[int]) -> int:
+    """Boundary rank between mask layers; dropping v from f has sign (-1)^#{u in f: u < v}."""
+    index = {g: i for i, g in enumerate(faces_km1)}
+    rows = []
+    for f in faces_k:
+        row = [0] * len(faces_km1)
+        for j, bit in enumerate(1 << v for v in range(f.bit_length()) if f >> v & 1):
+            row[index[f ^ bit]] = -1 if j % 2 else 1
+        rows.append(row)
+    return bareiss_rank(rows)
+
+
+def _subset_contributions(K: SimplicialComplex, masks: range) -> dict[int, int]:
+    """Hochster terms of the subsets I in masks. Faces are bitmasks and those
+    of K_I are the f with f & ~I == 0, so no subcomplex is built. The rank of
+    the boundary from edges to vertices is |V_I| - c(I), exact over Q and Z,
+    so graphs need no matrix; larger faces go through bareiss_rank."""
+    sizes = range(max(K.dim, 0) + 2)  # a vertex layer even for the empty complex
+    layers = [[sum(1 << v for v in f) for f in K.faces_of_size(k)] for k in sizes]
+    adj = _adjacency_masks(K)
+    vertex_mask, face_set, table = sum(layers[1]), set().union(*layers), {}
+    for I in masks:
+        outside, verts = ~I, I & vertex_mask
+        if verts and verts in face_set:
+            continue  # K_I is a simplex, so its reduced homology vanishes
+        inside = [[f for f in layer if not f & outside] for layer in layers[2:]]
+        counts = [1, verts.bit_count()] + [len(layer) for layer in inside]
+        ranks = [0, 1 if verts else 0, counts[1] - _components(verts, adj)]
+        ranks += [_mask_boundary_rank(hi, lo) for lo, hi in zip(inside, inside[1:])] + [0]
+        for k, count in enumerate(counts):
+            b = count - ranks[k] - ranks[k + 1]
+            if b:  # reduced b_{k-1}(K_I) lands in degree (k - 1) + |I| + 1
+                j = k + I.bit_count()
+                table[j] = table.get(j, 0) + b
+    return table
+
+
+def bareiss_kernel_table(K: SimplicialComplex) -> dict[int, int]:
+    """The earlier 2^m kernel's Hochster table of K, zero ranks dropped."""
+    table = _subset_contributions(K, range(1 << K.ground_size))
+    return {j: b for j, b in sorted(table.items()) if b}
 
 
 def _boundary_matrix(faces_k: list[Face], faces_km1: list[Face]) -> list[list[int]]:

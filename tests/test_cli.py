@@ -255,16 +255,10 @@ def test_hochster_subcommand(capsys):
     assert json.loads(out) == {"betti": {"0": 1, "3": 2, "6": 1}, "m": 4}
 
 
-def test_hochster_jobs_do_not_change_output(capsys, monkeypatch):
-    _, out1, _ = _run(capsys, "hochster", "path", "5", "--jobs", "1")
-    _, out2, _ = _run(capsys, "hochster", "path", "5", "--jobs", "2")
-    assert out1 == out2
-    # --jobs 0 asks for every core; a graph starts no pool, so this stays cheap
-    real, jobs = homology.hochster_zk_betti, []
-    monkeypatch.setattr(homology, "hochster_zk_betti",
-                        lambda K, **kw: jobs.append(kw["jobs"]) or real(K, **kw))
-    _, out0, _ = _run(capsys, "hochster", "path", "5", "--jobs", "0")
-    assert out0 == out1 and jobs == [None]
+def test_hochster_jobs_do_not_change_output(capsys):
+    # --jobs is accepted and ignored: the oracle runs in one process
+    outs = {_run(capsys, "hochster", "path", "5", "--jobs", j)[1] for j in ("0", "1", "2")}
+    assert len(outs) == 1
 
 
 def test_hochster_cache(tmp_path, capsys):
@@ -375,11 +369,26 @@ def test_verify_porter_hochster(capsys):
          "54e68a6503d3db6329905e39b5569d6a71961fcaeb13d317b5f9b4b1c96e29b2"),
         (("verify", "porter-hochster", "path", "14", "--jobs", "2"),
          "c36996a199f01d73ac01711b7db5cbf9851ae24c9de9e9848b553c03d275cfbc"),
+        # complexes of dimension 2 reach the 2^m kernel: the cone over C9 and RP^2
+        (("hochster", "file", {"m": 10, "facets": [[i, (i + 1) % 9, 9] for i in range(9)]}),
+         "235489b7339b07961da46381c77e0c924406ba543d213521fd1f4b3f2c8d86c7"),
+        (("hochster", "file", {"m": 6, "facets": [
+            [0, 1, 3], [0, 1, 5], [0, 2, 4], [0, 2, 5], [0, 3, 4],
+            [1, 2, 3], [1, 2, 4], [1, 4, 5], [2, 3, 5], [3, 4, 5]]}),
+         "51dc7e0a671a84d82d98044450848220f4d97d0f9c5a54d0f9d1f8fb65114726"),
     ],
 )
-def test_hochster_stdout_is_pinned(capsys, argv, digest):
+def test_hochster_stdout_is_pinned(capsys, tmp_path, argv, digest):
     # sha256 of stdout as recorded while the oracle summed over all 2^m subsets
-    code, out, _ = _run(capsys, *argv)
+    # with dense Bareiss elimination; a dict is a complex, read from a JSON file
+    complex_file = tmp_path / "complex.json"
+    args = []
+    for a in argv:
+        if isinstance(a, dict):
+            complex_file.write_text(json.dumps(a), encoding="utf-8")
+            a = str(complex_file)
+        args.append(a)
+    code, out, _ = _run(capsys, *args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -2,12 +2,11 @@
 
 import ast
 import math
-import multiprocessing
 import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyloop import homology, series
 from polyloop.complexes import (
@@ -23,12 +22,12 @@ from polyloop.complexes import (
 from polyloop.errors import GhostVertexError, GroundSizeLimitError, InvalidParameters
 from polyloop.homology import (
     BettiTable,
-    bareiss_rank,
     hochster_zk_betti,
+    sparse_rank,
     zk_sphere_multiset,
 )
 
-from homology_reference import full_subcomplex, reduced_betti
+from homology_reference import bareiss_kernel_table, bareiss_rank, full_subcomplex, reduced_betti
 
 st_complex = st.integers(1, 5).flatmap(
     lambda m: st.lists(
@@ -50,6 +49,12 @@ def _cone(K):
 
 BOUNDARY_TETRAHEDRON = from_facets(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
+# a 2-complex whose full subcomplexes make the elimination reduce a row by a
+# pivot other than +-1, which RP^2 and random complexes of this size rarely do
+NON_UNIT_PIVOT = from_facets(8, [(v,) for v in range(8)] + [
+    (0, 1, 4), (0, 1, 7), (0, 2, 6), (0, 2, 7), (0, 4, 6), (1, 4, 5),
+    (1, 5, 7), (2, 4, 5), (2, 4, 7), (2, 5, 6), (2, 6, 7)])
+
 
 def test_bareiss_rank_basics():
     assert bareiss_rank([]) == 0
@@ -64,6 +69,25 @@ def test_bareiss_rank_basics():
 def test_bareiss_rank_rectangular():
     assert bareiss_rank([[1, 0, 1]]) == 1
     assert bareiss_rank([[1], [0], [2]]) == 1
+
+
+st_matrix = st.integers(0, 8).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), max_size=8
+    )
+)
+
+
+@settings(max_examples=300)
+@given(st_matrix)
+@example([[2, 3], [3, 5]])  # no unit pivot: the row is scaled, then divided by its gcd
+@example([[2, 4, 6], [3, 6, 9], [1, 1, 1]])
+def test_sparse_rank_matches_bareiss(rows):
+    """The package's sparse elimination against the reference's dense
+    Bareiss elimination; boundary matrices rarely reach a pivot other than
+    +-1, so random integer matrices exercise that branch."""
+    sparse = [{c: e for c, e in enumerate(row) if e} for row in rows]
+    assert sparse_rank(sparse) == bareiss_rank(rows)
 
 
 def test_reduced_betti_empty_and_point():
@@ -128,12 +152,6 @@ def test_hochster_ground_size_cap():
         hochster_zk_betti(path_graph(5), ceiling=4)
 
 
-def test_hochster_jobs_agree():
-    # the cone has 2^10 subsets, enough to reach the worker pool, and triangles
-    for K in (path_graph(5), _cone(cycle_graph(9))):
-        assert hochster_zk_betti(K, jobs=1).ranks == hochster_zk_betti(K, jobs=2).ranks
-
-
 def test_hochster_relabel_invariance():
     K = cycle_graph(5)
     L = K.relabel((3, 0, 4, 1, 2))
@@ -192,15 +210,66 @@ def _random_complexes(count, seed):
         yield from_facets(m, facets)
 
 
-def test_hochster_kernel_matches_full_subcomplex_reference():
+def _clique_complex(m, edges):
+    """The flag complex whose faces are the cliques of the graph."""
+    nbrs = [set() for _ in range(m)]
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    cliques = [()]
+    for v in range(m):
+        cliques += [c + (v,) for c in cliques if nbrs[v].issuperset(c)]
+    return from_facets(m, cliques[1:])
+
+
+def _random_clique_complexes(count, seed):
+    """Clique complexes of random graphs with m <= 12, of dimension 2 to 4."""
+    rng = random.Random(seed)
+    while count:
+        m, p = rng.randint(4, 12), rng.uniform(0.3, 0.7)
+        K = _clique_complex(m, [(a, b) for b in range(m) for a in range(b) if rng.random() < p])
+        if 2 <= K.dim <= 4:
+            count -= 1
+            yield K
+
+
+def _random_non_flag_complexes(count, seed):
+    """Complexes with m <= 10 spanned by random triangles or tetrahedra."""
+    rng = random.Random(seed)
+    while count:
+        m, size = rng.randint(4, 10), rng.choice((3, 4))
+        facets = [tuple(rng.sample(range(m), size)) for _ in range(rng.randint(1, 2 * m))]
+        K = from_facets(m, [(v,) for v in range(m)] + facets)
+        if not K.is_flag():
+            count -= 1
+            yield K
+
+
+def test_hochster_kernel_matches_full_subcomplex_reference(monkeypatch):
     fixed = [RP2, _cone(cycle_graph(6)), BOUNDARY_TETRAHEDRON, simplex(3), from_facets(0, [])]
     for K in fixed + list(_random_complexes(200, seed=2208)):
         assert hochster_zk_betti(K).ranks == _hochster_reference(K), K.facets()
+    # the 2^m kernel against the earlier one, kept verbatim in homology_reference;
+    # the kernel calls _components once per subset it does not skip
+    visited, scaled = [], []
+    components = homology._components
+    monkeypatch.setattr(homology, "_components", lambda I, adj: visited.append(I) or components(I, adj))
+    monkeypatch.setattr(homology, "gcd", lambda *a: scaled.append(a) or math.gcd(*a))
+    sweep = (list(_random_clique_complexes(30, seed=1604))
+             + [RP2, _cone(RP2), NON_UNIT_PIVOT] + list(_random_non_flag_complexes(30, seed=4061)))
+    assert {K.dim for K in sweep} == {2, 3, 4}
+    cones = 0
+    for K in sweep:
+        visited.clear()
+        assert hochster_zk_betti(K).ranks == bareiss_kernel_table(K), K.facets()
+        # subsets skipped beyond the nonempty faces, which span simplices
+        cones += (1 << K.ground_size) - len(K.faces) - len(visited)
+    assert cones > 0 and scaled  # a cone was skipped and a pivot other than +-1 met
 
 
 def _kernel_table(K):
     """The bitmask kernel over all 2^m subsets: the reference for graphs."""
-    table = homology._subset_contributions(K, range(1 << K.ground_size))
+    table = homology._subset_contributions(K)
     return {j: b for j, b in sorted(table.items()) if b}
 
 
@@ -245,14 +314,15 @@ def test_graph_route_reaches_porter_closed_form_at_path_40():
 
 
 def test_graph_route_starts_no_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a graph must not reach the worker pool")
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a graph must not reach the 2^m kernel")
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    assert hochster_zk_betti(path_graph(9), jobs=2).ranks == _kernel_table(path_graph(9))
-    # a 2-dimensional complex past the pool threshold still reaches it
-    with pytest.raises(AssertionError, match="worker pool"):
-        hochster_zk_betti(_cone(cycle_graph(9)), jobs=2)
+    expected = _kernel_table(path_graph(9))
+    monkeypatch.setattr(homology, "_subset_contributions", no_kernel)
+    assert hochster_zk_betti(path_graph(9)).ranks == expected
+    # a 2-dimensional complex still reaches it
+    with pytest.raises(AssertionError, match="2\\^m kernel"):
+        hochster_zk_betti(_cone(cycle_graph(9)))
 
 
 @pytest.mark.parametrize("module", [homology, series])
@@ -266,4 +336,65 @@ def test_oracles_import_nothing_from_the_symbolic_layer(module):
                 imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name.split(".")[-1] for alias in node.names)
-    assert not imported & {"spacealg", "decomp"}
+    # nor a worker pool: the Hochster sum runs in one process
+    assert not imported & {"spacealg", "decomp", "multiprocessing"}
+
+
+@st.composite
+def st_chordal_clique_complex(draw, max_m=12, max_clique=5):
+    """Clique complex of a chordal graph on m <= 12 vertices. Each new vertex v
+    joins a clique C of earlier vertices (at most max_clique - 1 of them), so
+    the reverse order is a perfect elimination order. Every clique lies in
+    some C + v, and those are the facets."""
+    m = draw(st.integers(1, max_m))
+    cliques, facets = [()], []
+    for v in range(m):
+        base = draw(st.sampled_from([c for c in cliques if len(c) < max_clique]))
+        facets.append(base + (v,))
+        cliques += [c + (v,) for c in cliques if set(c) <= set(base)]
+    return from_facets(m, facets)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _golod_sides(K):
+    """(1+t)^d (1 - sum_j b_j t^(j-1)) and (1+t)^m P(-t), with P and d from the
+    Koszul oracle's numerator and b_j from the Hochster oracle. They agree
+    exactly when 1/H(-t) = (1+t)^m / (1 - sum_j b_j t^(j-1)), as it does for
+    K flag with a chordal 1-skeleton: then Z_K is a wedge of spheres
+    (Grbic, Panov, Theriault and Wu) and loops on DJ_K split as T^m x loops on Z_K."""
+    p, d = series._hilbert_numerator(K)
+    ranks = hochster_zk_betti(K).ranks
+    wedge = [1] + [0] * max(ranks)
+    for j, b in ranks.items():
+        if j:
+            wedge[j - 1] -= b
+    m = K.ground_size
+    lhs = _poly_mul([math.comb(d, i) for i in range(d + 1)], wedge)
+    rhs = _poly_mul([math.comb(m, i) for i in range(m + 1)],
+                    [c if k % 2 == 0 else -c for k, c in enumerate(p)])
+    return lhs, rhs
+
+
+@settings(max_examples=200)
+@given(st_chordal_clique_complex())
+def test_oracles_agree_on_chordal_clique_complexes(K):
+    assert K.is_flag() and K.is_chordal()
+    lhs, rhs = _golod_sides(K)
+    assert lhs == rhs
+
+
+@pytest.mark.parametrize("K", [cycle_graph(4), cycle_graph(5), planar_book(2, 2)])
+def test_oracles_disagree_on_flag_complexes_that_are_not_chordal(K):
+    # Z_K is no wedge of spheres here, so the identity must fail
+    assert K.is_flag() and not K.is_chordal()
+    lhs, rhs = _golod_sides(K)
+    assert lhs != rhs
