@@ -15,6 +15,7 @@ identical bytes) or a plain text rendering with --format text. Exit codes:
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import os
 import sys
@@ -244,11 +245,7 @@ def cmd_verify(args) -> int:
         engine_ms = sphere_multiset_of(decomp.path_fibre_reduce(l, circles=True), max(l + 2, 3))
         checks.append(_check("porter-hochster", "dimension", engine_ms.counts, oracle_ms.counts))
     if args.mode != "porter-hochster":
-        if args.family == "path":
-            # max_dim only sizes the sphere report, which verify does not read
-            eng = decomp.path_decompose(l, n=args.N, max_dim=l + 2).series
-        else:
-            eng = decomp.dj_book_decompose(l, p, n=args.N).series
+        eng = decomp._series_only(l, p, args.N)
         orc = series.koszul_loop_series(K, args.N)
         checks.append(_check("koszul", "degree", dict(enumerate(eng.coeffs)),
                              dict(enumerate(orc.coeffs))))
@@ -385,5 +382,19 @@ def main(argv=None) -> int:
         return next((code for cls, code in codes if isinstance(exc, cls)), 2)
 
 
+def run() -> None:
+    """The process entry point: main, the exit handlers, a flush of stdout
+    and stderr, then os._exit, which skips only module teardown and the
+    final collection. A failed flush is left to the interpreter's shutdown."""
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        raise SystemExit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

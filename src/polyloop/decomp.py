@@ -253,25 +253,36 @@ def _visible_spheres(e: SpaceExpr, max_dim: int, name: str) -> SphereMultiset:
 _PATH_STEPS = ("cone-fibration-splitting", "path-to-points-reduction", "porter-fibre")
 
 
-def _path_factors(l: int, zk: SpaceExpr) -> tuple[tuple[str, SpaceExpr], ...]:
-    return (
+def _factors(l: int, p: int | None = None) -> tuple[SpaceExpr, SpaceExpr | None, tuple]:
+    """The path fibre, the page fibre wedge (None for a path) and the factors
+    of the path with l edges or, given p, of the planar book (l, p)."""
+    if p is not None and (l < 2 or p < 2):
+        raise InvalidParameters("book decomposition needs l >= 2 and p >= 2")
+    zk = path_fibre_reduce(l, circles=True)
+    factors = (
         ("circles", normalize(Prod.of_runs([(Sphere(1), l + 1)]))),
         ("loop-path-fibre", normalize(Loop(zk))),
     )
+    if p is None:
+        return zk, None, factors
+    fw = normalize(Wedge.of_runs([(Susp(endpoint_fibre(l, circles=True)), p)]))
+    return zk, fw, factors + (("loop-page-fibre-wedge", normalize(Loop(fw))),)
 
 
 def path_decompose(l: int, n: int = 16, max_dim: int = 16) -> DecompResult:
     """Loops on the product of infinite projective spaces over a path with l
     edges: l+1 circles times loops on an explicit sphere wedge."""
-    if l < 1:
-        raise InvalidParameters("path length must be at least 1")
+    zk, _, factors = _factors(l)
     if max_dim < 2:
         raise InvalidParameters("sphere ceiling below 2 cannot express anything")
-    zk = path_fibre_reduce(l, circles=True)
     spheres = {"ZPl": _visible_spheres(zk, max_dim, "path fibre")}
-    return _result(
-        "P_l", {"l": l, "N": n, "max_dim": max_dim}, _path_factors(l, zk), _PATH_STEPS, spheres
-    )
+    return _result("P_l", {"l": l, "N": n, "max_dim": max_dim}, factors, _PATH_STEPS, spheres)
+
+
+def _series_only(l: int, p: int | None, n: int) -> TruncSeries | None:
+    """The series of path_decompose(l, n), or given p of dj_book_decompose(l, p, n), without
+    the sphere reports verify never prints; at its ceilings they cannot refuse."""
+    return _result("", {"N": n}, _factors(l, p)[2], ()).series
 
 
 def dj_book_decompose(l: int, p: int, n: int = 16, max_dim: int = 16) -> DecompResult:
@@ -282,13 +293,9 @@ def dj_book_decompose(l: int, p: int, n: int = 16, max_dim: int = 16) -> DecompR
     The series is exact through degree n regardless of max_dim; only the
     sphere report is truncated at max_dim.
     """
-    if l < 2 or p < 2:
-        raise InvalidParameters("book decomposition needs l >= 2 and p >= 2")
+    zk, fw, factors = _factors(l, p)
     if max_dim < 2:
         raise InvalidParameters("sphere ceiling below 2 cannot express anything")
-    zk = path_fibre_reduce(l, circles=True)
-    fibre = endpoint_fibre(l, circles=True)
-    fw = normalize(Wedge.of_runs([(Susp(fibre), p)]))
     spheres = {
         "ZPl": _visible_spheres(zk, max_dim, "path fibre"),
         "fibre": _visible_spheres(fw, max_dim, "page fibre wedge"),
@@ -305,7 +312,7 @@ def dj_book_decompose(l: int, p: int, n: int = 16, max_dim: int = 16) -> DecompR
     return _result(
         "B(l,2l,p)",
         {"l": l, "p": p, "N": n, "max_dim": max_dim},
-        _path_factors(l, zk) + (("loop-page-fibre-wedge", normalize(Loop(fw))),),
+        factors,
         _PATH_STEPS + ("polyhedral-fold-splitting",) + tail + ("book-sphere-decomposition",),
         spheres,
     )

@@ -403,6 +403,16 @@ def test_verify_refuses_before_the_engine_runs(capsys, monkeypatch, mode):
     assert code == 5 and out == "" and "cap" in err
 
 
+def test_verify_builds_no_sphere_report(capsys, monkeypatch):
+    def report_must_not_run(*args):
+        raise AssertionError("verify built a sphere report, which it never prints")
+
+    monkeypatch.setattr(decomp, "_visible_spheres", report_must_not_run)
+    for argv in (("koszul", "path", "6"), ("all", "path", "6"),
+                 ("koszul", "planar-book", "4", "3"), ("koszul", "book", "3", "6", "2")):
+        assert _run(capsys, "verify", *argv)[0] == 0
+
+
 def test_verify_koszul_path_and_book(capsys):
     assert _run(capsys, "verify", "koszul", "path", "3")[0] == 0
     assert _run(capsys, "verify", "koszul", "planar-book", "2", "2")[0] == 0
@@ -587,3 +597,100 @@ def test_package_exports_resolve_to_their_modules():
     assert set(polyloop.__all__) <= set(dir(polyloop))
     with pytest.raises(AttributeError, match="no_such_name"):
         polyloop.no_such_name
+
+
+# --- the process entry point ------------------------------------------------
+
+# `python -m polyloop` ends through cli.run, without interpreter teardown; the
+# reference is main with the interpreter's normal shutdown after it
+_REFERENCE = "import sys, polyloop.cli\nsys.exit(polyloop.cli.main(sys.argv[1:]))\n"
+# an exit handler, then the entry point as `python -m polyloop` reaches it
+_HANDLER = "import atexit, sys\natexit.register(print, 'exit handler', file=sys.stderr)\n"
+_RUN_MODULE = "import runpy\nrunpy.run_module('polyloop', run_name='__main__')\n"
+
+# each argv with the exit code it gives; {dir} is the side's own directory,
+# and the two hochster runs are the cold and the warm lookup of one cache
+_DIFFERENTIAL = [
+    (0, ("build", "points", "1")),
+    (0, ("build", "cycle", "5", "--format", "text")),
+    (0, ("decompose", "planar-book", "3", "2", "--format", "text")),
+    (0, ("decompose", "path", "4", "--out", "{dir}/path.json")),
+    (0, ("verify", "all", "path", "6")),
+    (0, ("verify", "koszul", "planar-book", "3", "2", "--format", "text")),
+    (0, ("hochster", "cycle", "5", "--cache-dir", "{dir}/cache")),
+    (0, ("hochster", "cycle", "5", "--cache-dir", "{dir}/cache", "--format", "text")),
+    (0, ("series", "koszul", "path", "3")),
+    (0, ("series", "hilbert", "simplex", "2", "--format", "text")),
+    (2, ("verify", "porter-hochster", "planar-book", "2", "2")),
+    (3, ("decompose", "path", "5", "--max-dim", "2")),
+    (4, ("series", "koszul", "cycle", "3")),
+    (5, ("verify", "porter-hochster", "path", "21")),
+    (2, ("build", "no-such-family")),
+    (0, ("--help",)),
+]
+
+
+def _both(argvs, env, stdout=subprocess.PIPE, run=("-m", "polyloop"), ref=("-c", _REFERENCE)):
+    """(exit code, stdout, stderr) of the entry point and of the reference,
+    run side by side on their own argv."""
+    procs = [subprocess.Popen([sys.executable, *cmd, *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, env=env)
+             for cmd, argv in zip((run, ref), argvs)]
+    outs = [p.communicate() for p in procs]
+    return [(p.returncode, *out) for p, out in zip(procs, outs)]
+
+
+def _files(root) -> dict:
+    return {str(f.relative_to(root)): f.read_bytes() for f in root.rglob("*") if f.is_file()}
+
+
+def test_entry_point_matches_main_with_normal_shutdown(tmp_path):
+    # stdout buffered, as on a pipe, so output left unflushed would be lost
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": ""}
+    dirs = (tmp_path / "run", tmp_path / "ref")
+    for d in dirs:
+        d.mkdir()
+    for code, argv in _DIFFERENTIAL:
+        argvs = [[a.format(dir=d) for a in argv] for d in dirs]
+        got, want = _both(argvs, env)
+        assert got == want, argv
+        assert want[0] == code, argv
+        assert _files(dirs[0]) == _files(dirs[1]), argv
+    assert {f.split("/")[0] for f in _files(dirs[0])} == {"path.json", "cache"}
+
+
+def test_entry_point_runs_exit_handlers_once_and_skips_teardown():
+    # a global of __main__ whose finalizer speaks only at module teardown
+    teardown = ("class T:\n    def __del__(self):\n        print('teardown', file=sys.stderr)\n"
+                "t = T()\n")
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": ""}
+    argv = ["build", "points", "1"]
+    got, want = _both([argv, argv], env, run=("-c", _HANDLER + teardown + _RUN_MODULE),
+                      ref=("-c", _HANDLER + teardown + _REFERENCE))
+    assert got[:2] == want[:2] == (0, b'{"facets":[[0]],"m":1}\n')
+    assert got[2] == b"exit handler\n"
+    assert want[2] == b"exit handler\nteardown\n"
+
+
+@pytest.mark.parametrize("unbuffered, code", [("1", 2), ("", 120)])
+def test_entry_point_on_a_closed_pipe_fails_as_main_does(unbuffered, code):
+    # unbuffered, main's own write fails; buffered, the flush at exit does,
+    # which the interpreter reports with exit code 120
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        argv = ["build", "points", "1"]
+        got, want = _both([argv, argv], env, stdout=w, run=("-c", _HANDLER + _RUN_MODULE),
+                          ref=("-c", _HANDLER + _REFERENCE))
+    finally:
+        os.close(w)
+    assert got == want
+    assert got[0] == code and got[2].count(b"exit handler") == 1
+    assert b"Broken pipe" in got[2]
+
+
+def test_console_script_is_the_entry_point():
+    pyproject = os.path.join(os.path.dirname(SRC), "pyproject.toml")
+    with open(pyproject, encoding="utf-8") as fh:
+        assert 'polyloop = "polyloop.cli:run"\n' in fh.read()

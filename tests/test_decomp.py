@@ -4,6 +4,7 @@ import pytest
 
 from series_reference import invert
 
+from polyloop import decomp
 from polyloop.complexes import (
     GluingSpec,
     cycle_graph,
@@ -208,6 +209,27 @@ def test_dj_book_validation_and_ceiling():
     with pytest.raises(CeilingExceededError):
         # every page fibre sphere sits above dimension 2 for l = 3
         dj_book_decompose(3, 2, n=8, max_dim=2)
+
+
+def test_series_only_route_equals_the_builders_series():
+    for l in range(1, 13):
+        for n in (8, 24):
+            assert decomp._series_only(l, None, n) == path_decompose(l, n=n, max_dim=l + 2).series
+    for l, p in [(2, 2), (2, 5), (3, 2), (4, 3), (7, 4), (10, 2)]:
+        for n in (8, 24):
+            assert decomp._series_only(l, p, n) == dj_book_decompose(l, p, n=n).series, (l, p)
+    for l, p in [(1, 2), (2, 1)]:
+        with pytest.raises(InvalidParameters):
+            decomp._series_only(l, p, 8)
+
+
+def test_no_sphere_report_refuses_at_the_ceilings_verify_used():
+    # why the series-only route changes no exit code: the path fibre has
+    # spheres from dimension 3 and the page fibre wedge from dimension 2
+    for l in range(2, 15):
+        zk, fw, _ = decomp._factors(l, 2)
+        assert min(sphere_multiset_of(zk, 3).counts) == 3
+        assert min(sphere_multiset_of(fw, 3).counts) == 2
 
 
 def test_book_decompose_symbolic():
