@@ -198,10 +198,12 @@ _TAG = {cls: i for i, cls in enumerate(_KINDS)}
 def sort_key(e: SpaceExpr):
     """Total-order key of the canonical child order, computed once per node.
 
-    Defined on canonical terms. A Wedge, Prod or Smash has one entry per
-    maximal run of equal child keys, (key, 1, -count), or (key, 0, count)
-    for the last: its children are sorted, so a run's count matters to the
-    spelled-out child keys only through whether a larger key follows."""
+    Injective: unequal terms never share a key, so sorting by it alone
+    fixes the order of every child list. An atom keys on its declarations
+    and on whether it has them. A Wedge, Prod or Smash has one entry per
+    run, (key, 1, -count), or (key, 0, count) for the last: on canonical
+    (sorted) children a run's count matters to the spelled-out child keys
+    only through whether a larger key follows."""
     k = e._key
     if k is not None:
         return k
@@ -211,12 +213,12 @@ def sort_key(e: SpaceExpr):
     elif isinstance(e, Sphere):
         k = (t, (e.d,))
     elif isinstance(e, Atom):
-        k = (t, (e.name, e.reduced or (), e.loop_reduced or ()))
+        r, lr = e.reduced, e.loop_reduced
+        k = (t, (e.name, r is not None, r or (), lr is not None, lr or ()))
     elif isinstance(e, (Wedge, Prod, Smash)):
-        keyed = itertools.groupby(((sort_key(a), c) for a, c in e.runs), key=lambda r: r[0])
-        runs = [(ka, sum(c for _, c in g)) for ka, g in keyed]
-        n = len(runs) - 1
-        k = (t, tuple((ka, 0, c) if i == n else (ka, 1, -c) for i, (ka, c) in enumerate(runs)))
+        n = len(e.runs) - 1
+        k = (t, tuple((sort_key(a), 0, c) if i == n else (sort_key(a), 1, -c)
+                      for i, (a, c) in enumerate(e.runs)))
     elif isinstance(e, (Susp, Loop, Cone)):
         k = (t, (sort_key(e.arg),))
     else:
@@ -289,7 +291,8 @@ def _nary(cls, runs) -> SpaceExpr:
     """The canonical Wedge, Prod or Smash of canonical (term, count) runs:
     zero counts drop out, same-class children flatten, Point drops out (or
     absorbs a Smash), sphere smash factors merge, and the runs are sorted
-    stably by sort_key, which spells out to a stable sort of the children."""
+    by sort_key, which is injective, so the result is the same whatever the
+    order of the runs."""
     flat = []
     for a, c in runs:
         if not c:
@@ -315,12 +318,8 @@ def _nary(cls, runs) -> SpaceExpr:
 def _susp(a: SpaceExpr) -> SpaceExpr:
     """The canonical suspension of a canonical term. It distributes over a
     wedge, one new summand per run, and splits a product into the wedge of
-    suspended smashes of its nonempty subsets of factors.
-
-    It walks sub-multisets of the runs, each counted by the subsets giving
-    it, in the order in which itertools.combinations first meets them. Only
-    where unequal summands share a sort key (atoms declaring () and nothing)
-    does the interleaving of the subsets order them: those are spelled out."""
+    suspended smashes of its nonempty subsets of factors: one summand per
+    nonempty sub-multiset of the runs, counted by the subsets giving it."""
     if isinstance(a, Point):
         return POINT
     if isinstance(a, Sphere):
@@ -328,22 +327,13 @@ def _susp(a: SpaceExpr) -> SpaceExpr:
     if isinstance(a, Wedge):
         return _nary(Wedge, [(_susp(x), c) for x, c in a.runs])
     if isinstance(a, Prod):
-        parts = _susp_subsets(*zip(*a.runs))
-        first: dict = {}
-        if any(first.setdefault(sort_key(s), s) != s for s, _ in parts):
-            parts = _susp_subsets(a.args, (1,) * len(a.args))
-        return _nary(Wedge, parts)
+        factors, caps = zip(*a.runs)
+        return _nary(Wedge, [
+            (_susp(_nary(Smash, list(zip(factors, ms)))), math.prod(map(math.comb, caps, ms)))
+            for ms in itertools.product(*(range(c + 1) for c in caps))
+            if any(ms)
+        ])
     return Susp(a)
-
-
-def _susp_subsets(factors, caps) -> list:
-    """(Susp of the smash, count) of each sub-multiset with caps[i] copies
-    of factors[i] at most, in the order of _compositions."""
-    return [
-        (_susp(_nary(Smash, list(zip(factors, ms)))), math.prod(map(math.comb, caps, ms)))
-        for r in range(1, sum(caps) + 1)
-        for ms in _compositions(r, caps)
-    ]
 
 
 def _loop(a: SpaceExpr) -> SpaceExpr:
@@ -647,11 +637,13 @@ def _mobius(n: int) -> int:
     return out
 
 
-def _lyndon_content_count(content: tuple[int, ...]) -> int:
-    """Number of Lyndon words using letter i exactly content[i-1] times.
+def _lyndon_content_count(content: list[int], sizes: list[int]) -> int:
+    """Number of Lyndon words with content[i] letters drawn from the sizes[i]
+    letters of group i.
 
-    Witt's formula: (1/k) sum over e dividing gcd(content) of
-    mobius(e) * multinomial(k/e; content/e), with k the word length."""
+    The generalised Witt formula: (1/k) sum over e dividing gcd(content) of
+    mobius(e) * multinomial(k/e; content/e) * prod sizes[i]^(content[i]/e),
+    with k the word length."""
     k = sum(content)
     g = math.gcd(*content)
     total = 0
@@ -662,25 +654,21 @@ def _lyndon_content_count(content: tuple[int, ...]) -> int:
         if mu == 0:
             continue
         term = math.factorial(k // e)
-        for m in content:
-            term //= math.factorial(m // e)
+        for m, c in zip(content, sizes):
+            term = term // math.factorial(m // e) * c ** (m // e)
         total += mu * term
     return total // k
 
 
-def _compositions(total: int, caps: tuple[int, ...]):
-    """Weak compositions of total with part i at most caps[i], earlier parts
-    largest first. This order makes letter-1-heavy contents come first,
-    matching the lexicographic order of the smallest word with each content,
-    and is the order in which itertools.combinations over spelled-out runs
-    first meets each sub-multiset of size total."""
-    if len(caps) == 1:
-        if total <= caps[0]:
-            yield (total,)
-        return
-    for first in range(min(total, caps[0]), -1, -1):
-        for rest in _compositions(total - first, caps[1:]):
-            yield (first,) + rest
+def _contents(weights: list[int], budget: int, start: int = 0):
+    """Nonempty letter contents of total weight at most budget, as
+    ((i, m_i), ...) with i ascending from start and every m_i >= 1."""
+    for i in range(start, len(weights)):
+        w = weights[i]
+        for m in range(1, budget // w + 1):
+            yield ((i, m),)
+            for rest in _contents(weights, budget - m * w, i + 1):
+                yield ((i, m),) + rest
 
 
 def hilton_milnor(w: SpaceExpr, cutoff: int) -> SpaceExpr:
@@ -692,40 +680,35 @@ def hilton_milnor(w: SpaceExpr, cutoff: int) -> SpaceExpr:
     Words whose sphere dimension would exceed `cutoff` are dropped, so the
     result is series-exact through degree cutoff - 1.
 
-    The factor for a word depends only on its letter content (smash factors
-    commute), so the product is assembled content by content, with Witt's
-    formula giving the number of Lyndon words per content. Each content
-    builds one canonical factor and stores it once, as a run whose count is
-    that number, which keeps the result small even when the word count runs
-    into the millions (as it does for a wedge of several S^2 summands at a
-    generous cutoff): normalize(), series and output walk each run once."""
+    Each run of the wedge is one group of equal letters. The factor for a
+    word depends only on how many letters it takes from each group (smash
+    factors commute, and the letters of a group are equal), so the product
+    is assembled per run content, within the weight budget, with the
+    generalised Witt formula giving the number of Lyndon words per content.
+    Each content builds one canonical factor and stores it once, as a run
+    whose count is that number, so neither the wedge's copies nor the
+    millions of words (as for several S^2 at a generous cutoff) are ever
+    spelled out. The result is canonical."""
     if cutoff < 1:
         raise InvalidParameters("cutoff must be at least 1")
     wn = normalize(w)
     if isinstance(wn, Point):
         return POINT
-    summands = list(wn.args) if isinstance(wn, Wedge) else [wn]
+    runs = wn.runs if isinstance(wn, Wedge) else ((wn, 1),)
     bases = []
-    for s in summands:
+    for s, _ in runs:
         down = desuspend(s)
         if down is None or isinstance(down, Point):
             raise SeriesDomainError(f"wedge summand {format_sexpr(s)} is not a suspension")
         bases.append(down)
     weights = [b.d if isinstance(b, Sphere) else 1 for b in bases]
-    maxlen = (cutoff - 1) // min(weights)
-    factors: list[tuple[SpaceExpr, int]] = []
-    for k in range(1, maxlen + 1):
-        for content in _compositions(k, (k,) * len(bases)):
-            if 1 + sum(m * wt for m, wt in zip(content, weights)) > cutoff:
-                continue
-            count = _lyndon_content_count(content)
-            if count == 0:
-                continue
-            inner = _nary(Smash, list(zip(bases, content)))
+    factors = []
+    for content in _contents(weights, cutoff - 1):
+        count = _lyndon_content_count([m for _, m in content], [runs[i][1] for i, _ in content])
+        if count:
+            inner = _nary(Smash, [(bases[i], m) for i, m in content])
             factors.append((_loop(_susp(inner)), count))
-    if sum(c for _, c in factors) == 1:
-        return factors[0][0]
-    return Prod.of_runs(factors) if factors else POINT
+    return _nary(Prod, factors)
 
 
 # a sphere leaf spelled as format_sexpr spells it is one token, its dimension

@@ -13,9 +13,18 @@ splits loops by summing James smash powers. It calls this module's
 normalize(), whose results equal the package's.
 
 Both are kept here, unchanged, as the differential references that
-tests/test_spacealg.py sweeps the package against. The Lyndon word
-enumeration left the package when hilton_milnor came to count Lyndon words
-by content; tests still use it to check those counts.
+tests/test_spacealg.py sweeps the package against; only the sort key's atom
+rule changed with the package's, so that unequal atoms never share a key.
+The Lyndon word enumeration left the package when hilton_milnor came to
+count Lyndon words by content; tests still use it to check those counts.
+
+hilton_milnor after it is the package's as it was before it counted words
+per run of the wedge: it spells the wedge out, one letter per summand, and
+counts words per content over every summand with Witt's formula and
+_compositions, both kept with it. It builds its factors with the package's
+_nary, _susp and _loop, but normalizes its input with this module's
+rewrite, and it returns a product that is not sorted. Tests compare the
+normalized products.
 
 The s-expression reader at the very end is parse_sexpr as it was before it
 read each sphere leaf as one token and merged runs as it read: a leaf is four
@@ -31,10 +40,11 @@ where round-trip tests still check that it carries the same tree.
 """
 
 import itertools
+import math
 import re
 from collections import Counter
 
-from polyloop.errors import CeilingExceededError, InvalidParameters
+from polyloop.errors import CeilingExceededError, InvalidParameters, SeriesDomainError
 from polyloop.spacealg import (
     POINT,
     _NAME_OF,
@@ -52,6 +62,10 @@ from polyloop.spacealg import (
     Sphere,
     Susp,
     Wedge,
+    _loop,
+    _mobius,
+    _nary,
+    _susp,
     desuspend,
 )
 from polyloop.spheres import SphereMultiset
@@ -64,7 +78,8 @@ def sort_key(e: SpaceExpr):
     if isinstance(e, Sphere):
         return (t, (e.d,))
     if isinstance(e, Atom):
-        return (t, (e.name, e.reduced or (), e.loop_reduced or ()))
+        r, lr = e.reduced, e.loop_reduced
+        return (t, (e.name, r is not None, r or (), lr is not None, lr or ()))
     if isinstance(e, (Wedge, Prod, Smash)):
         return (t, tuple(sort_key(a) for a in e.args))
     if isinstance(e, (Susp, Loop, Cone)):
@@ -336,6 +351,87 @@ def lyndon_words(n: int, maxlen: int) -> list[tuple[int, ...]]:
         if w:
             w[-1] += 1
     return sorted(words, key=lambda t: (len(t), t))
+
+
+def _lyndon_content_count(content: tuple[int, ...]) -> int:
+    """Number of Lyndon words using letter i exactly content[i-1] times.
+
+    Witt's formula: (1/k) sum over e dividing gcd(content) of
+    mobius(e) * multinomial(k/e; content/e), with k the word length."""
+    k = sum(content)
+    g = math.gcd(*content)
+    total = 0
+    for e in range(1, g + 1):
+        if g % e:
+            continue
+        mu = _mobius(e)
+        if mu == 0:
+            continue
+        term = math.factorial(k // e)
+        for m in content:
+            term //= math.factorial(m // e)
+        total += mu * term
+    return total // k
+
+
+def _compositions(total: int, caps: tuple[int, ...]):
+    """Weak compositions of total with part i at most caps[i], earlier parts
+    largest first. This order makes letter-1-heavy contents come first,
+    matching the lexicographic order of the smallest word with each content,
+    and is the order in which itertools.combinations over spelled-out runs
+    first meets each sub-multiset of size total."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    for first in range(min(total, caps[0]), -1, -1):
+        for rest in _compositions(total - first, caps[1:]):
+            yield (first,) + rest
+
+
+def hilton_milnor(w: SpaceExpr, cutoff: int) -> SpaceExpr:
+    """Loop space of a finite wedge of suspensions as a weak product of loops
+    on suspended smashes indexed by Lyndon words.
+
+    Sphere letters weigh their dimension minus one (so a word maps to a
+    sphere of dimension 1 + total weight); other suspension letters weigh 1.
+    Words whose sphere dimension would exceed `cutoff` are dropped, so the
+    result is series-exact through degree cutoff - 1.
+
+    The factor for a word depends only on its letter content (smash factors
+    commute), so the product is assembled content by content, with Witt's
+    formula giving the number of Lyndon words per content. Each content
+    builds one canonical factor and stores it once, as a run whose count is
+    that number, which keeps the result small even when the word count runs
+    into the millions (as it does for a wedge of several S^2 summands at a
+    generous cutoff): normalize(), series and output walk each run once."""
+    if cutoff < 1:
+        raise InvalidParameters("cutoff must be at least 1")
+    wn = normalize(w)
+    if isinstance(wn, Point):
+        return POINT
+    summands = list(wn.args) if isinstance(wn, Wedge) else [wn]
+    bases = []
+    for s in summands:
+        down = desuspend(s)
+        if down is None or isinstance(down, Point):
+            raise SeriesDomainError(f"wedge summand {format_sexpr(s)} is not a suspension")
+        bases.append(down)
+    weights = [b.d if isinstance(b, Sphere) else 1 for b in bases]
+    maxlen = (cutoff - 1) // min(weights)
+    factors: list[tuple[SpaceExpr, int]] = []
+    for k in range(1, maxlen + 1):
+        for content in _compositions(k, (k,) * len(bases)):
+            if 1 + sum(m * wt for m, wt in zip(content, weights)) > cutoff:
+                continue
+            count = _lyndon_content_count(content)
+            if count == 0:
+                continue
+            inner = _nary(Smash, list(zip(bases, content)))
+            factors.append((_loop(_susp(inner)), count))
+    if sum(c for _, c in factors) == 1:
+        return factors[0][0]
+    return Prod.of_runs(factors) if factors else POINT
 
 
 # a lone '"', the one non-space character the rest skip, is a token to reject

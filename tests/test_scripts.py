@@ -116,3 +116,48 @@ def test_child_cpu_runs_api_jobs_through_the_benchmark_child(tmp_path, monkeypat
         [sys.executable, child, "api", "readback", str(text), "5"],
         [sys.executable, "-m", "polyloop", "build", "points", "1"],
     ]
+
+
+_STUB_RUN = '''import json, os, sys
+import helper
+prefix = os.environ.get("PYTHONPYCACHEPREFIX")
+mine = [os.path.join(r, f) for r, _, fs in os.walk(prefix or "") for f in fs
+        if os.path.abspath(os.getcwd()) in r]
+print(json.dumps({"tree": os.path.basename(os.getcwd()), "argv": sys.argv[1:],
+                  "helper": helper.SOURCE, "prefix": prefix, "tree_bytecode": mine,
+                  "no_write": os.environ.get("PYTHONDONTWRITEBYTECODE")}))
+'''
+
+
+def _stub_tree(root, name):
+    # perfbench/helper.py whose cached bytecode, trusted unchecked, is stale
+    import py_compile
+
+    bench = root / name / "perfbench"
+    bench.mkdir(parents=True)
+    (bench / "run.py").write_text(_STUB_RUN, encoding="utf-8")
+    helper = bench / "helper.py"
+    helper.write_text('SOURCE = "stale"\n', encoding="utf-8")
+    py_compile.compile(str(helper), cfile=importlib.util.cache_from_source(str(helper)),
+                       invalidation_mode=py_compile.PycInvalidationMode.UNCHECKED_HASH)
+    helper.write_text('SOURCE = "fresh"\n', encoding="utf-8")
+    return root / name
+
+
+def test_bench_pairs_reads_no_bytecode_cached_in_a_tree(tmp_path):
+    import json
+
+    parent, change = _stub_tree(tmp_path, "parent"), _stub_tree(tmp_path, "change")
+    proc = subprocess.run(["sh", str(SCRIPTS / "bench_pairs.sh"), str(parent), str(change),
+                           "symbolic", "3", "0", "11", "12"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["tree"] for r in runs] == ["parent", "change", "change", "parent"]
+    assert [r["argv"][-1] for r in runs] == ["0", "0", "0", "0"]
+    assert [r["argv"][3] for r in runs] == ["11", "11", "12", "12"]
+    for r in runs:
+        # the source is read, not the tree's stale bytecode, and nothing is written
+        assert r["helper"] == "fresh" and r["no_write"] == "1" and r["tree_bytecode"] == []
+    prefixes = [r["prefix"] for r in runs]
+    assert len(set(prefixes)) == 4 and not any(os.path.exists(p) for p in prefixes)

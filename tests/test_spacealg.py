@@ -1,6 +1,7 @@
 """The space expression algebra: rewriting, certificates, series, splittings."""
 
 import copy
+import itertools
 import json
 import math
 import pickle
@@ -22,7 +23,7 @@ from polyloop.errors import (
 from polyloop import spacealg
 from polyloop.complexes import path_graph
 from polyloop.decomp import porter_wedge
-from polyloop.series import TruncSeries
+from polyloop.series import TruncSeries, koszul_loop_series
 from polyloop.spacealg import (
     INF,
     POINT,
@@ -120,7 +121,7 @@ def _raw_shapes(sub):
 st_term = _terms(st.one_of(st_sphere, st.just(POINT)))
 
 # Atoms with declared homology, including an empty declaration next to none:
-# the two share a sort key but are different nodes.
+# the two differ only in whether a declaration is there, and so do their keys.
 st_atom = st.sampled_from(
     [
         atom("A", reduced={1: 1}),
@@ -267,7 +268,7 @@ def test_normalize_shares_repeated_subterms():
 
 
 def test_normalize_keeps_stable_order_of_equal_keys():
-    # atom("A", reduced={}) and atom("A") share a sort key but differ
+    # atom("A", reduced={}) and atom("A") differ only in an empty declaration
     a0, a1, s = atom("A", reduced={}), atom("A"), S2
     for args in [(a0, a1, a0), (a1, s, a0, a1, a1), (a0, a0, a1), (s, s, a1, a0)]:
         for cls in (Wedge, Prod):
@@ -275,7 +276,7 @@ def test_normalize_keeps_stable_order_of_equal_keys():
             assert normalize(Susp(cls(args))) == ref.normalize(Susp(cls(args)))
 
 
-A, A0 = atom("A"), atom("A", reduced={})  # one sort key, two nodes
+A, A0 = atom("A"), atom("A", reduced={})  # no declaration, and an empty one
 
 
 @settings(max_examples=300)
@@ -297,7 +298,25 @@ def test_sort_key_orders_as_the_spelled_out_key(a, b):
 def test_sort_key_has_one_entry_per_run_of_equal_keys():
     assert len(sort_key(porter_wedge(20))[1]) == 19
     _, runs = sort_key(normalize(Wedge((A, A0, A, S2))))
-    assert runs == ((sort_key(S2), 1, -1), (sort_key(A), 0, 3))
+    assert runs == ((sort_key(S2), 1, -1), (sort_key(A), 1, -2), (sort_key(A0), 0, 1))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([Wedge, Prod, Smash]), st.lists(st_term_atoms, min_size=2, max_size=3))
+@example(Wedge, [A, A0])
+@example(Prod, [A0, S2, A, A0])
+@example(Smash, [Susp(A), Susp(A0), S2])
+def test_normalize_does_not_depend_on_the_order_of_children(cls, children):
+    # unequal canonical terms never share a sort key, so no input order shows
+    want = normalize(cls(tuple(children)))
+    for perm in itertools.permutations(children):
+        assert normalize(cls(perm)) == want
+
+
+def test_sort_key_is_injective_on_atoms():
+    atoms = [A, A0, atom("A", loop_reduced={}), atom("A", reduced={}, loop_reduced={}),
+             atom("A", reduced={1: 1}), atom("B")]
+    assert len({sort_key(a) for a in atoms}) == len(atoms)
 
 
 def test_caches_stay_out_of_value_semantics():
@@ -935,3 +954,64 @@ def test_hilton_milnor_large_alphabet_is_fast():
     s = poincare_series(got, 16)
     assert time.monotonic() - t0 < 5.0
     assert s == invert(TruncSeries.of([1, -3], 16))
+
+
+def test_lyndon_content_count_with_one_letter_per_group_is_witts():
+    for n in range(1, 5):
+        for content in itertools.product(range(5), repeat=n):
+            if any(content):
+                want = ref._lyndon_content_count(content)
+                assert spacealg._lyndon_content_count(content, (1,) * n) == want
+
+
+def test_lyndon_content_count_counts_words_per_group():
+    # the letters 1..5 fall into groups of 2, 1 and 2; count listed words per group content
+    sizes = (2, 1, 2)
+    group = [g for g, c in enumerate(sizes) for _ in range(c)]
+    counts = Counter()
+    for word in lyndon_words(sum(sizes), 6):
+        content = [0] * len(sizes)
+        for letter in word:
+            content[group[letter - 1]] += 1
+        counts[tuple(content)] += 1
+    for content in itertools.product(range(7), repeat=len(sizes)):
+        if 0 < sum(content) <= 6:
+            assert spacealg._lyndon_content_count(content, sizes) == counts[content]
+
+
+st_hm_summand = st.sampled_from(
+    [S2, S3, Sphere(4), Susp(atom("X")), Susp(A), Susp(A0), Susp(Smash((atom("X"), S2)))]
+)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st_hm_summand, st.integers(1, 3)), min_size=1, max_size=3),
+       st.integers(1, 7))
+@example([(S2, 3)], 8)
+@example([(S2, 2), (S3, 1)], 9)
+@example([(S3, 1), (S2, 2), (Susp(atom("X")), 1)], 6)
+@example([(Susp(A), 2), (Susp(A0), 2)], 5)
+def test_hilton_milnor_by_run_matches_the_reference_by_summand(runs, cutoff):
+    w = Wedge.of_runs(runs)
+    got = hilton_milnor(w, cutoff)
+    assert normalize(got) is got
+    assert got == normalize(ref.hilton_milnor(w, cutoff))
+
+
+@pytest.mark.parametrize("l, c", [(3, 10), (5, 10), (8, 12), (20, 14), (40, 14)])
+def test_hilton_milnor_of_the_porter_wedge_gives_the_path_loop_series(l, c):
+    # a third route to the path splitting: Omega DJ_K = T^(l+1) x Omega Z_K, Z_K is
+    # Porter's wedge, and Hilton-Milnor is series-exact through degree c - 1
+    fibre = poincare_series(hilton_milnor(porter_wedge(l), c), c - 1)
+    torus = TruncSeries.of([math.comb(l + 1, j) for j in range(c)], c - 1)
+    assert mul(fibre, torus) == koszul_loop_series(path_graph(l), c - 1)
+
+
+def test_repeated_summands_cost_per_run():
+    import time
+
+    t0 = time.monotonic()
+    hilton_milnor(porter_wedge(5), 10)
+    normalize(Susp(Prod((A,) * 10 + (A0,) * 10)))
+    # 6.7 s and about a minute when either was walked copy by copy
+    assert time.monotonic() - t0 < 1.0
