@@ -20,7 +20,8 @@ from .records import record
 
 
 def _mul(a: list[int], b: list[int], n: int) -> list[int]:
-    out = [0] * (n + 1)
+    """a * b through degree n, min(n, len(a) + len(b) - 2) + 1 coefficients."""
+    out = [0] * (min(n, len(a) + len(b) - 2) + 1)
     for i, ai in enumerate(a[: n + 1]):
         if ai == 0:
             continue
@@ -44,7 +45,7 @@ def _invert(a: list[int], n: int) -> list[int]:
 
 def _pow(base: list[int], k: int, n: int) -> list[int]:
     """base**k through degree n by binary exponentiation."""
-    out = [1] + [0] * n
+    out = [1]
     while k:
         if k & 1:
             out = _mul(out, base, n)

@@ -25,12 +25,12 @@ desuspension of W), valid when A(W) >= 2.
 
 Poincare series are computed exactly and structurally: a Loop factor inverts
 1 - red(W)(t)/t, with the inner reduced series computed at one extra degree of
-precision per nesting level. Sphere reports are read off the series, after
+precision per nesting level. A series stops at its last nonzero coefficient
+and says whether it is whole, zero above the order asked, so a polynomial
+costs its degree. Sphere reports are read off the series, after
 certification: a term that A certifies has free homology, so its sphere counts
-are the coefficients of its reduced Poincare polynomial. A structural top
-dimension (inf through a loop) says whether the ceiling cut spheres off and
-bounds the series order. The James splitting is the sphere report of
-Susp(Loop(Susp(x))).
+are its reduced series' coefficients, cut off by the ceiling unless whole.
+The James splitting is the sphere report of Susp(Loop(Susp(x))).
 
 Wedge, Prod and Smash store their children as runs: maximal (child, count)
 pairs of consecutive equal children, in order. The decompositions are wedges
@@ -475,62 +475,75 @@ def susp_wedge_min_dim(e: SpaceExpr):
     return None
 
 
-def _poly_of(pairs: tuple[tuple[int, int], ...], n: int) -> list[int]:
-    out = [0] * (n + 1)
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _add(a: list[int], b: list[int], c: int = 1) -> list[int]:
+    return _trim([x + c * y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _times(factors, n: int) -> tuple[list[int], bool]:
+    """The product through degree n of (coeffs, whole, count) factors, and
+    whether it is whole: all factors are and sum count * degree <= n, or one
+    is wholly zero. One whole factor gives its truncation at n."""
+    out, whole, top, zero = [1], True, 0, False
+    for r, w, c in factors:
+        out = _mul(out, _pow(r, c, n), n)
+        whole, top, zero = whole and w, top + c * (len(r) - 1), zero or (w and not r)
+    return _trim(out), zero or (whole and top <= n)
+
+
+def _poly_of(pairs: tuple[tuple[int, int], ...]) -> list[int]:
+    out = [0] * (pairs[-1][0] + 1 if pairs else 0)
     for d, c in pairs:
-        if d <= n:
-            out[d] += c
-    return out
+        out[d] += c
+    return _trim(out)
 
 
-def _red(e: SpaceExpr, n: int) -> list[int]:
-    """Reduced Poincare polynomial of e through degree n, exact."""
+def _red(e: SpaceExpr, n: int) -> tuple[list[int], bool]:
+    """Reduced Poincare series of e through degree n, exact and without
+    trailing zeros, and whether it is whole: zero above degree n."""
     if isinstance(e, (Point, Cone)):
-        return [0] * (n + 1)
+        return [], True
     if isinstance(e, Sphere):
-        return [0] * (n + 1) if e.d > n else [0] * e.d + [1] + [0] * (n - e.d)
+        return ([], False) if e.d > n else ([0] * e.d + [1], True)
     if isinstance(e, Atom):
         if e.reduced is None:
             raise SeriesDomainError(f"atom '{e.name}' has no declared homology")
-        return _poly_of(e.reduced, n)
+        return _times([(_poly_of(e.reduced), True, 1)], n)
     if isinstance(e, Wedge):
-        out = [0] * (n + 1)
+        out, whole = [], True
         for a, c in _tally(e.runs):
-            out = [x + c * y for x, y in zip(out, _red(a, n))]
-        return out
+            r, w = _red(a, n)
+            out, whole = _add(out, r, c), whole and w
+        return out, whole
     if isinstance(e, Prod):
-        out = [1] + [0] * n
-        for a, c in _tally(e.runs):
-            r = _red(a, n)
-            r[0] += 1
-            out = _mul(out, _pow(r, c, n), n)
-        out[0] -= 1
-        return out
+        parts = [(_red(a, n), c) for a, c in _tally(e.runs)]
+        out, whole = _times([(_add([1], r), w, c) for (r, w), c in parts], n)
+        return _add(out, [-1]), whole
     if isinstance(e, Smash):
-        out = None
-        for a, c in _tally(e.runs):
-            r = _pow(_red(a, n), c, n)
-            out = r if out is None else _mul(out, r, n)
-        return out if out is not None else [0] * (n + 1)
+        return _times([(*_red(a, n), c) for a, c in _tally(e.runs)], n) if e.runs else ([], True)
     if isinstance(e, Susp):
-        return [0] + _red(e.arg, n)[:n]
+        return _times([([0, 1], True, 1), (*_red(e.arg, n), 1)], n)
     if isinstance(e, Join):
-        return [0] + _mul(_red(e.left, n), _red(e.right, n), n)[:n]
+        return _red(Susp(Smash((e.left, e.right))), n)
     if isinstance(e, HalfSmash):
         certs = (wedge_of_spheres_min_dim, susp_wedge_min_dim, desuspend)
         if all(f(e.left) is None for f in certs):
             raise SeriesDomainError("half-smash series needs a suspension on the left")
-        ra, rb = _red(e.left, n), _red(e.right, n)
-        rb[0] += 1
-        return _mul(ra, rb, n)
+        (ra, wa), (rb, wb) = _red(e.left, n), _red(e.right, n)
+        return _times([(ra, wa, 1), (_add([1], rb), wb, 1)], n)
     if isinstance(e, Loop):
         w = e.arg
         if isinstance(w, Point):
-            return [0] * (n + 1)
+            return [], True
         if isinstance(w, Prod):
             return _red(Prod.of_runs((Loop(f), c) for f, c in w.runs), n)
         if isinstance(w, Atom) and w.loop_reduced is not None:
-            return _poly_of(w.loop_reduced, n)
+            return _times([(_poly_of(w.loop_reduced), True, 1)], n)
         a = wedge_of_spheres_min_dim(w)
         if a is None or a < 2:
             raise SeriesDomainError(
@@ -538,14 +551,12 @@ def _red(e: SpaceExpr, n: int) -> list[int]:
                 "(or a product of such loops, or an atom with declared loop homology)"
             )
         if a == INF:
-            return [0] * (n + 1)
-        rw = _red(w, n + 1)
-        if rw[0] != 0 or rw[1] != 0:
+            return [], True
+        rw, _ = _red(w, n + 1)
+        if any(rw[:2]):
             raise SeriesDomainError("certified loop target has unexpected low-degree homology")
-        den = [1] + [-rw[k + 1] for k in range(1, n + 1)]
-        full = _invert(den, n)
-        full[0] -= 1
-        return full
+        full = _invert([1] + [-c for c in rw[2:]], n)
+        return _add(full, [-1]), False  # W is not contractible: never a polynomial
     raise SeriesDomainError(f"no series rule for {type(e).__name__}")
 
 
@@ -555,52 +566,23 @@ def poincare_series(e: SpaceExpr, n: int) -> TruncSeries:
     Works on the raw expression: every series rule in _red is defined on
     unnormalized terms, so normalize() never changes the answer (a fact the
     test suite checks rather than assumes), and skipping it keeps very large
-    products cheap."""
+    products cheap. TruncSeries.of pads the trimmed coefficients to order n."""
     if n < 0:
         raise InvalidParameters("truncation order must be nonnegative")
-    red = _red(e, n)
-    if red[0] != 0:
+    red, _ = _red(e, n)
+    if red and red[0]:
         raise SeriesDomainError("expression has reduced homology in degree 0")
-    return TruncSeries(n, tuple([1] + red[1:]))
-
-
-def _top_dim(e: SpaceExpr):
-    """Top degree of reduced homology, read off the structure: 0 for a
-    contractible term, inf through a loop on a noncontractible one. Exact on
-    terms that wedge_of_spheres_min_dim certifies, whose homology is free."""
-    if isinstance(e, (Point, Cone)):
-        return 0
-    if isinstance(e, Sphere):
-        return e.d
-    if isinstance(e, (Wedge, Prod, Smash)):
-        tops = [(_top_dim(a), c) for a, c in e.runs]
-        if isinstance(e, Wedge):
-            return max((t for t, _ in tops), default=0)
-        if isinstance(e, Smash) and any(t == 0 for t, _ in tops):
-            return 0
-        return sum(t * c for t, c in tops)
-    if isinstance(e, Susp):
-        t = _top_dim(e.arg)
-        return t + 1 if t else 0
-    if isinstance(e, Join):
-        return _top_dim(Susp(Smash((e.left, e.right))))
-    if isinstance(e, HalfSmash):
-        t = _top_dim(e.left)
-        return t + _top_dim(e.right) if t else 0
-    if isinstance(e, Loop):
-        return INF if _top_dim(e.arg) else 0
-    return INF
+    return TruncSeries.of([1] + red[1:], n)
 
 
 def _sphere_counts(e: SpaceExpr, max_dim: int) -> tuple[dict[int, int], bool]:
     """Sphere counts through max_dim of a certified wedge of spheres, read off
-    its reduced Poincare polynomial, and whether the ceiling cut any off."""
+    its reduced Poincare series, and whether the ceiling cut any off (the
+    series is not whole through max_dim). A huge ceiling costs nothing."""
     if wedge_of_spheres_min_dim(e) is None:
         raise CeilingExceededError(f"{type(e).__name__} term not certified a wedge of spheres")
-    top = _top_dim(e)
-    # the series is dense in degree: never compute it past the top sphere
-    red = _red(e, min(top, max_dim))
-    return {d: c for d, c in enumerate(red) if c}, top > max_dim
+    red, whole = _red(e, max_dim)
+    return {d: c for d, c in enumerate(red) if c}, not whole
 
 
 def sphere_multiset_of(e: SpaceExpr, max_dim: int) -> SphereMultiset:

@@ -1,12 +1,12 @@
-"""Test-only reference for the rewrite and the sphere reports in
-polyloop.spacealg.
+"""Test-only reference for the rewrite, the sphere reports and the series
+walk in polyloop.spacealg.
 
 The rewrite pass, fixpoint loop, sort key and s-expression emitter are kept
 as they were before normalize() learned to share work: every pass rewrites
 every copy of a repeated subterm, re-derives every sort key and compares the
 whole tree for equality.
 
-The sphere engine at the end is the sparse one that sphere_multiset_of and
+The sphere engine after the rewrite is the sparse one that sphere_multiset_of and
 james_split used before they read their counts off the Poincare series: it
 expands a term into sphere counts by convolving dimension dictionaries and
 splits loops by summing James smash powers. It calls this module's
@@ -26,7 +26,7 @@ _nary, _susp and _loop, but normalizes its input with this module's
 rewrite, and it returns a product that is not sorted. Tests compare the
 normalized products.
 
-The s-expression reader at the very end is parse_sexpr as it was before it
+The s-expression reader after hilton_milnor is parse_sexpr as it was before it
 read each sphere leaf as one token and merged runs as it read: a leaf is four
 tokens, one recursive call and one _build (the package's, as it was, kept
 after it), and a Wedge, Prod or Smash is built from the spelled-out list of
@@ -37,6 +37,15 @@ to_json_obj and from_json_obj are the JSON mirror {"op": ..., "args": [...]}
 of an expression tree that the package carried next to its s-expressions.
 The command line only ever wrote s-expressions, so the mirror moved here,
 where round-trip tests still check that it carries the same tree.
+
+_red, _poly_of and _top_dim at the end are the series walk as it was before
+_red came to say itself whether its coefficients are the whole series: _red
+pads every list to length n + 1 (its Wedge rule zips them), and _top_dim is
+the second, structural walk that read the top degree of the series off the
+terms for the sphere reports. _mul and _pow before them are the padded
+products of polyloop.series they were written against, kept with them.
+Tests check that the package's _red gives the same coefficients, the same
+refusals, and a wholeness flag that agrees with _top_dim.
 """
 
 import itertools
@@ -45,7 +54,9 @@ import re
 from collections import Counter
 
 from polyloop.errors import CeilingExceededError, InvalidParameters, SeriesDomainError
+from polyloop.series import _invert
 from polyloop.spacealg import (
+    INF,
     POINT,
     _NAME_OF,
     _NODE_NAMES,
@@ -66,7 +77,10 @@ from polyloop.spacealg import (
     _mobius,
     _nary,
     _susp,
+    _tally,
     desuspend,
+    susp_wedge_min_dim,
+    wedge_of_spheres_min_dim,
 )
 from polyloop.spheres import SphereMultiset
 
@@ -536,3 +550,127 @@ def from_json_obj(obj: dict) -> SpaceExpr:
     if head not in _NODE_NAMES:
         raise InvalidParameters(f"unknown constructor {head!r}")
     return _build(head, parsed)
+
+
+def _mul(a: list[int], b: list[int], n: int) -> list[int]:
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a[: n + 1]):
+        if ai == 0:
+            continue
+        for j in range(min(len(b), n + 1 - i)):
+            out[i + j] += ai * b[j]
+    return out
+
+
+def _pow(base: list[int], k: int, n: int) -> list[int]:
+    """base**k through degree n by binary exponentiation."""
+    out = [1] + [0] * n
+    while k:
+        if k & 1:
+            out = _mul(out, base, n)
+        k >>= 1
+        if k:
+            base = _mul(base, base, n)
+    return out
+
+
+def _poly_of(pairs: tuple[tuple[int, int], ...], n: int) -> list[int]:
+    out = [0] * (n + 1)
+    for d, c in pairs:
+        if d <= n:
+            out[d] += c
+    return out
+
+
+def _red(e: SpaceExpr, n: int) -> list[int]:
+    """Reduced Poincare polynomial of e through degree n, exact."""
+    if isinstance(e, (Point, Cone)):
+        return [0] * (n + 1)
+    if isinstance(e, Sphere):
+        return [0] * (n + 1) if e.d > n else [0] * e.d + [1] + [0] * (n - e.d)
+    if isinstance(e, Atom):
+        if e.reduced is None:
+            raise SeriesDomainError(f"atom '{e.name}' has no declared homology")
+        return _poly_of(e.reduced, n)
+    if isinstance(e, Wedge):
+        out = [0] * (n + 1)
+        for a, c in _tally(e.runs):
+            out = [x + c * y for x, y in zip(out, _red(a, n))]
+        return out
+    if isinstance(e, Prod):
+        out = [1] + [0] * n
+        for a, c in _tally(e.runs):
+            r = _red(a, n)
+            r[0] += 1
+            out = _mul(out, _pow(r, c, n), n)
+        out[0] -= 1
+        return out
+    if isinstance(e, Smash):
+        out = None
+        for a, c in _tally(e.runs):
+            r = _pow(_red(a, n), c, n)
+            out = r if out is None else _mul(out, r, n)
+        return out if out is not None else [0] * (n + 1)
+    if isinstance(e, Susp):
+        return [0] + _red(e.arg, n)[:n]
+    if isinstance(e, Join):
+        return [0] + _mul(_red(e.left, n), _red(e.right, n), n)[:n]
+    if isinstance(e, HalfSmash):
+        certs = (wedge_of_spheres_min_dim, susp_wedge_min_dim, desuspend)
+        if all(f(e.left) is None for f in certs):
+            raise SeriesDomainError("half-smash series needs a suspension on the left")
+        ra, rb = _red(e.left, n), _red(e.right, n)
+        rb[0] += 1
+        return _mul(ra, rb, n)
+    if isinstance(e, Loop):
+        w = e.arg
+        if isinstance(w, Point):
+            return [0] * (n + 1)
+        if isinstance(w, Prod):
+            return _red(Prod.of_runs((Loop(f), c) for f, c in w.runs), n)
+        if isinstance(w, Atom) and w.loop_reduced is not None:
+            return _poly_of(w.loop_reduced, n)
+        a = wedge_of_spheres_min_dim(w)
+        if a is None or a < 2:
+            raise SeriesDomainError(
+                "loop series requires a simply connected wedge of spheres "
+                "(or a product of such loops, or an atom with declared loop homology)"
+            )
+        if a == INF:
+            return [0] * (n + 1)
+        rw = _red(w, n + 1)
+        if rw[0] != 0 or rw[1] != 0:
+            raise SeriesDomainError("certified loop target has unexpected low-degree homology")
+        den = [1] + [-rw[k + 1] for k in range(1, n + 1)]
+        full = _invert(den, n)
+        full[0] -= 1
+        return full
+    raise SeriesDomainError(f"no series rule for {type(e).__name__}")
+
+
+def _top_dim(e: SpaceExpr):
+    """Top degree of reduced homology, read off the structure: 0 for a
+    contractible term, inf through a loop on a noncontractible one. Exact on
+    terms that wedge_of_spheres_min_dim certifies, whose homology is free."""
+    if isinstance(e, (Point, Cone)):
+        return 0
+    if isinstance(e, Sphere):
+        return e.d
+    if isinstance(e, (Wedge, Prod, Smash)):
+        tops = [(_top_dim(a), c) for a, c in e.runs]
+        if isinstance(e, Wedge):
+            return max((t for t, _ in tops), default=0)
+        if isinstance(e, Smash) and any(t == 0 for t, _ in tops):
+            return 0
+        return sum(t * c for t, c in tops)
+    if isinstance(e, Susp):
+        t = _top_dim(e.arg)
+        return t + 1 if t else 0
+    if isinstance(e, Join):
+        return _top_dim(Susp(Smash((e.left, e.right))))
+    if isinstance(e, HalfSmash):
+        t = _top_dim(e.left)
+        return t + _top_dim(e.right) if t else 0
+    if isinstance(e, Loop):
+        return INF if _top_dim(e.arg) else 0
+    return INF

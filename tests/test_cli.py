@@ -393,10 +393,12 @@ def test_hochster_stdout_is_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("mode", ["porter-hochster", "all"])
+@pytest.mark.parametrize("mode", ["porter-hochster", "all", "koszul --N 1024"])
 def test_verify_passes_on_paths_above_twenty_vertices(capsys, mode):
-    # a path takes the oracle's graph route, so the enumeration cap does not apply
-    code, out, _ = _run(capsys, "verify", mode, "path", "40")
+    # a path takes the oracle's graph route, so the enumeration cap does not
+    # apply; at a large order the engine's series of the path agrees too
+    mode, *opts = mode.split()
+    code, out, _ = _run(capsys, "verify", mode, "path", "40", *opts)
     assert code == 0 and json.loads(out)["status"] == "pass"
 
 

@@ -42,6 +42,9 @@ def test_reproduce_results_passes_outside_the_repo(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines and not any(line.startswith("FAIL") for line in lines)
     assert any(line.startswith("ok   porter-hochster") for line in lines)
+    # the default sweep includes a path above the old enumeration cap of 20
+    assert [line.split()[:4] for line in lines if "l=40" in line] == [
+        ["ok", "porter-hochster", "path", "l=40"], ["ok", "koszul", "path", "l=40"]]
 
 
 def test_reproduce_results_low_series_order(tmp_path):

@@ -148,6 +148,32 @@ def test_invert_roundtrip(coeffs):
     assert prod == one(8)
 
 
+def _schoolbook(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# integer lists that may be empty or end in zeros
+st_raw_coeffs = st.lists(st.integers(-5, 5), max_size=7)
+
+
+@given(st_raw_coeffs, st_raw_coeffs, st.integers(0, 12))
+def test_mul_keeps_only_the_inputs_length(a, b, n):
+    want = _schoolbook(a, b)[: min(n, len(a) + len(b) - 2) + 1]
+    assert series._mul(a, b, n) == want
+
+
+@given(st_raw_coeffs, st.integers(0, 5), st.integers(0, 12))
+def test_pow_is_the_repeated_product(base, k, n):
+    want = [1]
+    for _ in range(k):
+        want = series._mul(want, base, n)
+    assert series._pow(base, k, n) == want
+
+
 @pytest.mark.parametrize("c", [-1, 1])
 def test_pow_of_a_linear_factor_is_the_binomial(c):
     for d in range(9):

@@ -38,7 +38,6 @@ from polyloop.spacealg import (
     Sphere,
     Susp,
     Wedge,
-    _top_dim,
     atom,
     cp_infinity,
     desuspend,
@@ -720,16 +719,57 @@ def test_sphere_multiset_point():
     assert ms.counts == {} and not ms.truncated
 
 
-def test_top_dim():
-    assert _top_dim(POINT) == 0 and _top_dim(Cone(S3)) == 0
-    assert _top_dim(Wedge((S2, Sphere(5), S3))) == 5
-    assert _top_dim(Smash((S2, Wedge((S1, S3))))) == 5
-    assert _top_dim(Smash((S2, Cone(S3)))) == 0
-    assert _top_dim(Prod((S2, S3, POINT))) == 5
-    assert _top_dim(Join(S1, S2)) == 4 and _top_dim(Join(S1, POINT)) == 0
-    assert _top_dim(HalfSmash(S2, S3)) == 5 and _top_dim(HalfSmash(POINT, S3)) == 0
-    assert _top_dim(Susp(Loop(S2))) == INF and _top_dim(Susp(Loop(Cone(S2)))) == 0
-    assert _top_dim(Smash((S2, Loop(S3)))) == INF
+def test_red_stops_at_the_last_nonzero_coefficient_and_says_whole():
+    red = spacealg._red
+    assert red(POINT, 4) == red(Cone(S3), 4) == ([], True)
+    assert red(Wedge((S2, Sphere(5), S3)), 9) == ([0, 0, 1, 1, 0, 1], True)
+    assert red(Wedge((S2, Sphere(5), S3)), 4) == ([0, 0, 1, 1], False)
+    assert red(Smash((S2, Wedge((S1, S3)))), 5) == ([0, 0, 0, 1, 0, 1], True)
+    assert red(Smash((S2, Wedge((S1, S3)))), 4) == ([0, 0, 0, 1], False)
+    assert red(Smash((S2, Cone(S3))), 1) == ([], True)
+    assert red(Prod((S2, S3, POINT)), 5) == ([0, 0, 1, 1, 0, 1], True)
+    assert red(Prod((S2, S3, POINT)), 4) == ([0, 0, 1, 1], False)
+    assert red(Join(S1, S2), 4) == ([0, 0, 0, 0, 1], True)
+    assert red(Join(S1, S2), 3) == ([], False) and red(Join(S1, POINT), 0) == ([], True)
+    assert red(HalfSmash(S2, S3), 5) == ([0, 0, 1, 0, 0, 1], True)
+    assert red(HalfSmash(S2, S3), 4) == ([0, 0, 1], False)
+    assert red(HalfSmash(POINT, S3), 9) == ([], True)
+    assert red(Susp(Loop(S2)), 3) == ([0, 0, 1, 1], False)
+    assert red(Susp(Loop(Cone(S2))), 3) == ([], True)
+    assert red(Smash((S2, Loop(S3))), 5) == ([0, 0, 0, 0, 1], False)
+    # a loop on a wedge of high spheres reads zero at a low order, and is not whole
+    assert red(Loop(Sphere(4)), 0) == ([], False)
+    assert red(Smash((Cone(S2), Loop(Sphere(4)))), 0) == ([], True)
+
+
+def _series_or_refusal(red, e, n):
+    try:
+        return red(e, n)
+    except SeriesDomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=1000)
+@given(st.one_of(st_term, st_term_atoms), st.sampled_from([0, 1, 2, 3, 5, 8, 12, 20]),
+       st.booleans())
+@example(Loop(Sphere(4)), 0, True)
+@example(Susp(Loop(Wedge((Sphere(3), Sphere(4))))), 0, True)
+def test_red_agrees_with_the_padded_reference(e, n, canonical):
+    # the trimmed coefficients pad to the reference's, the refusals are the
+    # same, and on certified canonical terms the series is whole exactly when
+    # the structural top dimension is at most n
+    if canonical:
+        e = normalize(e)
+    want = _series_or_refusal(ref._red, e, n)
+    got = _series_or_refusal(spacealg._red, e, n)
+    if isinstance(want, str):
+        assert got == want
+        return
+    coeffs, whole = got
+    assert not coeffs or coeffs[-1]
+    assert coeffs + [0] * (n + 1 - len(coeffs)) == want
+    if canonical and wedge_of_spheres_min_dim(e) is not None:
+        assert whole == (ref._top_dim(e) <= n)
 
 
 def test_sphere_multiset_answers_certified_terms():
@@ -752,12 +792,13 @@ def test_sphere_multiset_halfsmash_certified_after_suspension():
 
 
 def test_sphere_multiset_ignores_a_huge_ceiling(monkeypatch):
-    # the series is dense in degree, so it must stop at the top sphere
+    # a polynomial series stops at its top sphere, whatever the order asked
     real = spacealg._red
 
     def bounded(e, n):
-        assert n <= 7, f"series order {n} above the top sphere"
-        return real(e, n)
+        out = real(e, n)
+        assert len(out[0]) <= 8, f"{len(out[0])} coefficients above the top sphere"
+        return out
 
     monkeypatch.setattr(spacealg, "_red", bounded)
     huge = sphere_multiset_of(porter_wedge(6), 10**9)
