@@ -4,9 +4,10 @@
     python3 scripts/child_cpu.py [--runs N] TREE_A TREE_B "build points 1" ...
 
 Each command runs as `python3 -m polyloop ARGS` with PYTHONPATH=TREE/src, N
-times per tree (default 40), the trees alternating first. A command that
-starts with `api`, such as "api hm 2,3 24" or "api readback FILE N", runs as
-the benchmark runs its api jobs: `python3 TREE/perfbench/child.py api ...`.
+times per tree (at least 1, default 40), the trees alternating first. A
+command that starts with `api`, such as "api hm 2,3 24" or "api readback
+FILE N", runs as the benchmark runs its api jobs: `python3
+TREE/perfbench/child.py api ...`.
 The time is read from os.wait4, start-up included; PYTHONDONTWRITEBYTECODE
 picks the cache. A tree on which a command exits nonzero shows the exit code
 in place of a time, and the script then exits 1."""
@@ -32,9 +33,16 @@ def child_cpu(tree: str, argv: list[str]) -> tuple[float, int]:
     return usage.ru_utime + usage.ru_stime, proc.returncode
 
 
+def at_least_one(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--runs", type=int, default=40)
+    ap.add_argument("--runs", type=at_least_one, default=40)
     ap.add_argument("trees", nargs=2)
     ap.add_argument("commands", nargs="+")
     args = ap.parse_args()

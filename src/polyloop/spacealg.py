@@ -18,10 +18,15 @@ smart constructors, applying these homotopy-valid rules to canonical parts:
 
 Two structural certificates drive everything quantitative. A(e) =
 wedge_of_spheres_min_dim(e) certifies "e is homotopy equivalent to a wedge of
-spheres" and returns the least sphere dimension (inf for a contractible e);
+spheres" and returns the least sphere dimension (inf for the point);
 B(e) = susp_wedge_min_dim(e) certifies the same for Susp(e). B covers loops
 via the James splitting Susp(Loop(W)) = wedge of Susp(smash powers of the
 desuspension of W), valid when A(W) >= 2.
+
+The certificates and the series read canonical terms only: poincare_series,
+sphere_multiset_of and james_split normalize first. So each rule above is
+stated once, in normalize, and no walk meets a Join, a Cone or a
+contractible child: the point is never a child of a canonical term.
 
 Poincare series are computed exactly and structurally: a Loop factor inverts
 1 - red(W)(t)/t, with the inner reduced series computed at one extra degree of
@@ -269,9 +274,9 @@ def desuspend(e: SpaceExpr) -> SpaceExpr | None:
 
 def _tally(runs) -> list[list]:
     """Runs added up per object wherever they sit: [value, count] for each
-    distinct object, in first-occurrence order. This forgets the order, so
-    it serves only the series, which are commutative. A read wedge has a
-    run per summand, so only a new object allocates a group."""
+    distinct object, in first-occurrence order. This forgets the order,
+    which normalize() may, since it sorts the runs anyway. A read wedge has
+    a run per summand, so only a new object allocates a group."""
     groups: dict[int, list] = {}
     for a, c in runs:
         k = id(a)
@@ -361,7 +366,7 @@ def _norm(e: SpaceExpr, memo: dict) -> SpaceExpr:
 
 def _norm_node(e: SpaceExpr, memo: dict) -> SpaceExpr:
     if isinstance(e, (Wedge, Prod, Smash)):
-        return _nary(type(e), [(_norm(a, memo), c) for a, c in e.runs])
+        return _nary(type(e), [(_norm(a, memo), c) for a, c in _tally(e.runs)])
     if isinstance(e, Susp):
         return _susp(_norm(e.arg, memo))
     if isinstance(e, Loop):
@@ -398,19 +403,17 @@ def normalize(e: SpaceExpr) -> SpaceExpr:
 
 
 def wedge_of_spheres_min_dim(e: SpaceExpr):
-    """A(e): least sphere dimension when e is certified to be a wedge of
-    spheres, inf when e is certified contractible, None when uncertified."""
-    if isinstance(e, (Point, Cone)):
+    """A(e) for a canonical e: least sphere dimension when e is certified to
+    be a wedge of spheres, inf when e is the point, None when uncertified."""
+    if isinstance(e, Point):
         return INF
     if isinstance(e, Sphere):
         return e.d
     if isinstance(e, Wedge):
         mins = [wedge_of_spheres_min_dim(a) for a, _ in e.runs]
-        return None if None in mins else min(mins, default=INF)
+        return None if None in mins else min(mins)
     if isinstance(e, Smash):
         runs = [(wedge_of_spheres_min_dim(a), c) for a, c in e.runs]
-        if any(v == INF for v, _ in runs):
-            return INF  # a contractible factor decides, whatever the others are
         if all(v is not None for v, _ in runs):
             return sum(v * c for v, c in runs)
         # Smash(Susp(a), b) = Susp(Smash(a, b)): a factor that desuspends,
@@ -420,58 +423,36 @@ def wedge_of_spheres_min_dim(e: SpaceExpr):
         return None if down is None else susp_wedge_min_dim(down)
     if isinstance(e, Susp):
         return susp_wedge_min_dim(e.arg)
-    if isinstance(e, Join):
-        return susp_wedge_min_dim(Smash((e.left, e.right)))
     if isinstance(e, HalfSmash):
-        a = wedge_of_spheres_min_dim(e.left)
-        if a is None:
-            return None
-        if a == INF:
-            return INF
-        b = susp_wedge_min_dim(e.right)
-        if b is None:
-            return None
-        return min(a, a - 1 + b)
+        a, b = wedge_of_spheres_min_dim(e.left), susp_wedge_min_dim(e.right)
+        return None if a is None or b is None else min(a, a - 1 + b)
     return None
 
 
 def susp_wedge_min_dim(e: SpaceExpr):
-    """B(e) = A(Susp(e)). Covers loops by the James splitting and products by
-    the suspension splitting over nonempty subsets of the factors."""
-    if isinstance(e, (Point, Cone)):
+    """B(e) = A(Susp(e)) for a canonical e, inf only for the point. Covers
+    loops by the James splitting and products by the suspension splitting
+    over nonempty subsets of the factors."""
+    if isinstance(e, Point):
         return INF
     if isinstance(e, Sphere):
         return e.d + 1
     if isinstance(e, (Wedge, Prod, Smash)):
         runs = [(susp_wedge_min_dim(a), c) for a, c in e.runs]
-        if isinstance(e, Smash) and any(v == INF for v, _ in runs):
-            return INF  # Susp(a ^ b) = Susp(a) ^ b, contractible with Susp(a)
         if any(v is None for v, _ in runs):
             return None
-        if isinstance(e, Wedge):
-            return min((v for v, _ in runs), default=INF)
-        if isinstance(e, Prod):
-            return min((v for v, _ in runs if v != INF), default=INF)
-        return 1 + sum((v - 1) * c for v, c in runs)
+        if isinstance(e, Smash):
+            return 1 + sum((v - 1) * c for v, c in runs)
+        return min(v for v, _ in runs)
     if isinstance(e, Susp):
         v = susp_wedge_min_dim(e.arg)
-        return None if v is None else (INF if v == INF else v + 1)
+        return None if v is None else v + 1
     if isinstance(e, Loop):
-        if isinstance(e.arg, Prod):
-            return susp_wedge_min_dim(Prod.of_runs((Loop(f), c) for f, c in e.arg.runs))
         a = wedge_of_spheres_min_dim(e.arg)
-        if a is None or a == 1:
-            return None
-        return a
-    if isinstance(e, Join):
-        v = susp_wedge_min_dim(Smash((e.left, e.right)))
-        return None if v is None else (INF if v == INF else v + 1)
+        return None if a is None or a == 1 else a
     if isinstance(e, HalfSmash):
-        va = susp_wedge_min_dim(e.left)
-        vs = susp_wedge_min_dim(Smash((e.left, e.right)))
-        if va is None or vs is None:
-            return None
-        return min(va, vs)
+        va, vb = susp_wedge_min_dim(e.left), susp_wedge_min_dim(e.right)
+        return None if va is None or vb is None else min(va, va + vb - 1)
     return None
 
 
@@ -504,9 +485,9 @@ def _poly_of(pairs: tuple[tuple[int, int], ...]) -> list[int]:
 
 
 def _red(e: SpaceExpr, n: int) -> tuple[list[int], bool]:
-    """Reduced Poincare series of e through degree n, exact and without
-    trailing zeros, and whether it is whole: zero above degree n."""
-    if isinstance(e, (Point, Cone)):
+    """Reduced Poincare series of a canonical e through degree n, exact and
+    without trailing zeros, and whether it is whole: zero above degree n."""
+    if isinstance(e, Point):
         return [], True
     if isinstance(e, Sphere):
         return ([], False) if e.d > n else ([0] * e.d + [1], True)
@@ -516,32 +497,25 @@ def _red(e: SpaceExpr, n: int) -> tuple[list[int], bool]:
         return _times([(_poly_of(e.reduced), True, 1)], n)
     if isinstance(e, Wedge):
         out, whole = [], True
-        for a, c in _tally(e.runs):
+        for a, c in e.runs:
             r, w = _red(a, n)
             out, whole = _add(out, r, c), whole and w
         return out, whole
     if isinstance(e, Prod):
-        parts = [(_red(a, n), c) for a, c in _tally(e.runs)]
+        parts = [(_red(a, n), c) for a, c in e.runs]
         out, whole = _times([(_add([1], r), w, c) for (r, w), c in parts], n)
         return _add(out, [-1]), whole
     if isinstance(e, Smash):
-        return _times([(*_red(a, n), c) for a, c in _tally(e.runs)], n) if e.runs else ([], True)
+        return _times([(*_red(a, n), c) for a, c in e.runs], n)
     if isinstance(e, Susp):
         return _times([([0, 1], True, 1), (*_red(e.arg, n), 1)], n)
-    if isinstance(e, Join):
-        return _red(Susp(Smash((e.left, e.right))), n)
     if isinstance(e, HalfSmash):
-        certs = (wedge_of_spheres_min_dim, susp_wedge_min_dim, desuspend)
-        if all(f(e.left) is None for f in certs):
+        if wedge_of_spheres_min_dim(e.left) is None and susp_wedge_min_dim(e.left) is None:
             raise SeriesDomainError("half-smash series needs a suspension on the left")
         (ra, wa), (rb, wb) = _red(e.left, n), _red(e.right, n)
         return _times([(ra, wa, 1), (_add([1], rb), wb, 1)], n)
     if isinstance(e, Loop):
         w = e.arg
-        if isinstance(w, Point):
-            return [], True
-        if isinstance(w, Prod):
-            return _red(Prod.of_runs((Loop(f), c) for f, c in w.runs), n)
         if isinstance(w, Atom) and w.loop_reduced is not None:
             return _times([(_poly_of(w.loop_reduced), True, 1)], n)
         a = wedge_of_spheres_min_dim(w)
@@ -550,35 +524,36 @@ def _red(e: SpaceExpr, n: int) -> tuple[list[int], bool]:
                 "loop series requires a simply connected wedge of spheres "
                 "(or a product of such loops, or an atom with declared loop homology)"
             )
-        if a == INF:
-            return [], True
         rw, _ = _red(w, n + 1)
         if any(rw[:2]):
             raise SeriesDomainError("certified loop target has unexpected low-degree homology")
         full = _invert([1] + [-c for c in rw[2:]], n)
-        return _add(full, [-1]), False  # W is not contractible: never a polynomial
+        return _add(full, [-1]), False  # W is not the point: never a polynomial
     raise SeriesDomainError(f"no series rule for {type(e).__name__}")
 
 
 def poincare_series(e: SpaceExpr, n: int) -> TruncSeries:
     """Exact Poincare series of e through degree n (constant term 1).
 
-    Works on the raw expression: every series rule in _red is defined on
-    unnormalized terms, so normalize() never changes the answer (a fact the
-    test suite checks rather than assumes), and skipping it keeps very large
-    products cheap. TruncSeries.of pads the trimmed coefficients to order n."""
+    The series is that of normalize(e), so a raw term gets the series of
+    its normal form, and each homotopy rule is applied once, by normalize.
+    That has one cost: the normal form of the suspension of a product of k
+    distinct factors has 2^k - 1 summands, so such a raw term costs what
+    sphere_multiset_of pays for it. TruncSeries.of pads the trimmed
+    coefficients to order n."""
     if n < 0:
         raise InvalidParameters("truncation order must be nonnegative")
-    red, _ = _red(e, n)
+    red, _ = _red(normalize(e), n)
     if red and red[0]:
         raise SeriesDomainError("expression has reduced homology in degree 0")
     return TruncSeries.of([1] + red[1:], n)
 
 
 def _sphere_counts(e: SpaceExpr, max_dim: int) -> tuple[dict[int, int], bool]:
-    """Sphere counts through max_dim of a certified wedge of spheres, read off
-    its reduced Poincare series, and whether the ceiling cut any off (the
-    series is not whole through max_dim). A huge ceiling costs nothing."""
+    """Sphere counts through max_dim of a canonical certified wedge of
+    spheres, read off its reduced Poincare series, and whether the ceiling
+    cut any off (the series is not whole through max_dim). A huge ceiling
+    costs nothing."""
     if wedge_of_spheres_min_dim(e) is None:
         raise CeilingExceededError(f"{type(e).__name__} term not certified a wedge of spheres")
     red, whole = _red(e, max_dim)
@@ -600,7 +575,7 @@ def james_split(x: SpaceExpr, cutoff: int) -> SpaceExpr:
     `cutoff`, for x whose suspension is certified a wedge of spheres."""
     if cutoff < 1:
         raise InvalidParameters("cutoff must be at least 1")
-    counts, _ = _sphere_counts(Susp(Loop(Susp(normalize(x)))), cutoff)
+    counts, _ = _sphere_counts(normalize(Susp(Loop(Susp(x)))), cutoff)
     return _nary(Wedge, [(Sphere(d), c) for d, c in counts.items()])
 
 

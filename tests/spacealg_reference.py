@@ -44,8 +44,14 @@ pads every list to length n + 1 (its Wedge rule zips them), and _top_dim is
 the second, structural walk that read the top degree of the series off the
 terms for the sphere reports. _mul and _pow before them are the padded
 products of polyloop.series they were written against, kept with them.
-Tests check that the package's _red gives the same coefficients, the same
-refusals, and a wholeness flag that agrees with _top_dim.
+_tally, wedge_of_spheres_min_dim and susp_wedge_min_dim before _red are the
+package's as they were while its series and certificates still took raw
+terms, with a rule of their own for Join, Cone, Loop(Point), Loop(Prod) and
+contractible children; the package's now take only normal forms. So this
+_red reads raw terms, and tests check that the package's _red on the normal
+form gives the same coefficients wherever this one gives any, refuses only
+where this one refuses too, and has a wholeness flag that agrees with
+_top_dim.
 """
 
 import itertools
@@ -77,10 +83,7 @@ from polyloop.spacealg import (
     _mobius,
     _nary,
     _susp,
-    _tally,
     desuspend,
-    susp_wedge_min_dim,
-    wedge_of_spheres_min_dim,
 )
 from polyloop.spheres import SphereMultiset
 
@@ -580,6 +583,100 @@ def _poly_of(pairs: tuple[tuple[int, int], ...], n: int) -> list[int]:
         if d <= n:
             out[d] += c
     return out
+
+
+def _tally(runs) -> list[list]:
+    """Runs added up per object wherever they sit: [value, count] for each
+    distinct object, in first-occurrence order. This forgets the order, so
+    it serves only the series, which are commutative. A read wedge has a
+    run per summand, so only a new object allocates a group."""
+    groups: dict[int, list] = {}
+    for a, c in runs:
+        k = id(a)
+        g = groups.get(k)
+        if g is None:
+            groups[k] = [a, c]
+        else:
+            g[1] += c
+    return list(groups.values())
+
+
+def wedge_of_spheres_min_dim(e: SpaceExpr):
+    """A(e): least sphere dimension when e is certified to be a wedge of
+    spheres, inf when e is certified contractible, None when uncertified."""
+    if isinstance(e, (Point, Cone)):
+        return INF
+    if isinstance(e, Sphere):
+        return e.d
+    if isinstance(e, Wedge):
+        mins = [wedge_of_spheres_min_dim(a) for a, _ in e.runs]
+        return None if None in mins else min(mins, default=INF)
+    if isinstance(e, Smash):
+        runs = [(wedge_of_spheres_min_dim(a), c) for a, c in e.runs]
+        if any(v == INF for v, _ in runs):
+            return INF  # a contractible factor decides, whatever the others are
+        if all(v is not None for v, _ in runs):
+            return sum(v * c for v, c in runs)
+        # Smash(Susp(a), b) = Susp(Smash(a, b)): a factor that desuspends,
+        # such as a sphere, certifies the others through B; for S^k ^ Y
+        # that gives k - 1 + B(Y)
+        down = desuspend(e)
+        return None if down is None else susp_wedge_min_dim(down)
+    if isinstance(e, Susp):
+        return susp_wedge_min_dim(e.arg)
+    if isinstance(e, Join):
+        return susp_wedge_min_dim(Smash((e.left, e.right)))
+    if isinstance(e, HalfSmash):
+        a = wedge_of_spheres_min_dim(e.left)
+        if a is None:
+            return None
+        if a == INF:
+            return INF
+        b = susp_wedge_min_dim(e.right)
+        if b is None:
+            return None
+        return min(a, a - 1 + b)
+    return None
+
+
+def susp_wedge_min_dim(e: SpaceExpr):
+    """B(e) = A(Susp(e)). Covers loops by the James splitting and products by
+    the suspension splitting over nonempty subsets of the factors."""
+    if isinstance(e, (Point, Cone)):
+        return INF
+    if isinstance(e, Sphere):
+        return e.d + 1
+    if isinstance(e, (Wedge, Prod, Smash)):
+        runs = [(susp_wedge_min_dim(a), c) for a, c in e.runs]
+        if isinstance(e, Smash) and any(v == INF for v, _ in runs):
+            return INF  # Susp(a ^ b) = Susp(a) ^ b, contractible with Susp(a)
+        if any(v is None for v, _ in runs):
+            return None
+        if isinstance(e, Wedge):
+            return min((v for v, _ in runs), default=INF)
+        if isinstance(e, Prod):
+            return min((v for v, _ in runs if v != INF), default=INF)
+        return 1 + sum((v - 1) * c for v, c in runs)
+    if isinstance(e, Susp):
+        v = susp_wedge_min_dim(e.arg)
+        return None if v is None else (INF if v == INF else v + 1)
+    if isinstance(e, Loop):
+        if isinstance(e.arg, Prod):
+            return susp_wedge_min_dim(Prod.of_runs((Loop(f), c) for f, c in e.arg.runs))
+        a = wedge_of_spheres_min_dim(e.arg)
+        if a is None or a == 1:
+            return None
+        return a
+    if isinstance(e, Join):
+        v = susp_wedge_min_dim(Smash((e.left, e.right)))
+        return None if v is None else (INF if v == INF else v + 1)
+    if isinstance(e, HalfSmash):
+        va = susp_wedge_min_dim(e.left)
+        vs = susp_wedge_min_dim(Smash((e.left, e.right)))
+        if va is None or vs is None:
+            return None
+        return min(va, vs)
+    return None
 
 
 def _red(e: SpaceExpr, n: int) -> list[int]:

@@ -78,6 +78,25 @@ def test_reproduce_results_reports_a_mismatch(monkeypatch, capsys):
     assert "MISMATCH FOUND" in out.err
 
 
+def test_reproduce_results_refuses_a_malformed_book_pair(tmp_path):
+    for books in ("4,x", "4", "2,2 3,2,1"):
+        proc = _run_outside("reproduce_results.py", tmp_path, "--books", books)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stdout == "" and "argument --books" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_reproduce_results_shows_a_refused_row_apart_from_a_mismatch(tmp_path):
+    proc = _run_outside("reproduce_results.py", tmp_path, "--max-path", "2",
+                        "--books", "2,2 0,2")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    rows = [line.split()[:3] for line in proc.stdout.splitlines()]
+    assert rows == [["ok", "porter-hochster", "path"], ["ok", "koszul", "path"],
+                    ["ok", "koszul", "path"], ["ok", "koszul", "planar"],
+                    ["exit", "2", "koszul"]]
+    assert "MISMATCH FOUND" not in proc.stderr
+
+
 def test_child_cpu_reports_one_median_per_command_and_tree(tmp_path):
     repo = str(SCRIPTS.parent)
     proc = _run_outside("child_cpu.py", tmp_path, "--runs", "1", repo, repo, "build points 1")
@@ -96,6 +115,13 @@ def test_child_cpu_shows_a_failing_command_and_exits_1(tmp_path):
     _, ok, bad = proc.stdout.splitlines()
     assert ok.split("\t")[0] == "build points 1" and ok.endswith("%")
     assert bad.split("\t") == ["decompose path x", "exit 2", "exit 2", "-"]
+
+
+def test_child_cpu_refuses_fewer_than_one_run(tmp_path):
+    repo = str(SCRIPTS.parent)
+    proc = _run_outside("child_cpu.py", tmp_path, "--runs", "0", repo, repo, "build points 1")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == "" and "argument --runs" in proc.stderr
 
 
 def test_child_cpu_runs_api_jobs_through_the_benchmark_child(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -105,7 +106,7 @@ def _terms(leaves, raw=False):
 
 def _raw_shapes(sub):
     """Loops on a product, a join, a half-smash and the point, which only raw
-    terms hold, so only the series rules for raw terms see them; and a
+    terms hold, so the series rules see them only through normalize; and a
     half-smash whose left side, a wedge, is not a suspension, which
     normalize keeps and sorts by both of its sides."""
     return (
@@ -402,14 +403,19 @@ def test_normalize_preserves_series(e):
 @example(Loop(Susp(Join(POINT, atom("A", {1: 1})))))
 # a read wedge shares its leaves, so runs of one object that do not touch add up
 @example(parse_sexpr("(wedge (sphere 2) (sphere 3) (sphere 2))"))
+# raw loops on the point and on loops of it: Loop(Loop(POINT)) is the point,
+# and the second is Loop(S^3)
+@example(Loop(Loop(POINT)))
+@example(Loop(Wedge((S3, Loop(POINT)))))
 def test_raw_series_agrees_with_the_normal_form(e):
-    # sound but not complete: a raw term may still be refused where its
-    # normal form has a series, so only a raw series is compared
-    try:
-        raw = poincare_series(e, 8)
-    except SeriesDomainError:
-        return
-    assert poincare_series(normalize(e), 8) == raw
+    # both refuse, with the same class of error, or both give the same series
+    def series(t):
+        try:
+            return poincare_series(t, 8)
+        except SeriesDomainError as exc:
+            return type(exc)
+
+    assert series(e) == series(normalize(e))
 
 
 @given(st_term)
@@ -546,6 +552,24 @@ def test_parse_of_odd_texts_matches_the_reference_reader(text):
     assert _read(parse_sexpr, text) == _read(ref.parse_sexpr, text)
 
 
+def test_normalize_of_a_shuffled_read_back_wedge_allocates_per_object():
+    # a read wedge has a run per summand, one shared object per sphere
+    # dimension: normalize groups the runs by object before anything else
+    w = porter_wedge(15)
+    parts = [format_sexpr(a) for a, c in w.runs for _ in range(c)]
+    random.Random(15).shuffle(parts)
+    e = parse_sexpr(f"(wedge {' '.join(parts)})")
+    assert len(e.runs) > 100_000
+    tracemalloc.start()
+    try:
+        got = normalize(e)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == w
+    assert peak < 1 << 20, f"{peak} bytes"
+
+
 @pytest.mark.parametrize("l", range(3, 11))
 def test_parse_of_shuffled_porter_wedges_matches_the_reference_reader(l):
     # the read-back texts: Porter's wedge with its summands in random order
@@ -594,16 +618,27 @@ def test_susp_wedge_certificate():
 
 
 def test_smash_certificates_use_sphere_and_contractible_factors():
+    # the certificates read normal forms; the reference reads the raw terms
+    def a(e):
+        want = ref.wedge_of_spheres_min_dim(e)
+        assert wedge_of_spheres_min_dim(normalize(e)) == want
+        return want
+
+    def b(e):
+        want = ref.susp_wedge_min_dim(e)
+        assert susp_wedge_min_dim(normalize(e)) == want
+        return want
+
     # S^k ^ Y = Susp^(k-1)(Susp Y): the sphere factors certify Y through B,
     # and so does any factor that desuspends
-    assert wedge_of_spheres_min_dim(Smash((S2, Loop(S2)))) == 3
-    assert wedge_of_spheres_min_dim(Smash((S1, S2, Prod((S2, S2))))) == 5
-    assert wedge_of_spheres_min_dim(Smash((Loop(S3), Susp(Loop(S3))))) == 5
-    assert wedge_of_spheres_min_dim(Smash((Loop(S2), Loop(S3)))) is None
-    assert wedge_of_spheres_min_dim(Smash((S2, atom("X")))) is None
+    assert a(Smash((S2, Loop(S2)))) == 3
+    assert a(Smash((S1, S2, Prod((S2, S2))))) == 5
+    assert a(Smash((Loop(S3), Susp(Loop(S3))))) == 5
+    assert a(Smash((Loop(S2), Loop(S3)))) is None
+    assert a(Smash((S2, atom("X")))) is None
     # a contractible factor decides before an uncertified one refuses
-    assert wedge_of_spheres_min_dim(Smash((Susp(POINT), atom("X")))) == INF
-    assert susp_wedge_min_dim(Smash((Cone(S1), atom("X")))) == INF
+    assert a(Smash((Susp(POINT), atom("X")))) == INF
+    assert b(Smash((Cone(S1), atom("X")))) == INF
     zero = poincare_series(POINT, 8)
     assert poincare_series(Loop(Susp(Join(POINT, atom("A", {1: 1})))), 8) == zero
     e = Loop(Susp(Loop(HalfSmash(Susp(Loop(Prod.of_runs([(S2, 2)]))), S1))))
@@ -720,7 +755,9 @@ def test_sphere_multiset_point():
 
 
 def test_red_stops_at_the_last_nonzero_coefficient_and_says_whole():
-    red = spacealg._red
+    def red(e, n):
+        return spacealg._red(normalize(e), n)
+
     assert red(POINT, 4) == red(Cone(S3), 4) == ([], True)
     assert red(Wedge((S2, Sphere(5), S3)), 9) == ([0, 0, 1, 1, 0, 1], True)
     assert red(Wedge((S2, Sphere(5), S3)), 4) == ([0, 0, 1, 1], False)
@@ -750,26 +787,30 @@ def _series_or_refusal(red, e, n):
 
 
 @settings(max_examples=1000)
-@given(st.one_of(st_term, st_term_atoms), st.sampled_from([0, 1, 2, 3, 5, 8, 12, 20]),
-       st.booleans())
+@given(st.one_of(st_term, st_term_atoms, st_term_raw),
+       st.sampled_from([0, 1, 2, 3, 5, 8, 12, 20]), st.booleans())
 @example(Loop(Sphere(4)), 0, True)
 @example(Susp(Loop(Wedge((Sphere(3), Sphere(4))))), 0, True)
 def test_red_agrees_with_the_padded_reference(e, n, canonical):
-    # the trimmed coefficients pad to the reference's, the refusals are the
-    # same, and on certified canonical terms the series is whole exactly when
-    # the structural top dimension is at most n
+    # the package reads the normal form and the reference the term as drawn:
+    # the trimmed coefficients pad to the reference's wherever it has them,
+    # the package refuses only where the reference refuses too, and on
+    # certified terms the series is whole exactly when the structural top
+    # dimension is at most n
     if canonical:
         e = normalize(e)
+    c = normalize(e)
     want = _series_or_refusal(ref._red, e, n)
-    got = _series_or_refusal(spacealg._red, e, n)
-    if isinstance(want, str):
-        assert got == want
+    got = _series_or_refusal(spacealg._red, c, n)
+    if isinstance(got, str):
+        assert isinstance(want, str)
         return
     coeffs, whole = got
     assert not coeffs or coeffs[-1]
-    assert coeffs + [0] * (n + 1 - len(coeffs)) == want
-    if canonical and wedge_of_spheres_min_dim(e) is not None:
-        assert whole == (ref._top_dim(e) <= n)
+    if not isinstance(want, str):
+        assert coeffs + [0] * (n + 1 - len(coeffs)) == want
+    if wedge_of_spheres_min_dim(c) is not None:
+        assert whole == (ref._top_dim(c) <= n)
 
 
 def test_sphere_multiset_answers_certified_terms():
