@@ -240,7 +240,7 @@ def cmd_verify(args) -> int:
         from . import homology
         from .spacealg import sphere_multiset_of
 
-        # a path takes the oracle's graph route, polynomial in m, so no cap applies
+        # a path has about m^2/2 connected sets, so the oracle is polynomial in m: no cap
         oracle_ms = homology.zk_sphere_multiset(K, ceiling=K.ground_size)
         engine_ms = sphere_multiset_of(decomp.path_fibre_reduce(l, circles=True), max(l + 2, 3))
         checks.append(_check("porter-hochster", "dimension", engine_ms.counts, oracle_ms.counts))

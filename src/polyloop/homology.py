@@ -6,13 +6,13 @@ evaluates, for a complex K on ground set [m],
 
     b_j(Z_K) = sum over I subset of [m] of reduced b_{j - |I| - 1}(K_I),
 
-with K_I the full subcomplex on I; the I = {} term gives 1 in degree 0. A
-graph enters only through |I| and the edge and component counts of K_I, so its
-sum runs over the connected vertex sets of K. Complexes of dimension 2 and up
-visit all 2^m subsets in one process, reading K_I off bitmask faces without
-building it, and skip the K_I that are simplices or, for K flag, cones. Row
-reduction on unit pivots follows Kaczynski, Mischaikow and Mrozek,
-Computational Homology (Springer 2004).
+with K_I the full subcomplex on I; the I = {} term gives 1 in degree 0. Each
+K_I is the disjoint union of the K_C over the components C of its 1-skeleton,
+so the sum runs over the connected vertex sets C of K, each weighted by the
+number of I it is a component of. Faces are bitmasks and no K_I is built;
+only a C that spans a face of size 3 and is neither a face nor, for K flag,
+a cone reaches an elimination. Row reduction on unit pivots follows
+Kaczynski, Mischaikow and Mrozek, Computational Homology (Springer 2004).
 When K is flag with a chordal 1-skeleton, Z_K is a wedge of spheres
 (Grbic, Panov, Theriault and Wu, Trans. AMS 2016) and the table records it;
 zk_sphere_multiset extracts it and refuses every other K.
@@ -39,21 +39,6 @@ class BettiTable:
         return {"betti": {str(k): v for k, v in sorted(self.ranks.items())}, "m": self.m}
 
 
-def _components(verts: int, adj: list[int]) -> int:
-    """Connected components of the graph induced on the vertex mask verts."""
-    count = 0
-    while verts:
-        todo = verts & -verts
-        verts ^= todo
-        while todo:
-            low = todo & -todo
-            reach = adj[low.bit_length() - 1] & verts
-            verts ^= reach
-            todo ^= low | reach
-        count += 1
-    return count
-
-
 def _adjacency_masks(K: SimplicialComplex) -> list[int]:
     adj = [0] * K.ground_size
     for a, b in K.faces_of_size(2):
@@ -62,14 +47,21 @@ def _adjacency_masks(K: SimplicialComplex) -> list[int]:
     return adj
 
 
-def _graph_contributions(K: SimplicialComplex) -> dict[int, int]:
-    """Hochster table of a graph K without ghosts. For I != {} of size s,
-    reduced b_0(K_I) = c(I) - 1 lands in degree s + 1 and reduced b_1(K_I) =
-    E(I) - s + c(I) in degree s + 2. Over |I| = s, E(I) sums to E C(m-2, s-2)
-    and c(I) counts the connected sets C inside I with their outer neighbours
-    N(C) outside it: C(m - |C| - |N(C)|, s - |C|) sets I per C."""
+def _contributions(K: SimplicialComplex) -> dict[int, int]:
+    """Hochster table of K without ghosts. Every face inside I is a clique, so
+    K_I is the disjoint union of the K_C over the components C of its
+    1-skeleton. For I != {} of size s, reduced b_0(K_I) = c(I) - 1 lands in
+    degree s + 1 and E(I) - s + c(I) in degree s + 2; over |I| = s, E(I) sums
+    to E C(m-2, s-2) and c(I) counts the connected sets C inside I with their
+    outer neighbours N(C) outside it: C(m - |C| - |N(C)|, s - |C|) sets I per
+    C. A C that spans larger faces adds, with the same weight, -rank d_2(K_C)
+    in degree s + 2 and b_j(K_C) in degree s + j + 1 for j >= 2."""
     m, adj = K.ground_size, _adjacency_masks(K)
+    layers = [[sum(1 << v for v in f) for f in K.faces_of_size(k)] for k in range(3, K.dim + 2)]
     shapes: dict[tuple[int, int], int] = {}  # (|C|, |N(C)|) -> connected sets C
+    fixes: dict[tuple[int, int, int], int] = {}  # (|C|, |N(C)|, j) -> sum of b_j corrections
+    if layers:
+        correct = _corrector(K, adj, layers, fixes)
     for v in range(m):
         # grow each C from its least vertex v; every frontier vertex u is
         # either taken or banned, so each C is reached once, with N(C) banned
@@ -84,12 +76,55 @@ def _graph_contributions(K: SimplicialComplex) -> dict[int, int]:
             else:
                 shape = (C.bit_count(), (near & ~C).bit_count())
                 shapes[shape] = shapes.get(shape, 0) + 1
-    edges, table = len(K.faces_of_size(2)), [1] + [0] * (m + 2)
+                if layers and shape[0] > 2:
+                    correct(C, shape)
+    edges, table = len(K.faces_of_size(2)), [1] + [0] * (m + K.dim + 2)
     for s in range(1, m + 1):
         comps = sum(n * comb(m - k - b, s - k) for (k, b), n in shapes.items() if k <= s)
         table[s + 1] += comps - comb(m, s)
         table[s + 2] += comps - s * comb(m, s) + (edges * comb(m - 2, s - 2) if s > 1 else 0)
+    for (k, b, j), n in fixes.items():
+        for s in range(k, m - b + 1):
+            table[s + j + 1] += n * comb(m - k - b, s - k)
     return dict(enumerate(table))
+
+
+def _corrector(K: SimplicialComplex, adj: list[int], layers: list[list[int]], fixes: dict):
+    """The step that adds the corrections of a connected C with |C| >= 3 to
+    fixes, for the mask layers of the faces of size 3 and up. K_C is acyclic
+    when C is a face or, for K flag, a cone: some v in C is adjacent to all of
+    C - v, so every face of K_C spans a face with v. Then rank d_2(K_C) is
+    E(C) - |C| + 1; otherwise the faces inside C go through sparse_rank."""
+    faces = set().union(*layers)
+    stars = [a | 1 << v for v, a in enumerate(adj)] if K.is_flag() else [0] * len(adj)
+    # boundary rows keyed by face mask: dropping v from f has sign (-1)^#{u in f: u < v}
+    boundary = {
+        f: {f ^ bit: -1 if j % 2 else 1
+            for j, bit in enumerate(1 << v for v in range(f.bit_length()) if f >> v & 1)}
+        for layer in layers for f in layer
+    }
+
+    def correct(C: int, shape: tuple[int, int]) -> None:
+        degrees, apexes, rest = 0, C, C
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            degrees += (adj[v] & C).bit_count()
+            apexes &= stars[v]
+            rest ^= 1 << v
+        if C in faces or apexes:
+            betti = [shape[0] - 1 - degrees // 2]  # -rank d_2(K_C)
+        else:
+            inside = [[f for f in layer if not f & ~C] for layer in layers]
+            if not inside[0]:
+                return
+            ranks = [sparse_rank(boundary[f].copy() for f in layer) for layer in inside] + [0]
+            betti = [-ranks[0]] + [len(hi) - r - q for hi, r, q in zip(inside, ranks, ranks[1:])]
+        for j, b in enumerate(betti, 1):
+            if b:
+                key = shape + (j,)
+                fixes[key] = fixes.get(key, 0) + b
+
+    return correct
 
 
 def sparse_rank(rows) -> int:
@@ -124,47 +159,6 @@ def sparse_rank(rows) -> int:
     return len(pivots)
 
 
-def _subset_contributions(K: SimplicialComplex) -> dict[int, int]:
-    """Hochster table of K without ghosts, over all 2^m subsets I. Faces are
-    bitmasks and those of K_I are the f with f & ~I == 0, so no subcomplex is
-    built. K_I has no reduced homology, and is skipped, when it is a simplex
-    or, for K flag, a cone: then some v in I is adjacent to all of I - v, and
-    every face of K_I spans a face with v. The rank of the boundary from edges
-    to vertices is |I| - c(I), exact over Q and Z, so graphs need no matrix;
-    larger faces go through sparse_rank."""
-    m, adj = K.ground_size, _adjacency_masks(K)
-    layers = [[sum(1 << v for v in f) for f in K.faces_of_size(k)] for k in range(K.dim + 2)]
-    face_set, half = set().union(*layers), m // 2
-    # boundary rows keyed by face mask: dropping v from f has sign (-1)^#{u in f: u < v}
-    boundary = {
-        f: {f ^ bit: -1 if j % 2 else 1
-            for j, bit in enumerate(1 << v for v in range(f.bit_length()) if f >> v & 1)}
-        for layer in layers[3:] for f in layer
-    }
-    # for K flag, the apexes of a cone K_I are I & AND of star(u) = u + its
-    # neighbours over u in I, read from AND tables over each half of [m];
-    # zero stars switch the test off for K not flag
-    stars = [a | 1 << v for v, a in enumerate(adj)] if K.is_flag() else [0] * m
-    low, high = [-1], [-1]
-    for v, star in enumerate(stars):
-        tab = low if v < half else high
-        tab += [t & star for t in tab]
-    table = {0: 1}  # I = {}: reduced b_-1 of the empty complex
-    for I in range(1, 1 << m):
-        if I in face_set or I & low[I & (1 << half) - 1] & high[I >> half]:
-            continue
-        outside, size = ~I, I.bit_count()
-        inside = [[f for f in layer if not f & outside] for layer in layers[2:]]
-        counts = [1, size] + [len(layer) for layer in inside]
-        ranks = [0, 1, size - _components(I, adj)]
-        ranks += [sparse_rank(boundary[f].copy() for f in hi) for hi in inside[1:]] + [0]
-        for k, count in enumerate(counts):
-            if b := count - ranks[k] - ranks[k + 1]:
-                # reduced b_{k-1}(K_I) lands in degree (k - 1) + |I| + 1
-                table[k + size] = table.get(k + size, 0) + b
-    return table
-
-
 def require_enumerable(K: SimplicialComplex, ceiling: int) -> None:
     """Raise the errors hochster_zk_betti refuses K with: ghosts, or m > ceiling."""
     if note := K.ghost_note():
@@ -174,12 +168,11 @@ def require_enumerable(K: SimplicialComplex, ceiling: int) -> None:
 
 
 def hochster_zk_betti(K: SimplicialComplex, *, ceiling: int = 20) -> BettiTable:
-    """Full Betti table of Z_K by Hochster's formula; refuses ghost vertices
-    and ground sets above `ceiling`. A graph (dimension at most 1) takes the
-    connected-set sum; larger complexes sum over all 2^m full subcomplexes.
-    """
+    """Full Betti table of Z_K by Hochster's formula, summed over the
+    connected vertex sets of K; refuses ghost vertices and ground sets above
+    `ceiling`."""
     require_enumerable(K, ceiling)
-    table = _graph_contributions(K) if K.dim <= 1 else _subset_contributions(K)
+    table = _contributions(K)
     return BettiTable({j: b for j, b in sorted(table.items()) if b}, K.ground_size)
 
 

@@ -369,7 +369,8 @@ def test_verify_porter_hochster(capsys):
          "54e68a6503d3db6329905e39b5569d6a71961fcaeb13d317b5f9b4b1c96e29b2"),
         (("verify", "porter-hochster", "path", "14", "--jobs", "2"),
          "c36996a199f01d73ac01711b7db5cbf9851ae24c9de9e9848b553c03d275cfbc"),
-        # complexes of dimension 2 reach the 2^m kernel: the cone over C9 and RP^2
+        # complexes of dimension 2, whose connected sets add their higher homology:
+        # the cone over C9 and RP^2
         (("hochster", "file", {"m": 10, "facets": [[i, (i + 1) % 9, 9] for i in range(9)]}),
          "235489b7339b07961da46381c77e0c924406ba543d213521fd1f4b3f2c8d86c7"),
         (("hochster", "file", {"m": 6, "facets": [
@@ -395,7 +396,7 @@ def test_hochster_stdout_is_pinned(capsys, tmp_path, argv, digest):
 
 @pytest.mark.parametrize("mode", ["porter-hochster", "all", "koszul --N 1024"])
 def test_verify_passes_on_paths_above_twenty_vertices(capsys, mode):
-    # a path takes the oracle's graph route, so the enumeration cap does not
+    # a path has about m^2/2 connected sets, so the enumeration cap does not
     # apply; at a large order the engine's series of the path agrees too
     mode, *opts = mode.split()
     code, out, _ = _run(capsys, "verify", mode, "path", "40", *opts)

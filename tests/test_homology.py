@@ -1,6 +1,7 @@
 """Exact homology: ranks, reduced Betti numbers and the Hochster sum."""
 
 import ast
+import itertools
 import math
 import random
 from pathlib import Path
@@ -27,7 +28,15 @@ from polyloop.homology import (
     zk_sphere_multiset,
 )
 
-from homology_reference import bareiss_kernel_table, bareiss_rank, full_subcomplex, reduced_betti
+from homology_reference import (
+    _adjacency_masks,
+    _components,
+    bareiss_kernel_table,
+    bareiss_rank,
+    full_subcomplex,
+    reduced_betti,
+    subset_kernel_table,
+)
 
 st_complex = st.integers(1, 5).flatmap(
     lambda m: st.lists(
@@ -245,32 +254,45 @@ def _random_non_flag_complexes(count, seed):
             yield K
 
 
+def _spanning_connected_sets(K):
+    """The vertex masks C, connected in the 1-skeleton, that span a 2-face."""
+    adj = _adjacency_masks(K)
+    triangles = [sum(1 << v for v in f) for f in K.faces_of_size(3)]
+    return [C for C in range(1, 1 << K.ground_size)
+            if _components(C, adj) == 1 and any(not t & ~C for t in triangles)]
+
+
 def test_hochster_kernel_matches_full_subcomplex_reference(monkeypatch):
     fixed = [RP2, _cone(cycle_graph(6)), BOUNDARY_TETRAHEDRON, simplex(3), from_facets(0, [])]
     for K in fixed + list(_random_complexes(200, seed=2208)):
         assert hochster_zk_betti(K).ranks == _hochster_reference(K), K.facets()
-    # the 2^m kernel against the earlier one, kept verbatim in homology_reference;
-    # the kernel calls _components once per subset it does not skip
-    visited, scaled = [], []
-    components = homology._components
-    monkeypatch.setattr(homology, "_components", lambda I, adj: visited.append(I) or components(I, adj))
+    # the route against the earlier Bareiss kernel, kept verbatim in
+    # homology_reference; an elimination calls sparse_rank once per face layer,
+    # first on the boundaries of the triangles inside C, which are edge masks
+    eliminated, scaled = [], []
+    rank = homology.sparse_rank
+
+    def counting_rank(rows):
+        rows = list(rows)
+        if rows and all(col.bit_count() == 2 for col in rows[0]):
+            eliminated.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(homology, "sparse_rank", counting_rank)
     monkeypatch.setattr(homology, "gcd", lambda *a: scaled.append(a) or math.gcd(*a))
     sweep = (list(_random_clique_complexes(30, seed=1604))
              + [RP2, _cone(RP2), NON_UNIT_PIVOT] + list(_random_non_flag_complexes(30, seed=4061)))
     assert {K.dim for K in sweep} == {2, 3, 4}
-    cones = 0
+    spanning = 0
     for K in sweep:
-        visited.clear()
+        before = len(eliminated)
         assert hochster_zk_betti(K).ranks == bareiss_kernel_table(K), K.facets()
-        # subsets skipped beyond the nonempty faces, which span simplices
-        cones += (1 << K.ground_size) - len(K.faces) - len(visited)
-    assert cones > 0 and scaled  # a cone was skipped and a pivot other than +-1 met
-
-
-def _kernel_table(K):
-    """The bitmask kernel over all 2^m subsets: the reference for graphs."""
-    table = homology._subset_contributions(K)
-    return {j: b for j, b in sorted(table.items()) if b}
+        sets = len(_spanning_connected_sets(K))
+        assert len(eliminated) - before <= sets, K.facets()
+        spanning += sets
+    # some connected set spanning a 2-face was settled as a face or a cone,
+    # with no elimination, others were eliminated, and a pivot other than +-1 was met
+    assert 0 < len(eliminated) < spanning and scaled
 
 
 def _random_graphs(count, seed):
@@ -292,7 +314,7 @@ def test_graph_route_matches_the_subset_kernel_on_random_graphs():
     assert any(any(len(f) == 1 for f in K.facets()) for K in graphs)  # isolated vertices occur
     for K in graphs:
         assert K.dim <= 1
-        assert hochster_zk_betti(K).ranks == _kernel_table(K), K.facets()
+        assert hochster_zk_betti(K).ranks == subset_kernel_table(K), K.facets()
 
 
 def test_graph_route_matches_the_subset_kernel_on_every_family():
@@ -305,7 +327,7 @@ def test_graph_route_matches_the_subset_kernel_on_every_family():
         + [from_facets(0, []), from_facets(10, [(a, b) for b in range(10) for a in range(b)])]
     )
     for K in families:
-        assert hochster_zk_betti(K).ranks == _kernel_table(K), K.facets()
+        assert hochster_zk_betti(K).ranks == subset_kernel_table(K), K.facets()
 
 
 def test_graph_route_reaches_porter_closed_form_at_path_40():
@@ -313,16 +335,65 @@ def test_graph_route_reaches_porter_closed_form_at_path_40():
     assert hochster_zk_betti(path_graph(40), ceiling=41).ranks == expected
 
 
-def test_graph_route_starts_no_pool(monkeypatch):
-    def no_kernel(*args, **kwargs):
-        raise AssertionError("a graph must not reach the 2^m kernel")
+def test_graph_route_does_no_elimination(monkeypatch):
+    def no_elimination(rows):
+        raise AssertionError("a graph must not reach an elimination")
 
-    expected = _kernel_table(path_graph(9))
-    monkeypatch.setattr(homology, "_subset_contributions", no_kernel)
-    assert hochster_zk_betti(path_graph(9)).ranks == expected
-    # a 2-dimensional complex still reaches it
-    with pytest.raises(AssertionError, match="2\\^m kernel"):
-        hochster_zk_betti(_cone(cycle_graph(9)))
+    graphs = [path_graph(9), cycle_graph(7), planar_book(3, 2)]
+    expected = [subset_kernel_table(K) for K in graphs]
+    monkeypatch.setattr(homology, "sparse_rank", no_elimination)
+    assert [hochster_zk_betti(K).ranks for K in graphs] == expected
+    # a 2-complex that is no cone still reaches one
+    with pytest.raises(AssertionError, match="elimination"):
+        hochster_zk_betti(RP2)
+
+
+@st.composite
+def st_hochster_complex(draw):
+    """A complex on m <= 10 vertices: the clique complex of a random graph
+    (flag), or one spanned by random faces of size up to 5 and boundaries of
+    such faces (mostly not flag)."""
+    m = draw(st.integers(1, 10))
+    labels = st.integers(0, m - 1)
+    if draw(st.booleans()):
+        edges = draw(st.lists(st.tuples(labels, labels).filter(lambda e: e[0] != e[1]),
+                              max_size=3 * m))
+        return _clique_complex(m, edges)
+    faces = [(v,) for v in range(m)]
+    drawn = st.tuples(st.lists(labels, min_size=min(m, 2), max_size=5, unique=True), st.booleans())
+    for f, hollow in draw(st.lists(drawn, min_size=1, max_size=2 * m)):
+        # a hollow simplex: the boundary of f, a sphere of dimension |f| - 2
+        faces += itertools.combinations(f, len(f) - 1) if hollow and len(f) > 2 else [f]
+    return from_facets(m, faces)
+
+
+@settings(max_examples=150)
+@given(st_hochster_complex())
+@example(RP2)
+@example(_cone(RP2))
+@example(NON_UNIT_PIVOT)
+@example(_cone(cycle_graph(9)))
+def test_hochster_matches_the_subset_kernel(K):
+    """The connected-set route against the retired 2^m subset kernel."""
+    assert hochster_zk_betti(K).ranks == subset_kernel_table(K)
+
+
+def _star(l):
+    return from_facets(l + 1, [(0, v) for v in range(1, l + 1)])
+
+
+def _random_tree(l, seed):
+    rng = random.Random(seed)
+    return from_facets(l + 1, [(rng.randrange(v), v) for v in range(1, l + 1)])
+
+
+@pytest.mark.parametrize("l", [5, 9, 14, 18])
+def test_every_tree_has_the_table_of_the_path(l):
+    """Every full subcomplex of a tree is a forest, so the table depends only
+    on the number of edges. The star has 2^l connected sets, the path l^2/2."""
+    path = hochster_zk_betti(path_graph(l)).ranks
+    assert hochster_zk_betti(_star(l)).ranks == path
+    assert hochster_zk_betti(_random_tree(l, seed=l)).ranks == path
 
 
 @pytest.mark.parametrize("module", [homology, series])

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -190,3 +191,72 @@ def test_bench_pairs_reads_no_bytecode_cached_in_a_tree(tmp_path):
         assert r["helper"] == "fresh" and r["no_write"] == "1" and r["tree_bytecode"] == []
     prefixes = [r["prefix"] for r in runs]
     assert len(set(prefixes)) == 4 and not any(os.path.exists(p) for p in prefixes)
+
+
+_STUB_ROWS = '''import os
+TREE = os.path.basename(os.path.dirname(os.path.dirname(__file__)))
+
+
+def value(row):
+    with open(os.environ["LAYER_BENCH_LOG"], "a", encoding="utf-8") as log:
+        log.write(f"{row} {TREE}\\n")
+    return TREE if row == "changed" else 1
+'''
+
+
+def _layer_bench():
+    spec = importlib.util.spec_from_file_location("layer_bench", SCRIPTS / "layer_bench.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_layer_bench_alternates_the_trees_and_reports_a_changed_digest(tmp_path, monkeypatch,
+                                                                       capsys):
+    # in-process, with rows that call a stub module in each of two stub trees
+    for name in ("a", "b"):
+        (tmp_path / name / "src").mkdir(parents=True)
+        (tmp_path / name / "src" / "stubrows.py").write_text(_STUB_ROWS, encoding="utf-8")
+    log = tmp_path / "log"
+    monkeypatch.setenv("LAYER_BENCH_LOG", str(log))
+    script = _layer_bench()
+    rows = {r: ("from stubrows import value", f"value({r!r})", "result") for r in ("same", "changed")}
+    monkeypatch.setattr(script, "ROWS", rows)
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    monkeypatch.setattr(sys, "argv", ["layer_bench.py", "--repeat", "3", a, b])
+    assert script.main() == 1  # a digest changed
+    # each run a fresh child, and the tree that goes first alternates from run to run
+    assert log.read_text(encoding="utf-8").split() == [
+        "same", "a", "same", "b", "changed", "a", "changed", "b",
+        "same", "b", "same", "a", "changed", "b", "changed", "a",
+        "same", "a", "same", "b", "changed", "a", "changed", "b",
+    ]
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [line["row"] for line in lines] == ["same", "changed"]
+    for line in lines:
+        assert set(line) == {"row", "trees", "runs", "min_s", "median_s", "sha256",
+                             "digest_changed", "exit"}
+        assert line["trees"] == [a, b] and line["runs"] == 3 and line["exit"] == [0, 0]
+        assert all(0 <= low <= mid for low, mid in zip(line["min_s"], line["median_s"]))
+        assert all(len(sha) == 64 for sha in line["sha256"])
+    same, changed = lines
+    assert same["sha256"][0] == same["sha256"][1] and not same["digest_changed"]
+    assert changed["sha256"][0] != changed["sha256"][1] and changed["digest_changed"]
+
+
+def test_layer_bench_refuses_an_unknown_row(tmp_path):
+    repo = str(SCRIPTS.parent)
+    proc = _run_outside("layer_bench.py", tmp_path, repo, repo, "no.such_row")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "unknown rows ['no.such_row']" in proc.stderr
+
+
+def test_layer_bench_rows_run_and_agree_on_one_tree(tmp_path):
+    # every row but the four slowest, against this tree twice
+    repo = str(SCRIPTS.parent)
+    slow = {"homology.hochster_cone_c17", "spacealg.parse_readback_porter_15",
+            "spacealg.normalize_readback_porter_15", "decomp.dj_book_series_10_2"}
+    rows = [r for r in _layer_bench().ROWS if r not in slow]
+    proc = _run_outside("layer_bench.py", tmp_path, "--repeat", "1", repo, repo, *rows)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert [json.loads(line)["row"] for line in proc.stdout.splitlines()] == rows
