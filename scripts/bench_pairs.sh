@@ -15,8 +15,9 @@
 # fresh directory, removed afterwards, so no run reads bytecode cached in
 # either tree: a stale __pycache__ in one tree cannot favour it. The
 # directory starts with links to the standard library's own cached bytecode
-# only (site-packages and tests left out), so the runs compile the tree's
-# modules, as a fresh checkout does, and not the whole standard library.
+# only (scripts/layer_bench.py's stdlib_pycache, the rule its children run
+# under too), so the runs compile the tree's modules, as a fresh checkout
+# does, and not the whole standard library.
 set -eu
 parent=$1 change=$2 workload=$3 seconds=$4 trace=$5
 shift 5
@@ -26,18 +27,8 @@ first=$parent second=$change
 for seed in "$@"; do
     for tree in "$first" "$second"; do
         cache=$(mktemp -d)
-        python3 - "$cache" <<'EOF'
-import os, sys, sysconfig
-
-prefix = sys.argv[1]
-for root, dirs, files in os.walk(sysconfig.get_path("stdlib")):
-    dirs[:] = [d for d in dirs if d not in ("site-packages", "test", "tests")]
-    if os.path.basename(root) == "__pycache__":
-        dest = prefix + os.path.dirname(root)
-        os.makedirs(dest, exist_ok=True)
-        for f in files:
-            os.symlink(os.path.join(root, f), os.path.join(dest, f))
-EOF
+        PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=$(dirname "$0") python3 -c \
+            'import sys, layer_bench; layer_bench.stdlib_pycache(sys.argv[1])' "$cache"
         (cd "$tree" && PYTHONDONTWRITEBYTECODE=1 PYTHONPYCACHEPREFIX="$cache" \
             python3 perfbench/run.py --workload "$workload" --seed "$seed" \
             --seconds "$seconds" --trace "$trace")

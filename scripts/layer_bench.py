@@ -1,16 +1,28 @@
 #!/usr/bin/env python3
-"""In-process CPU time of named library calls, one row per layer, on two
-source trees:
+"""CPU time and a digest of the output of named library calls and CLI
+commands on two source trees:
 
     python3 scripts/layer_bench.py [--repeat K] TREE_A TREE_B [ROW...]
 
-A row builds its inputs, then times one call to public polyloop names with
-time.process_time. Each run of a row is a fresh `python3 -c` child with
-PYTHONPATH=TREE/src, K runs per tree (at least 1, default 5), the trees
-alternating first from one run to the next. The child also hashes a digest of
-the result, so a faster wrong answer shows as a changed digest, not as a
-gain. For each row (all of them when none is named) one JSON line goes to
-stdout:
+A ROW is a name from the table below or a quoted command whose first word is
+a CLI subcommand or `api` ("verify all path 10", "api hm 2,3 24"). Each run
+of a row is a fresh child with PYTHONPATH=TREE/src, K runs per tree (at least
+1, default 5), the trees alternating first from one run to the next.
+
+- A library row is a `python3 -c` child that builds its inputs, then times
+  one call to public polyloop names with time.process_time. Its digest is the
+  sha256 of the repr of a digest of the result.
+- A command row runs `python3 -m polyloop ARGS`, or TREE/perfbench/child.py
+  for `api`, as the benchmark runs its api jobs. Its time is the child's user
+  + sys CPU from os.wait4, start-up included. Its digest is the sha256 of its
+  stdout, read in chunks.
+
+So a faster wrong answer shows as a changed digest, not as a gain. Every
+child runs with PYTHONDONTWRITEBYTECODE=1 and one PYTHONPYCACHEPREFIX, made
+at start and removed at exit, that holds the standard library's bytecode
+only: each child compiles its tree's source, so bytecode cached in one tree
+cannot favour it. For each row (all of them when none is named) one JSON line
+goes to stdout:
 
     {"row": ..., "trees": [A, B], "runs": K, "min_s": [a, b],
      "median_s": [a, b], "sha256": [a, b], "digest_changed": bool, "exit": [a, b]}
@@ -20,11 +32,15 @@ failed; "exit" holds the last nonzero exit code of each tree's children, or 0.
 The script exits 1 when a digest changed or a child failed."""
 
 import argparse
+import hashlib
 import json
 import os
+import shlex
 import statistics
-import subprocess
 import sys
+import sysconfig
+import tempfile
+from subprocess import PIPE, Popen
 
 _READBACK = """import math, random
 parts = [f"(sphere {k + 1})" for k in range(2, 16) for _ in range((k - 1) * math.comb(15, k))]
@@ -34,7 +50,8 @@ text = "(wedge " + " ".join(parts) + ")"
 
 _CONE_C17 = "K = from_facets(18, [f + (17,) for f in cycle_graph(17).facets()])"
 
-# name -> (setup, timed expression, digest of `result`); the digest's repr is hashed
+# name -> (setup, timed expression, digest of `result`) for a library row, whose
+# digest's repr is hashed, or the command of a command row
 ROWS = {
     "complexes.planar_book_20_4": (
         "from polyloop import planar_book", "planar_book(20, 4)", "sorted(result.faces)"),
@@ -74,30 +91,65 @@ ROWS = {
         "import os\nfrom polyloop import porter_wedge\nfrom polyloop.spacealg import sexpr_pieces\n"
         "e = porter_wedge(20)\nsink = open(os.devnull, 'w')",
         "sum(map(sink.write, sexpr_pieces(e)))", "result"),
+    "cli.build_points_1": "build points 1",
+    "cli.verify_all_path_14": "verify all path 14",
+    "cli.decompose_path_20": "decompose path 20",
+    "cli.verify_koszul_planar_book_10_2_N_1024": "verify koszul planar-book 10 2 --N 1024",
+    "cli.decompose_planar_book_3_2_max_dim_1000": "decompose planar-book 3 2 --max-dim 1000",
 }
 
-# one run of a row: argv is setup, timed expression, digest
-CHILD = """import hashlib, json, sys, time
+# the first words of a command row: the CLI's subcommands, and perfbench's api jobs
+COMMANDS = ("build", "decompose", "verify", "hochster", "series", "api")
+
+# one run of a library row: argv is setup, timed expression, digest; it prints
+# the CPU seconds of the call on one line, then the digest's repr
+CHILD = """import sys, time
 setup, expr, digest = sys.argv[1:4]
 env = {}
 exec(setup, env)
 t0 = time.process_time()
 env["result"] = eval(expr, env)
-cpu_s = time.process_time() - t0
-text = repr(eval(digest, env)).encode()
-print(json.dumps({"cpu_s": cpu_s, "sha256": hashlib.sha256(text).hexdigest()}))
+print(time.process_time() - t0)
+sys.stdout.write(repr(eval(digest, env)))
 """
 
 
-def run_row(tree: str, row: tuple[str, str, str]) -> tuple[float, str, int]:
-    """CPU seconds, digest and exit code of one run of the row on the tree."""
-    proc = subprocess.run([sys.executable, "-c", CHILD, *row], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": os.path.join(tree, "src")})
+def stdlib_pycache(prefix: str) -> None:
+    """Fill the bytecode cache PREFIX with links to the standard library's own
+    cached bytecode (site-packages and tests left out). A child run with
+    PYTHONPYCACHEPREFIX=PREFIX then compiles its tree's modules, as a fresh
+    checkout does, and not the whole standard library."""
+    for root, dirs, files in os.walk(sysconfig.get_path("stdlib")):
+        dirs[:] = [d for d in dirs if d not in ("site-packages", "test", "tests")]
+        if os.path.basename(root) == "__pycache__":
+            dest = prefix + os.path.dirname(root)
+            os.makedirs(dest, exist_ok=True)
+            for f in files:
+                os.symlink(os.path.join(root, f), os.path.join(dest, f))
+
+
+def run_row(tree: str, row: tuple[str, str, str] | str, prefix: str) -> tuple[float, str, int]:
+    """CPU seconds, digest and exit code of one run of the row on the tree,
+    with the bytecode cache PREFIX."""
+    library = isinstance(row, tuple)
+    if library:
+        cmd = ["-c", CHILD, *row]
+    else:
+        argv = shlex.split(row)
+        cmd = [os.path.join(tree, "perfbench", "child.py")] if argv[0] == "api" else ["-m", "polyloop"]
+        cmd += argv
+    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src"),
+           "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": prefix}
+    with Popen([sys.executable, *cmd], stdout=PIPE, env=env) as proc:
+        head = proc.stdout.readline() if library else b""
+        sha = hashlib.sha256()
+        while chunk := proc.stdout.read(1 << 16):
+            sha.update(chunk)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
-        sys.stderr.write(proc.stderr)
         return 0.0, "", proc.returncode
-    out = json.loads(proc.stdout)
-    return out["cpu_s"], out["sha256"], 0
+    return float(head) if library else usage.ru_utime + usage.ru_stime, sha.hexdigest(), 0
 
 
 def at_least_one(text: str) -> int:
@@ -113,21 +165,24 @@ def main() -> int:
     ap.add_argument("trees", nargs=2)
     ap.add_argument("rows", nargs="*", metavar="ROW", help="default: every row")
     args = ap.parse_args()
-    if unknown := [r for r in args.rows if r not in ROWS]:
-        ap.error(f"unknown rows {unknown}; the rows are {list(ROWS)}")
+    if unknown := [r for r in args.rows if r not in ROWS and (r.split() or [""])[0] not in COMMANDS]:
+        ap.error(f"unknown rows {unknown}; the rows are {list(ROWS)}, or a command "
+                 f"that starts with one of {list(COMMANDS)}")
     rows = args.rows or list(ROWS)
     cpu = {(r, t): [] for r in rows for t in args.trees}
     digests = {(r, t): set() for r in rows for t in args.trees}
     exits = {(r, t): 0 for r in rows for t in args.trees}
-    for i in range(args.repeat):
-        for r in rows:
-            for t in args.trees[:: 1 - 2 * (i % 2)]:
-                seconds, digest, code = run_row(t, ROWS[r])
-                if code:
-                    exits[r, t] = code
-                else:
-                    cpu[r, t].append(seconds)
-                    digests[r, t].add(digest)
+    with tempfile.TemporaryDirectory() as prefix:
+        stdlib_pycache(prefix)
+        for i in range(args.repeat):
+            for r in rows:
+                for t in args.trees[:: 1 - 2 * (i % 2)]:
+                    seconds, digest, code = run_row(t, ROWS.get(r, r), prefix)
+                    if code:
+                        exits[r, t] = code
+                    else:
+                        cpu[r, t].append(seconds)
+                        digests[r, t].add(digest)
     bad = False
     for r in rows:
         times = [cpu[r, t] for t in args.trees]

@@ -9,7 +9,7 @@ identical bytes) or a plain text rendering with --format text. Exit codes:
   2  invalid parameters or malformed input
   3  a sphere enumeration ceiling was too small to express a needed factor
   4  an oracle precondition failed (non-flag complex for the Koszul oracle)
-  5  the Hochster subset enumeration cap was exceeded
+  5  the Hochster ground set was larger than the safety cap
 """
 
 from __future__ import annotations

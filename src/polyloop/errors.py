@@ -26,7 +26,7 @@ class NotFlagComplexError(PolyloopError, ValueError):
 
 
 class GroundSizeLimitError(PolyloopError, ValueError):
-    """Subset enumeration refused: the ground set exceeds the configured cap."""
+    """Hochster oracle refused: the ground set is larger than the safety cap."""
 
 
 class CeilingExceededError(PolyloopError, ValueError):

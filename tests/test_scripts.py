@@ -98,56 +98,6 @@ def test_reproduce_results_shows_a_refused_row_apart_from_a_mismatch(tmp_path):
     assert "MISMATCH FOUND" not in proc.stderr
 
 
-def test_child_cpu_reports_one_median_per_command_and_tree(tmp_path):
-    repo = str(SCRIPTS.parent)
-    proc = _run_outside("child_cpu.py", tmp_path, "--runs", "1", repo, repo, "build points 1")
-    assert proc.returncode == 0, proc.stderr
-    header, row = proc.stdout.splitlines()
-    assert header.split("\t") == ["command", repo, repo, "change"]
-    name, a, b, _ = row.split("\t")
-    assert name == "build points 1" and a.endswith(" ms") and float(b[:-3]) > 0
-
-
-def test_child_cpu_shows_a_failing_command_and_exits_1(tmp_path):
-    repo = str(SCRIPTS.parent)
-    proc = _run_outside("child_cpu.py", tmp_path, "--runs", "1", repo, repo,
-                        "build points 1", "decompose path x")
-    assert proc.returncode == 1, proc.stderr
-    _, ok, bad = proc.stdout.splitlines()
-    assert ok.split("\t")[0] == "build points 1" and ok.endswith("%")
-    assert bad.split("\t") == ["decompose path x", "exit 2", "exit 2", "-"]
-
-
-def test_child_cpu_refuses_fewer_than_one_run(tmp_path):
-    repo = str(SCRIPTS.parent)
-    proc = _run_outside("child_cpu.py", tmp_path, "--runs", "0", repo, repo, "build points 1")
-    assert proc.returncode == 2, proc.stdout + proc.stderr
-    assert proc.stdout == "" and "argument --runs" in proc.stderr
-
-
-def test_child_cpu_runs_api_jobs_through_the_benchmark_child(tmp_path, monkeypatch):
-    # in-process, so the commands each run spawns can be read back
-    monkeypatch.setattr(sys, "path", sys.path[:])
-    spec = importlib.util.spec_from_file_location("child_cpu", SCRIPTS / "child_cpu.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    spawned = []
-    real = script.Popen
-    monkeypatch.setattr(script, "Popen", lambda cmd, **kw: spawned.append(cmd) or real(cmd, **kw))
-    text = tmp_path / "porter.txt"
-    text.write_text("(wedge (sphere 3) (sphere 3) (sphere 4))", encoding="utf-8")
-    repo = str(SCRIPTS.parent)
-    for argv in (["api", "hm", "2,3", "8"], ["api", "readback", str(text), "5"], ["build", "points", "1"]):
-        seconds, code = script.child_cpu(repo, argv)
-        assert seconds > 0 and code == 0
-    child = os.path.join(repo, "perfbench", "child.py")
-    assert spawned == [
-        [sys.executable, child, "api", "hm", "2,3", "8"],
-        [sys.executable, child, "api", "readback", str(text), "5"],
-        [sys.executable, "-m", "polyloop", "build", "points", "1"],
-    ]
-
-
 _STUB_RUN = '''import json, os, sys
 import helper
 prefix = os.environ.get("PYTHONPYCACHEPREFIX")
@@ -159,13 +109,14 @@ print(json.dumps({"tree": os.path.basename(os.getcwd()), "argv": sys.argv[1:],
 '''
 
 
-def _stub_tree(root, name):
-    # perfbench/helper.py whose cached bytecode, trusted unchecked, is stale
+def _stub_tree(root, name, package="perfbench", files=(("run.py", _STUB_RUN),)):
+    # PACKAGE/helper.py whose cached bytecode, trusted unchecked, is stale
     import py_compile
 
-    bench = root / name / "perfbench"
+    bench = root / name / package
     bench.mkdir(parents=True)
-    (bench / "run.py").write_text(_STUB_RUN, encoding="utf-8")
+    for file, text in files:
+        (bench / file).write_text(text, encoding="utf-8")
     helper = bench / "helper.py"
     helper.write_text('SOURCE = "stale"\n', encoding="utf-8")
     py_compile.compile(str(helper), cfile=importlib.util.cache_from_source(str(helper)),
@@ -252,11 +203,82 @@ def test_layer_bench_refuses_an_unknown_row(tmp_path):
 
 
 def test_layer_bench_rows_run_and_agree_on_one_tree(tmp_path):
-    # every row but the four slowest, against this tree twice
+    # every row but the five slowest, against this tree twice
     repo = str(SCRIPTS.parent)
     slow = {"homology.hochster_cone_c17", "spacealg.parse_readback_porter_15",
-            "spacealg.normalize_readback_porter_15", "decomp.dj_book_series_10_2"}
+            "spacealg.normalize_readback_porter_15", "decomp.dj_book_series_10_2",
+            "cli.verify_koszul_planar_book_10_2_N_1024"}
     rows = [r for r in _layer_bench().ROWS if r not in slow]
     proc = _run_outside("layer_bench.py", tmp_path, "--repeat", "1", repo, repo, *rows)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert [json.loads(line)["row"] for line in proc.stdout.splitlines()] == rows
+
+
+def test_layer_bench_reports_one_line_per_command_and_tree(tmp_path):
+    repo = str(SCRIPTS.parent)
+    proc = _run_outside("layer_bench.py", tmp_path, "--repeat", "1", repo, repo, "build points 1")
+    assert proc.returncode == 0, proc.stderr
+    (line,) = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert line["row"] == "build points 1" and line["trees"] == [repo, repo]
+    assert line["exit"] == [0, 0] and all(s > 0 for s in line["min_s"])
+    # the digest is that of the command's stdout
+    env = {**os.environ, "PYTHONPATH": os.path.join(repo, "src")}
+    out = subprocess.run([sys.executable, "-m", "polyloop", "build", "points", "1"], env=env,
+                         capture_output=True, check=True, timeout=120).stdout
+    assert line["sha256"] == [hashlib.sha256(out).hexdigest()] * 2
+
+
+def test_layer_bench_shows_a_failing_command_and_exits_1(tmp_path):
+    repo = str(SCRIPTS.parent)
+    proc = _run_outside("layer_bench.py", tmp_path, "--repeat", "1", repo, repo,
+                        "build points 1", "decompose path x")
+    assert proc.returncode == 1, proc.stderr
+    ok, bad = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert ok["row"] == "build points 1" and ok["exit"] == [0, 0] and not ok["digest_changed"]
+    assert bad["row"] == "decompose path x" and bad["exit"] == [2, 2]
+    assert bad["min_s"] == bad["sha256"] == [None, None]
+
+
+def test_layer_bench_refuses_fewer_than_one_run(tmp_path):
+    repo = str(SCRIPTS.parent)
+    proc = _run_outside("layer_bench.py", tmp_path, "--repeat", "0", repo, repo, "build points 1")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == "" and "argument --repeat" in proc.stderr
+
+
+def test_layer_bench_runs_api_jobs_through_the_benchmark_child(tmp_path, monkeypatch):
+    # in-process, so the commands each run spawns can be read back
+    script = _layer_bench()
+    spawned = []
+    real = script.Popen
+    monkeypatch.setattr(script, "Popen", lambda cmd, **kw: spawned.append(cmd) or real(cmd, **kw))
+    text = tmp_path / "porter.txt"
+    text.write_text("(wedge (sphere 3) (sphere 3) (sphere 4))", encoding="utf-8")
+    prefix = tmp_path / "prefix"
+    script.stdlib_pycache(str(prefix))
+    repo = str(SCRIPTS.parent)
+    for row in ("api hm 2,3 8", f"api readback {text} 5", "build points 1"):
+        seconds, digest, code = script.run_row(repo, row, str(prefix))
+        assert seconds > 0 and len(digest) == 64 and code == 0
+    child = os.path.join(repo, "perfbench", "child.py")
+    assert spawned == [
+        [sys.executable, child, "api", "hm", "2,3", "8"],
+        [sys.executable, child, "api", "readback", str(text), "5"],
+        [sys.executable, "-m", "polyloop", "build", "points", "1"],
+    ]
+
+
+_STUB_MAIN = (("__init__.py", ""), ("__main__.py", "from polyloop import helper\nprint(helper.SOURCE)\n"))
+
+
+def test_layer_bench_command_rows_read_no_bytecode_cached_in_a_tree(tmp_path, monkeypatch):
+    a, b = (str(_stub_tree(tmp_path, name, "src/polyloop", _STUB_MAIN)) for name in ("a", "b"))
+    monkeypatch.setenv("TMPDIR", str(tmp_path / "tmp"))  # where the script makes its prefix
+    (tmp_path / "tmp").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    proc = _run_outside("layer_bench.py", tmp_path, "--repeat", "2", a, b, "build stub")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    # the source is read, not the tree's stale bytecode, on both trees
+    assert json.loads(proc.stdout)["sha256"] == [hashlib.sha256(b"fresh\n").hexdigest()] * 2
+    # nothing is written into either tree, and the prefix is gone
+    assert sorted(tmp_path.rglob("*")) == before
