@@ -5,6 +5,10 @@ For each path length the table lists the dimensions and multiplicities of
 the wedge of spheres that the fibre over the path decomposes into, and for
 books the same for the page fibre wedge. Useful for eyeballing how the
 multiplicities grow (binomial times a linear factor for paths).
+
+Parameters the package refuses end the tables with `error: <message>` on
+stderr and the exit code polyloop gives that error: 3 when the sphere
+ceiling is too low, 2 for other invalid parameters.
 """
 
 import argparse
@@ -14,6 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from polyloop.decomp import book_C, dj_book_decompose, porter_wedge
+from polyloop.errors import CeilingExceededError, PolyloopError
 from polyloop.spacealg import sphere_multiset_of
 
 
@@ -28,7 +33,15 @@ def main() -> int:
     ap.add_argument("--pages", type=int, default=2)
     ap.add_argument("--ceiling", type=int, default=16)
     args = ap.parse_args()
+    try:
+        tables(args)
+    except PolyloopError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, CeilingExceededError) else 2
+    return 0
 
+
+def tables(args: argparse.Namespace) -> None:
     print("path fibres (moment-angle complexes of paths)")
     for l in range(2, args.max_path + 1):
         counts = sphere_multiset_of(porter_wedge(l), min(args.ceiling, l + 2)).counts
@@ -45,7 +58,6 @@ def main() -> int:
         ms = r.spheres["fibre"]
         star = " (truncated)" if ms.truncated else ""
         print(f"  l={l}: {fmt(ms.counts)}{star}")
-    return 0
 
 
 if __name__ == "__main__":

@@ -16,14 +16,14 @@ smart constructors, applying these homotopy-valid rules to canonical parts:
   - HalfSmash(C, B) = Wedge(C, Smash(C', Susp B)) whenever C is recognised as
     a suspension C = Susp(C'); S^1 counts, with smash factor Susp(B) alone.
 
-Two structural certificates drive everything quantitative. A(e) =
-wedge_of_spheres_min_dim(e) certifies "e is homotopy equivalent to a wedge of
-spheres" and returns the least sphere dimension (inf for the point);
-B(e) = susp_wedge_min_dim(e) certifies the same for Susp(e). B covers loops
-via the James splitting Susp(Loop(W)) = wedge of Susp(smash powers of the
-desuspension of W), valid when A(W) >= 2.
+One structural certificate drives everything quantitative. _cert(e) walks
+e once and proves two facts together: B, the least sphere dimension of
+Susp(e) when Susp(e) is certified a wedge of spheres (inf for the point), and
+whether e itself is certified, with least sphere dimension B - 1. B covers
+loops via the James splitting Susp(Loop(W)) = wedge of Susp(smash powers of
+the desuspension of W), valid when W is a certified wedge with B(W) >= 3.
 
-The certificates and the series read canonical terms only: poincare_series,
+The certificate and the series read canonical terms only: poincare_series,
 sphere_multiset_of and james_split normalize first. So each rule above is
 stated once, in normalize, and no walk meets a Join, a Cone or a
 contractible child: the point is never a child of a canonical term.
@@ -33,8 +33,9 @@ Poincare series are computed exactly and structurally: a Loop factor inverts
 precision per nesting level. A series stops at its last nonzero coefficient
 and says whether it is whole, zero above the order asked, so a polynomial
 costs its degree. Sphere reports are read off the series, after
-certification: a term that A certifies has free homology, so its sphere counts
-are its reduced series' coefficients, cut off by the ceiling unless whole.
+certification: a certified wedge of spheres has free homology, so its
+sphere counts are its reduced series' coefficients, cut off by the ceiling
+unless whole.
 The James splitting is the sphere report of Susp(Loop(Susp(x))).
 
 Wedge, Prod and Smash store their children as runs: maximal (child, count)
@@ -402,58 +403,36 @@ def normalize(e: SpaceExpr) -> SpaceExpr:
     return out
 
 
-def wedge_of_spheres_min_dim(e: SpaceExpr):
-    """A(e) for a canonical e: least sphere dimension when e is certified to
-    be a wedge of spheres, inf when e is the point, None when uncertified."""
+def _cert(e: SpaceExpr):
+    """(B, wedge) for a canonical e: B is the least sphere dimension of
+    Susp(e) when it is certified a wedge of spheres (inf only for the point),
+    else None; wedge says e itself is certified, least dimension B - 1. Each
+    rule states e and Susp(e) together; products certify through the
+    suspension splitting over nonempty subsets of the factors."""
     if isinstance(e, Point):
-        return INF
+        return INF, True
     if isinstance(e, Sphere):
-        return e.d
-    if isinstance(e, Wedge):
-        mins = [wedge_of_spheres_min_dim(a) for a, _ in e.runs]
-        return None if None in mins else min(mins)
-    if isinstance(e, Smash):
-        runs = [(wedge_of_spheres_min_dim(a), c) for a, c in e.runs]
-        if all(v is not None for v, _ in runs):
-            return sum(v * c for v, c in runs)
-        # Smash(Susp(a), b) = Susp(Smash(a, b)): a factor that desuspends,
-        # such as a sphere, certifies the others through B; for S^k ^ Y
-        # that gives k - 1 + B(Y)
-        down = desuspend(e)
-        return None if down is None else susp_wedge_min_dim(down)
-    if isinstance(e, Susp):
-        return susp_wedge_min_dim(e.arg)
-    if isinstance(e, HalfSmash):
-        a, b = wedge_of_spheres_min_dim(e.left), susp_wedge_min_dim(e.right)
-        return None if a is None or b is None else min(a, a - 1 + b)
-    return None
-
-
-def susp_wedge_min_dim(e: SpaceExpr):
-    """B(e) = A(Susp(e)) for a canonical e, inf only for the point. Covers
-    loops by the James splitting and products by the suspension splitting
-    over nonempty subsets of the factors."""
-    if isinstance(e, Point):
-        return INF
-    if isinstance(e, Sphere):
-        return e.d + 1
+        return e.d + 1, True
     if isinstance(e, (Wedge, Prod, Smash)):
-        runs = [(susp_wedge_min_dim(a), c) for a, c in e.runs]
-        if any(v is None for v, _ in runs):
-            return None
+        runs = [(*_cert(a), c) for a, c in e.runs]
+        if any(b is None for b, _, _ in runs):
+            return None, False
+        wedge = all(w for _, w, _ in runs)
         if isinstance(e, Smash):
-            return 1 + sum((v - 1) * c for v, c in runs)
-        return min(v for v, _ in runs)
+            # Smash(Susp(a), b) = Susp(Smash(a, b)): a factor that desuspends,
+            # such as a sphere, certifies the others through their B
+            return 1 + sum((b - 1) * c for b, _, c in runs), wedge or desuspend(e) is not None
+        return min(b for b, _, _ in runs), wedge and isinstance(e, Wedge)
     if isinstance(e, Susp):
-        v = susp_wedge_min_dim(e.arg)
-        return None if v is None else v + 1
+        b, _ = _cert(e.arg)
+        return (None, False) if b is None else (b + 1, True)
     if isinstance(e, Loop):
-        a = wedge_of_spheres_min_dim(e.arg)
-        return None if a is None or a == 1 else a
+        b, wedge = _cert(e.arg)
+        return (b - 1 if wedge and b >= 3 else None), False
     if isinstance(e, HalfSmash):
-        va, vb = susp_wedge_min_dim(e.left), susp_wedge_min_dim(e.right)
-        return None if va is None or vb is None else min(va, va + vb - 1)
-    return None
+        (bl, wl), (br, _) = _cert(e.left), _cert(e.right)
+        return (None, False) if bl is None or br is None else (min(bl, bl + br - 1), wl)
+    return None, False
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -510,7 +489,7 @@ def _red(e: SpaceExpr, n: int) -> tuple[list[int], bool]:
     if isinstance(e, Susp):
         return _times([([0, 1], True, 1), (*_red(e.arg, n), 1)], n)
     if isinstance(e, HalfSmash):
-        if wedge_of_spheres_min_dim(e.left) is None and susp_wedge_min_dim(e.left) is None:
+        if _cert(e.left)[0] is None:
             raise SeriesDomainError("half-smash series needs a suspension on the left")
         (ra, wa), (rb, wb) = _red(e.left, n), _red(e.right, n)
         return _times([(ra, wa, 1), (_add([1], rb), wb, 1)], n)
@@ -518,8 +497,8 @@ def _red(e: SpaceExpr, n: int) -> tuple[list[int], bool]:
         w = e.arg
         if isinstance(w, Atom) and w.loop_reduced is not None:
             return _times([(_poly_of(w.loop_reduced), True, 1)], n)
-        a = wedge_of_spheres_min_dim(w)
-        if a is None or a < 2:
+        b, wedge = _cert(w)
+        if not wedge or b < 3:
             raise SeriesDomainError(
                 "loop series requires a simply connected wedge of spheres "
                 "(or a product of such loops, or an atom with declared loop homology)"
@@ -554,7 +533,7 @@ def _sphere_counts(e: SpaceExpr, max_dim: int) -> tuple[dict[int, int], bool]:
     spheres, read off its reduced Poincare series, and whether the ceiling
     cut any off (the series is not whole through max_dim). A huge ceiling
     costs nothing."""
-    if wedge_of_spheres_min_dim(e) is None:
+    if not _cert(e)[1]:
         raise CeilingExceededError(f"{type(e).__name__} term not certified a wedge of spheres")
     red, whole = _red(e, max_dim)
     return {d: c for d, c in enumerate(red) if c}, not whole

@@ -35,6 +35,17 @@ def test_sphere_tables_runs_outside_the_repo(tmp_path):
     assert digest == "c059c50296615ef14f99a2b9c13df1c8f08ed2b85ae3ac6f8453ace32633172a"
 
 
+def test_sphere_tables_refuses_bad_parameters_with_polyloop_exit_codes(tmp_path):
+    for argv, code, message in (
+        (("--ceiling", "1"), 2, "error: sphere ceiling below 2"),
+        (("--ceiling", "2"), 3, "error: sphere ceiling 2 hides every sphere"),
+        (("--pages", "1"), 2, "error: book decomposition needs"),
+    ):
+        proc = _run_outside("sphere_tables.py", tmp_path, *argv)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
+
+
 def test_reproduce_results_passes_outside_the_repo(tmp_path):
     # the sphere counts of the symbolic engine against the Hochster oracle,
     # and the decomposition series against the Koszul oracle

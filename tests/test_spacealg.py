@@ -51,8 +51,6 @@ from polyloop.spacealg import (
     sexpr_pieces,
     sort_key,
     sphere_multiset_of,
-    susp_wedge_min_dim,
-    wedge_of_spheres_min_dim,
 )
 
 S1, S2, S3 = Sphere(1), Sphere(2), Sphere(3)
@@ -598,35 +596,63 @@ def test_desuspend_smash():
     assert desuspend(Smash((atom("X"), atom("Y")))) is None
 
 
+def _a(e):
+    """The least sphere dimension of e when _cert certifies e a wedge of
+    spheres, else None."""
+    b, wedge = spacealg._cert(e)
+    return b - 1 if wedge else None
+
+
+def _b(e):
+    """The least sphere dimension of Susp(e) when _cert certifies it."""
+    return spacealg._cert(e)[0]
+
+
 def test_wedge_of_spheres_certificate():
-    assert wedge_of_spheres_min_dim(POINT) == INF
-    assert wedge_of_spheres_min_dim(S2) == 2
-    assert wedge_of_spheres_min_dim(Wedge((S2, S3))) == 2
-    assert wedge_of_spheres_min_dim(Smash((S2, S3))) == 5
-    assert wedge_of_spheres_min_dim(Susp(Wedge((S1, S1)))) == 2
-    assert wedge_of_spheres_min_dim(atom("X")) is None
-    assert wedge_of_spheres_min_dim(Prod((S2, S2))) is None
+    assert _a(POINT) == INF
+    assert _a(S2) == 2
+    assert _a(Wedge((S2, S3))) == 2
+    assert _a(Smash((S2, S3))) == 5
+    assert _a(Susp(Wedge((S1, S1)))) == 2
+    assert _a(atom("X")) is None
+    assert _a(Prod((S2, S2))) is None
 
 
 def test_susp_wedge_certificate():
     # B(e) certifies Susp(e) as a sphere wedge and reports dimensions there
-    assert susp_wedge_min_dim(S1) == 2
-    assert susp_wedge_min_dim(Loop(S2)) == 2
-    assert susp_wedge_min_dim(Loop(S1)) is None
-    assert susp_wedge_min_dim(Prod((Loop(S2), Loop(S3)))) == 2
-    assert susp_wedge_min_dim(HalfSmash(S2, Loop(S2))) == 3
+    assert _b(S1) == 2
+    assert _b(Loop(S2)) == 2
+    assert _b(Loop(S1)) is None
+    assert _b(Prod((Loop(S2), Loop(S3)))) == 2
+    assert _b(HalfSmash(S2, Loop(S2))) == 3
+
+
+@settings(max_examples=200)
+@given(st.one_of(st_term, st_term_atoms, st_term_raw))
+@example(Smash((S2, Loop(S2))))
+def test_cert_matches_both_reference_certificates(e):
+    # one walk gives the reference's B, and certifies e exactly where the
+    # reference's A does, with least dimension B - 1; the example is a smash
+    # that only its desuspendable factor certifies, which draws rarely reach
+    c = normalize(e)
+    b, wedge = spacealg._cert(c)
+    assert b == ref.susp_wedge_min_dim(c)
+    a = ref.wedge_of_spheres_min_dim(c)
+    assert wedge == (a is not None)
+    if wedge:
+        assert a == b - 1
 
 
 def test_smash_certificates_use_sphere_and_contractible_factors():
     # the certificates read normal forms; the reference reads the raw terms
     def a(e):
         want = ref.wedge_of_spheres_min_dim(e)
-        assert wedge_of_spheres_min_dim(normalize(e)) == want
+        assert _a(normalize(e)) == want
         return want
 
     def b(e):
         want = ref.susp_wedge_min_dim(e)
-        assert susp_wedge_min_dim(normalize(e)) == want
+        assert _b(normalize(e)) == want
         return want
 
     # S^k ^ Y = Susp^(k-1)(Susp Y): the sphere factors certify Y through B,
@@ -809,7 +835,7 @@ def test_red_agrees_with_the_padded_reference(e, n, canonical):
     assert not coeffs or coeffs[-1]
     if not isinstance(want, str):
         assert coeffs + [0] * (n + 1 - len(coeffs)) == want
-    if wedge_of_spheres_min_dim(c) is not None:
+    if spacealg._cert(c)[1]:
         assert whole == (ref._top_dim(c) <= n)
 
 
@@ -862,7 +888,7 @@ def _check_sphere_multiset_against_reference(e, ceiling):
             sphere_multiset_of(e, ceiling)
         except CeilingExceededError:
             return
-        assert wedge_of_spheres_min_dim(normalize(e)) is not None
+        assert spacealg._cert(normalize(e))[1]
         return
     got = sphere_multiset_of(e, ceiling)
     assert got.counts == want.counts
@@ -928,7 +954,7 @@ def test_james_split_matches_reference(x, cutoff):
             james_split(x, cutoff)
         except CeilingExceededError:
             return
-        assert susp_wedge_min_dim(normalize(x)) is not None
+        assert spacealg._cert(normalize(x))[0] is not None
         return
     assert james_split(x, cutoff) == want
 
