@@ -97,12 +97,15 @@ def _corrector(K: SimplicialComplex, adj: list[int], layers: list[list[int]], fi
     E(C) - |C| + 1; otherwise the faces inside C go through sparse_rank."""
     faces = set().union(*layers)
     stars = [a | 1 << v for v, a in enumerate(adj)] if K.is_flag() else [0] * len(adj)
-    # boundary rows keyed by face mask: dropping v from f has sign (-1)^#{u in f: u < v}
-    boundary = {
-        f: {f ^ bit: -1 if j % 2 else 1
-            for j, bit in enumerate(1 << v for v in range(f.bit_length()) if f >> v & 1)}
-        for layer in layers for f in layer
-    }
+    boundary: dict[int, dict[int, int]] = {}  # face mask -> row, built on first read
+
+    def row(f: int) -> dict[int, int]:
+        r = boundary.get(f)
+        if r is None:
+            # dropping v from f has sign (-1)^#{u in f: u < v}
+            bits = (1 << v for v in range(f.bit_length()) if f >> v & 1)
+            r = boundary[f] = {f ^ bit: -1 if j % 2 else 1 for j, bit in enumerate(bits)}
+        return r.copy()
 
     def correct(C: int, shape: tuple[int, int]) -> None:
         degrees, apexes, rest = 0, C, C
@@ -117,7 +120,7 @@ def _corrector(K: SimplicialComplex, adj: list[int], layers: list[list[int]], fi
             inside = [[f for f in layer if not f & ~C] for layer in layers]
             if not inside[0]:
                 return
-            ranks = [sparse_rank(boundary[f].copy() for f in layer) for layer in inside] + [0]
+            ranks = [sparse_rank(map(row, layer)) for layer in inside] + [0]
             betti = [-ranks[0]] + [len(hi) - r - q for hi, r, q in zip(inside, ranks, ranks[1:])]
         for j, b in enumerate(betti, 1):
             if b:

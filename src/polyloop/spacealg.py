@@ -22,6 +22,8 @@ Susp(e) when Susp(e) is certified a wedge of spheres (inf for the point), and
 whether e itself is certified, with least sphere dimension B - 1. B covers
 loops via the James splitting Susp(Loop(W)) = wedge of Susp(smash powers of
 the desuspension of W), valid when W is a certified wedge with B(W) >= 3.
+A smash of factors that all have B is certified when one factor W is: W ^ Y
+is the wedge over the spheres S^d of W of Susp^(d-1)(Susp Y).
 
 The certificate and the series read canonical terms only: poincare_series,
 sphere_multiset_of and james_split normalize first. So each rule above is
@@ -131,10 +133,13 @@ class _NAry(SpaceExpr):
     @classmethod
     def of_runs(cls, pairs):
         """The node with each child repeated count times, in order: zero
-        counts drop out and equal neighbours merge, by identity first."""
+        counts drop out and equal neighbours merge, by identity first. A
+        count that is not an int >= 0 raises InvalidParameters."""
         runs: list[tuple[SpaceExpr, int]] = []
         last = None  # the child of runs[-1]
         for a, c in pairs:
+            if not isinstance(c, int) or c < 0:
+                raise InvalidParameters(f"run counts must be ints >= 0, not {c!r}")
             if runs and (last is a or last == a):
                 runs[-1] = (last, runs[-1][1] + c)
             elif c:
@@ -408,7 +413,9 @@ def _cert(e: SpaceExpr):
     Susp(e) when it is certified a wedge of spheres (inf only for the point),
     else None; wedge says e itself is certified, least dimension B - 1. Each
     rule states e and Susp(e) together; products certify through the
-    suspension splitting over nonempty subsets of the factors."""
+    suspension splitting over nonempty subsets of the factors, and a smash
+    with B on every factor through any one wedge factor W, as W ^ Y is the
+    wedge over the spheres S^d of W of Susp^(d-1)(Susp Y). No term is built."""
     if isinstance(e, Point):
         return INF, True
     if isinstance(e, Sphere):
@@ -417,12 +424,9 @@ def _cert(e: SpaceExpr):
         runs = [(*_cert(a), c) for a, c in e.runs]
         if any(b is None for b, _, _ in runs):
             return None, False
-        wedge = all(w for _, w, _ in runs)
         if isinstance(e, Smash):
-            # Smash(Susp(a), b) = Susp(Smash(a, b)): a factor that desuspends,
-            # such as a sphere, certifies the others through their B
-            return 1 + sum((b - 1) * c for b, _, c in runs), wedge or desuspend(e) is not None
-        return min(b for b, _, _ in runs), wedge and isinstance(e, Wedge)
+            return 1 + sum((b - 1) * c for b, _, c in runs), any(w for _, w, _ in runs)
+        return min(b for b, _, _ in runs), isinstance(e, Wedge) and all(w for _, w, _ in runs)
     if isinstance(e, Susp):
         b, _ = _cert(e.arg)
         return (None, False) if b is None else (b + 1, True)

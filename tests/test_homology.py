@@ -4,6 +4,7 @@ import ast
 import itertools
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,20 @@ def test_hochster_frozen_tables():
 
 def test_hochster_simplex_is_trivial():
     assert hochster_zk_betti(simplex(2)).ranks == {0: 1}
+
+
+def test_hochster_builds_boundary_rows_only_for_eliminations():
+    # no connected vertex set of a simplex reaches sparse_rank, so none of
+    # the boundary rows of its 2^16 faces is built
+    K = simplex(15)
+    tracemalloc.start()
+    try:
+        table = hochster_zk_betti(K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.ranks == {0: 1}
+    assert peak < 10 << 20, f"{peak} bytes"
 
 
 def test_hochster_rejects_ghosts():

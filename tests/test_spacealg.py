@@ -353,6 +353,16 @@ def test_runs_are_the_stored_form():
     assert Wedge((t, u)) != Prod((t, u))
 
 
+def test_run_counts_are_ints_at_least_zero():
+    # a negative count would cancel the counts of equal neighbours, or drop
+    # a run and the summand after it
+    for cls in (Wedge, Prod, Smash):
+        for bad in (-3, -1, 1.0, 2.5, "2", None):
+            with pytest.raises(InvalidParameters):
+                cls.of_runs([(S2, bad), (S3, 1)])
+        assert cls.of_runs([(S2, 0), (S3, 1), (S3, 0)]).runs == ((S3, 1),)
+
+
 def test_other_value_types_pickle_round_trip():
     for value in (path_graph(4), TruncSeries(4, (1, 0, 3, -1, 7))):
         back = pickle.loads(pickle.dumps(value))
@@ -627,20 +637,74 @@ def test_susp_wedge_certificate():
     assert _b(HalfSmash(S2, Loop(S2))) == 3
 
 
+def _check_smash_by_a_wedge_factor(s, ceiling=10):
+    """The sphere counts of a certified smash s read off one wedge factor W:
+    W ^ Y is the wedge over the spheres S^d of W of Susp^(d-1)(Susp Y), with
+    Y the smash of the other factors."""
+    i = next(i for i, (a, _) in enumerate(s.runs) if spacealg._cert(a)[1])
+    y = normalize(Smash.of_runs([(a, c - (j == i)) for j, (a, c) in enumerate(s.runs)]))
+    want = Counter()
+    for d, k in sphere_multiset_of(s.runs[i][0], ceiling).counts.items():
+        for dim, n in sphere_multiset_of(Susp(y), ceiling - d + 1).counts.items():
+            want[dim + d - 1] += k * n
+    assert sphere_multiset_of(s, ceiling).counts == {d: n for d, n in want.items() if n}
+
+
+@settings(max_examples=200)
+@given(st.one_of(st_term, st_term_atoms, st_term_raw))
+# a smash that only its desuspendable factor certifies
+@example(Smash((S2, Loop(S2))))
+# smashes that A refuses: (S^1 v S^2) ^ Loop(S^3) is Susp Loop(S^3) v
+# Susp^2 Loop(S^3) by James, and a drawn smash of a wedge with a torus
+@example(Smash((Wedge((S1, S2)), Loop(S3))))
+@example(Loop(Smash((Wedge((S1, S2)), Loop(S3)))))
+@example(parse_sexpr("(smash (wedge (sphere 1) (sphere 1)) (prod (sphere 1) (sphere 1) (sphere 1)))"))
+def test_cert_matches_both_reference_certificates(e):
+    # one walk gives the reference's B wherever it has one, and certifies e
+    # wherever the reference's A does, with least dimension B - 1. It also
+    # certifies a smash whose factors all have B through any one wedge
+    # factor, which A misses unless some factor desuspends: each such smash
+    # in e has the sphere counts of that rule, and only through one does
+    # the walk differ from the reference, by certifying more (a loop on
+    # such a smash gains a B)
+    c = normalize(e)
+    b, wedge = spacealg._cert(c)
+    want_b, a = ref.susp_wedge_min_dim(c), ref.wedge_of_spheres_min_dim(c)
+    if want_b is not None:
+        assert b == want_b
+    if a is not None:
+        assert wedge and a == b - 1
+    beyond = [s for s in _nodes(c) if isinstance(s, Smash) and spacealg._cert(s)[1]
+              and ref.wedge_of_spheres_min_dim(s) is None]
+    for s in beyond:
+        _check_smash_by_a_wedge_factor(s)
+    if (b, wedge) != (want_b, a is not None):
+        assert beyond
+
+
+def test_a_smash_with_a_wedge_factor_is_certified():
+    # neither factor of (S^1 v S^2) ^ Loop(S^3) desuspends; its reduced
+    # series is t^3 / (1 - t), and its loop series (1 - t) / (1 - t - t^2)
+    e = Smash((Wedge((S1, S2)), Loop(S3)))
+    ms = sphere_multiset_of(e, 8)
+    assert ms.counts == {d: 1 for d in range(3, 9)} and ms.truncated
+    assert poincare_series(Loop(e), 8).coeffs == (1, 0, 1, 1, 2, 3, 5, 8, 13)
+
+
 @settings(max_examples=200)
 @given(st.one_of(st_term, st_term_atoms, st_term_raw))
 @example(Smash((S2, Loop(S2))))
-def test_cert_matches_both_reference_certificates(e):
-    # one walk gives the reference's B, and certifies e exactly where the
-    # reference's A does, with least dimension B - 1; the example is a smash
-    # that only its desuspendable factor certifies, which draws rarely reach
+def test_cert_builds_no_terms(e):
     c = normalize(e)
-    b, wedge = spacealg._cert(c)
-    assert b == ref.susp_wedge_min_dim(c)
-    a = ref.wedge_of_spheres_min_dim(c)
-    assert wedge == (a is not None)
-    if wedge:
-        assert a == b - 1
+    want = spacealg._cert(c)
+
+    def build(*args):
+        raise AssertionError("the certificate walk built a term")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spacealg, "desuspend", build)
+        mp.setattr(spacealg, "_nary", build)
+        assert spacealg._cert(c) == want
 
 
 def test_smash_certificates_use_sphere_and_contractible_factors():
