@@ -93,6 +93,8 @@ ROWS = {
         "sum(map(sink.write, sexpr_pieces(e)))", "result"),
     "cli.build_points_1": "build points 1",
     "cli.verify_all_path_14": "verify all path 14",
+    "cli.verify_porter_hochster_path_14": "verify porter-hochster path 14 --jobs 2",
+    "cli.verify_koszul_planar_book_7_2": "verify koszul planar-book 7 2",
     "cli.decompose_path_20": "decompose path 20",
     "cli.verify_koszul_planar_book_10_2_N_1024": "verify koszul planar-book 10 2 --N 1024",
     "cli.decompose_planar_book_3_2_max_dim_1000": "decompose planar-book 3 2 --max-dim 1000",

@@ -18,7 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from polyloop.decomp import book_C, dj_book_decompose, porter_wedge
-from polyloop.errors import CeilingExceededError, PolyloopError
+from polyloop.errors import PolyloopError
 from polyloop.spacealg import sphere_multiset_of
 
 
@@ -37,7 +37,7 @@ def main() -> int:
         tables(args)
     except PolyloopError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, CeilingExceededError) else 2
+        return exc.exit_code
     return 0
 
 

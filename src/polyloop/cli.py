@@ -20,13 +20,7 @@ import json
 import os
 import sys
 
-from .errors import (
-    CeilingExceededError,
-    GroundSizeLimitError,
-    InvalidParameters,
-    NotFlagComplexError,
-    PolyloopError,
-)
+from .errors import InvalidParameters, PolyloopError
 
 # family -> (its builder in complexes, its parameter names, its builder in
 # decomp or None); decompose and verify take the families with a decomp
@@ -40,7 +34,7 @@ _FAMILIES = {
     "cycle": ("cycle_graph", ("l",), None),
     "points": ("disjoint_points", ("n",), None),
     "simplex": ("simplex", ("k",), None),
-    "glue-spec-file": ("glue", ("file",), None),
+    "glue-spec-file": ("glue_from_json_obj", ("file",), None),
     "file": ("from_json_obj", ("file",), None),
 }
 _DECOMPOSABLE = tuple(f for f, (_, _, build) in _FAMILIES.items() if build)
@@ -70,39 +64,12 @@ def _load_json(path: str) -> dict:
         raise InvalidParameters(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _glue_spec_from_obj(obj: dict) -> complexes.GluingSpec:
-    from . import complexes
-
-    if not isinstance(obj, dict):
-        raise InvalidParameters("glue spec must be a JSON object")
-    try:
-        base = complexes.from_json_obj(obj["base"])
-        sub_a = complexes.json_labels(obj["sub_a"], "sub_a")
-        sub_b = complexes.json_labels(obj["sub_b"], "sub_b")
-        copies = obj["copies"]
-    except KeyError as exc:
-        raise InvalidParameters(f"glue spec is missing key {exc}") from exc
-    if type(copies) is not int:
-        raise InvalidParameters("copies must be an integer")
-    psi = complexes.json_labels(obj.get("psi", list(range(base.ground_size))), "psi")
-    phi = obj.get("phi", [])
-    if not isinstance(phi, list):
-        raise InvalidParameters("phi must be a list of relabellings")
-    phi = tuple(complexes.json_labels(p, "each phi entry") for p in phi)
-    return complexes.GluingSpec(base, sub_a, sub_b, psi, copies, phi)
-
-
 def complex_from_family(family: str, params: list[str]) -> complexes.SimplicialComplex:
     # imported here, where a complex is built: decompose never loads it
     from . import complexes
 
-    vals = list(_family_params(family, params).values())
-    build = getattr(complexes, _FAMILIES[family][0])
-    if family == "glue-spec-file":
-        return build(_glue_spec_from_obj(_load_json(vals[0])))
-    if family == "file":
-        return build(_load_json(vals[0]))
-    return build(*vals)
+    vals = [_load_json(v) if k == "file" else v for k, v in _family_params(family, params).items()]
+    return getattr(complexes, _FAMILIES[family][0])(*vals)
 
 
 def _text_lines(obj: dict | list, indent: int = 0) -> list[str]:
@@ -235,6 +202,8 @@ def cmd_verify(args) -> int:
                 "no series engine for books with l != 2n; only the planar family is decomposed"
             )
         l = params["n"]  # the book is the planar book with p+1 pages of length n
+    # the series decompose reports, built in every mode, so every mode refuses alike
+    eng = decomp._spine(l, p, args.N, None).series
     checks: list[dict] = []
     if args.family == "path" and args.mode != "koszul":
         from . import homology
@@ -245,7 +214,6 @@ def cmd_verify(args) -> int:
         engine_ms = sphere_multiset_of(decomp.path_fibre_reduce(l, circles=True), max(l + 2, 3))
         checks.append(_check("porter-hochster", "dimension", engine_ms.counts, oracle_ms.counts))
     if args.mode != "porter-hochster":
-        eng = decomp._series_only(l, p, args.N)
         orc = series.koszul_loop_series(K, args.N)
         checks.append(_check("koszul", "degree", dict(enumerate(eng.coeffs)),
                              dict(enumerate(orc.coeffs))))
@@ -378,8 +346,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (PolyloopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        codes = ((GroundSizeLimitError, 5), (NotFlagComplexError, 4), (CeilingExceededError, 3))
-        return next((code for cls, code in codes if isinstance(exc, cls)), 2)
+        return getattr(exc, "exit_code", 2)
 
 
 def run() -> None:

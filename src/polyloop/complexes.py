@@ -176,6 +176,29 @@ def from_json_obj(obj: dict) -> SimplicialComplex:
     return from_facets(m, [json_labels(f, "each facet") for f in facets])
 
 
+def glue_from_json_obj(obj: dict) -> SimplicialComplex:
+    """The complex glued by a JSON glue spec: a complex object under "base",
+    label lists "sub_a", "sub_b", the int "copies", and optionally "psi"
+    (default the identity) and the list "phi" (see GluingSpec)."""
+    if not isinstance(obj, dict):
+        raise InvalidParameters("glue spec must be a JSON object")
+    try:
+        base = from_json_obj(obj["base"])
+        sub_a = json_labels(obj["sub_a"], "sub_a")
+        sub_b = json_labels(obj["sub_b"], "sub_b")
+        copies = obj["copies"]
+    except KeyError as exc:
+        raise InvalidParameters(f"glue spec is missing key {exc}") from exc
+    if type(copies) is not int:
+        raise InvalidParameters("copies must be an integer")
+    psi = json_labels(obj.get("psi", list(range(base.ground_size))), "psi")
+    phi = obj.get("phi", [])
+    if not isinstance(phi, list):
+        raise InvalidParameters("phi must be a list of relabellings")
+    phi = tuple(json_labels(p, "each phi entry") for p in phi)
+    return glue(GluingSpec(base, sub_a, sub_b, psi, copies, phi))
+
+
 def json_labels(v, what: str) -> tuple[int, ...]:
     """A JSON list of int labels as a tuple (no bools, floats or strings)."""
     if not isinstance(v, list) or any(type(x) is not int for x in v):

@@ -147,9 +147,19 @@ def porter_wedge(l: int, circles: bool = True) -> SpaceExpr:
     return normalize(Wedge.of_runs(runs))
 
 
+def _vertex_loop(circles: bool) -> SpaceExpr:
+    """The loops on one vertex space: S^1 = Loop(CP^infinity) for circles,
+    else Loop(GENERIC_VERTEX_SPACE)."""
+    return Sphere(1) if circles else Loop(GENERIC_VERTEX_SPACE)
+
+
 def _smash_power(k: int, circles: bool) -> SpaceExpr:
-    """The suspended k-fold smash of loop factors: S^(k+1) for circles."""
-    return Sphere(k + 1) if circles else Susp(Smash.of_runs([(Loop(GENERIC_VERTEX_SPACE), k)]))
+    """The suspended k-fold smash of vertex loops. For circles it is
+    S^(k+1), built directly: building it through normalize makes
+    path_decompose(40) about twice as slow."""
+    if circles:
+        return Sphere(k + 1)
+    return Susp(Smash.of_runs([(_vertex_loop(circles), k)]))
 
 
 def path_fibre_reduce(l: int, circles: bool = True) -> SpaceExpr:
@@ -216,7 +226,7 @@ def book_C(l: int, circles: bool = True) -> SpaceExpr:
         for s in range(1, l)
     ]
     zk = porter_wedge(l - 1, circles=circles)
-    tail = HalfSmash(zk, Sphere(1) if circles else Loop(GENERIC_VERTEX_SPACE))
+    tail = HalfSmash(zk, _vertex_loop(circles))
     return normalize(Wedge.of_runs(parts + [(tail, 1)]))
 
 
@@ -229,13 +239,11 @@ def endpoint_fibre(l: int, circles: bool = True) -> SpaceExpr:
     loops on the join of two vertex loop spaces."""
     if l < 2:
         raise InvalidParameters("page paths must have length at least 2")
-    loop_x = Loop(GENERIC_VERTEX_SPACE)
+    loop_x = _vertex_loop(circles)
     if l == 2:
-        return Sphere(1) if circles else normalize(loop_x)
-    cbit = book_C(l, circles=circles)
-    join_loops = Loop(Sphere(3)) if circles else Loop(Join(loop_x, loop_x))
-    tail = Loop(HalfSmash(cbit, join_loops))
-    return normalize(Prod.of_runs([(Sphere(1) if circles else loop_x, l - 1), (tail, 1)]))
+        return normalize(loop_x)
+    tail = Loop(HalfSmash(book_C(l, circles=circles), Loop(Join(loop_x, loop_x))))
+    return normalize(Prod.of_runs([(loop_x, l - 1), (tail, 1)]))
 
 
 def _visible_spheres(e: SpaceExpr, max_dim: int, name: str) -> SphereMultiset:
@@ -248,41 +256,40 @@ def _visible_spheres(e: SpaceExpr, max_dim: int, name: str) -> SphereMultiset:
     return ms
 
 
-# the cone splitting and the path fibre, with the factors they give for a
-# spine path of length l; both families below start with them
-_PATH_STEPS = ("cone-fibration-splitting", "path-to-points-reduction", "porter-fibre")
-
-
-def _factors(l: int, p: int | None = None) -> tuple[SpaceExpr, SpaceExpr | None, tuple]:
-    """The path fibre, the page fibre wedge (None for a path) and the factors
-    of the path with l edges or, given p, of the planar book (l, p)."""
+def _spine(l: int, p: int | None, n: int, max_dim: int | None) -> DecompResult:
+    """The decomposition over the path with l edges or, given p, over the
+    planar book (l, p); the two public builders below. Both start with the
+    cone splitting and the path fibre, and a book adds the fold splitting of
+    its page fibre. max_dim=None leaves out the sphere reports, which verify
+    never prints."""
     if p is not None and (l < 2 or p < 2):
         raise InvalidParameters("book decomposition needs l >= 2 and p >= 2")
-    zk = path_fibre_reduce(l, circles=True)
-    factors = (
-        ("circles", normalize(Prod.of_runs([(Sphere(1), l + 1)]))),
-        ("loop-path-fibre", normalize(Loop(zk))),
-    )
-    if p is None:
-        return zk, None, factors
-    fw = normalize(Wedge.of_runs([(Susp(endpoint_fibre(l, circles=True)), p)]))
-    return zk, fw, factors + (("loop-page-fibre-wedge", normalize(Loop(fw))),)
+    # sphere report key -> (factor name, the wedge's name in a refusal, wedge)
+    wedges = {"ZPl": ("loop-path-fibre", "path fibre", path_fibre_reduce(l))}
+    steps = ("cone-fibration-splitting", "path-to-points-reduction", "porter-fibre")
+    if p is not None:
+        fw = normalize(Wedge.of_runs([(Susp(endpoint_fibre(l)), p)]))
+        wedges["fibre"] = ("loop-page-fibre-wedge", "page fibre wedge", fw)
+        page = ("endpoint-join-reduction",) if l == 2 else (
+            "inclusion-fibre-halfsmash", "suspension-splitting", "james-splitting",
+            "halfsmash-splitting",
+        )
+        steps += ("polyhedral-fold-splitting", *page, "book-sphere-decomposition")
+    spheres = None
+    if max_dim is not None:
+        if max_dim < 2:
+            raise InvalidParameters("sphere ceiling below 2 cannot express anything")
+        spheres = {key: _visible_spheres(w, max_dim, what) for key, (_, what, w) in wedges.items()}
+    factors = (("circles", normalize(Prod.of_runs([(Sphere(1), l + 1)]))),)
+    factors += tuple((name, normalize(Loop(w))) for name, _, w in wedges.values())
+    family, params = ("P_l", {"l": l}) if p is None else ("B(l,2l,p)", {"l": l, "p": p})
+    return _result(family, {**params, "N": n, "max_dim": max_dim}, factors, steps, spheres)
 
 
 def path_decompose(l: int, n: int = 16, max_dim: int = 16) -> DecompResult:
     """Loops on the product of infinite projective spaces over a path with l
     edges: l+1 circles times loops on an explicit sphere wedge."""
-    zk, _, factors = _factors(l)
-    if max_dim < 2:
-        raise InvalidParameters("sphere ceiling below 2 cannot express anything")
-    spheres = {"ZPl": _visible_spheres(zk, max_dim, "path fibre")}
-    return _result("P_l", {"l": l, "N": n, "max_dim": max_dim}, factors, _PATH_STEPS, spheres)
-
-
-def _series_only(l: int, p: int | None, n: int) -> TruncSeries | None:
-    """The series of path_decompose(l, n), or given p of dj_book_decompose(l, p, n), without
-    the sphere reports verify never prints; at its ceilings they cannot refuse."""
-    return _result("", {"N": n}, _factors(l, p)[2], ()).series
+    return _spine(l, None, n, max_dim)
 
 
 def dj_book_decompose(l: int, p: int, n: int = 16, max_dim: int = 16) -> DecompResult:
@@ -293,29 +300,7 @@ def dj_book_decompose(l: int, p: int, n: int = 16, max_dim: int = 16) -> DecompR
     The series is exact through degree n regardless of max_dim; only the
     sphere report is truncated at max_dim.
     """
-    zk, fw, factors = _factors(l, p)
-    if max_dim < 2:
-        raise InvalidParameters("sphere ceiling below 2 cannot express anything")
-    spheres = {
-        "ZPl": _visible_spheres(zk, max_dim, "path fibre"),
-        "fibre": _visible_spheres(fw, max_dim, "page fibre wedge"),
-    }
-    if l == 2:
-        tail = ("endpoint-join-reduction",)
-    else:
-        tail = (
-            "inclusion-fibre-halfsmash",
-            "suspension-splitting",
-            "james-splitting",
-            "halfsmash-splitting",
-        )
-    return _result(
-        "B(l,2l,p)",
-        {"l": l, "p": p, "N": n, "max_dim": max_dim},
-        factors,
-        _PATH_STEPS + ("polyhedral-fold-splitting",) + tail + ("book-sphere-decomposition",),
-        spheres,
-    )
+    return _spine(l, p, n, max_dim)
 
 
 def book_decompose_symbolic(n_spine: int, l: int, p: int, n: int = 16) -> DecompResult:

@@ -503,6 +503,7 @@ def test_exit_invalid_params(capsys):
     ("verify", "koszul", "book", "2", "4", "2"),
     ("series", "koszul", "path", "3"),
     ("series", "hilbert", "path", "3"),
+    ("verify", "porter-hochster", "path", "3"),
 ])
 def test_negative_series_order_has_one_refusal(capsys, argv):
     # the engine and the oracles word it alike, whichever of them runs first

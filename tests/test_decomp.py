@@ -29,8 +29,11 @@ from polyloop.homology import zk_sphere_multiset
 from polyloop.series import TruncSeries, koszul_loop_series
 from polyloop.spacealg import (
     POINT,
+    HalfSmash,
+    Join,
     Loop,
     Prod,
+    Smash,
     Sphere,
     Susp,
     Wedge,
@@ -60,6 +63,29 @@ def test_porter_wedge_symbolic_mode():
     # one suspended double smash per pair, two triple smashes... sizes only
     assert len(w.args) == 5
     assert all(isinstance(s, Susp) for s in w.args)
+
+
+def _at_circles(e):
+    """e with a circle for each Loop(GENERIC_VERTEX_SPACE)."""
+    if e == Loop(GENERIC_VERTEX_SPACE):
+        return Sphere(1)
+    if isinstance(e, (Wedge, Prod, Smash)):
+        return type(e).of_runs([(_at_circles(a), c) for a, c in e.runs])
+    if isinstance(e, (Susp, Loop)):
+        return type(e)(_at_circles(e.arg))
+    if isinstance(e, (Join, HalfSmash)):
+        return type(e)(_at_circles(e.left), _at_circles(e.right))
+    return e
+
+
+def test_generic_vertex_forms_specialise_to_the_circle_forms():
+    for l in range(1, 9):
+        builders = [porter_wedge] + [book_C] * (l >= 3) + [endpoint_fibre] * (l >= 2)
+        for build in builders:
+            generic, circle = build(l, circles=False), build(l, circles=True)
+            # only porter_wedge(1), a point, has no loop factor to substitute
+            assert (generic != circle) == (l > 1), (build.__name__, l)
+            assert normalize(_at_circles(generic)) == circle, (build.__name__, l)
 
 
 def test_porter_wedge_matches_hochster():
@@ -214,22 +240,23 @@ def test_dj_book_validation_and_ceiling():
 def test_series_only_route_equals_the_builders_series():
     for l in range(1, 13):
         for n in (8, 24):
-            assert decomp._series_only(l, None, n) == path_decompose(l, n=n, max_dim=l + 2).series
+            assert decomp._spine(l, None, n, None).series == path_decompose(
+                l, n=n, max_dim=l + 2).series
     for l, p in [(2, 2), (2, 5), (3, 2), (4, 3), (7, 4), (10, 2)]:
         for n in (8, 24):
-            assert decomp._series_only(l, p, n) == dj_book_decompose(l, p, n=n).series, (l, p)
+            assert decomp._spine(l, p, n, None).series == dj_book_decompose(l, p, n=n).series, (l, p)
     for l, p in [(1, 2), (2, 1)]:
         with pytest.raises(InvalidParameters):
-            decomp._series_only(l, p, 8)
+            decomp._spine(l, p, 8, None)
 
 
 def test_no_sphere_report_refuses_at_the_ceilings_verify_used():
     # why the series-only route changes no exit code: the path fibre has
     # spheres from dimension 3 and the page fibre wedge from dimension 2
     for l in range(2, 15):
-        zk, fw, _ = decomp._factors(l, 2)
-        assert min(sphere_multiset_of(zk, 3).counts) == 3
-        assert min(sphere_multiset_of(fw, 3).counts) == 2
+        spheres = dj_book_decompose(l, 2, n=1, max_dim=3).spheres
+        assert min(spheres["ZPl"].counts) == 3
+        assert min(spheres["fibre"].counts) == 2
 
 
 def test_book_decompose_symbolic():
