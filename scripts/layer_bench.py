@@ -98,6 +98,8 @@ ROWS = {
     "cli.decompose_path_20": "decompose path 20",
     "cli.verify_koszul_planar_book_10_2_N_1024": "verify koszul planar-book 10 2 --N 1024",
     "cli.decompose_planar_book_3_2_max_dim_1000": "decompose planar-book 3 2 --max-dim 1000",
+    "cli.verify_all_path_40": "verify all path 40",
+    "cli.decompose_planar_book_7_3_text": "decompose planar-book 7 3 --format text",
 }
 
 # the first words of a command row: the CLI's subcommands, and perfbench's api jobs

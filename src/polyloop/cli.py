@@ -162,13 +162,8 @@ def cmd_decompose(args) -> int:
     ceiling = {} if args.family == "book" else {"max_dim": args.max_dim}
     result = build(*params.values(), n=args.N, **ceiling)
     # each factor's term is written run by run in its hole, never whole
-    terms = []
-
-    def hole(e):
-        terms.append(sexpr_pieces(e, _escape))
-        return _HOLE
-
-    _emit(result.to_json_obj(hole), args, terms)
+    terms = [sexpr_pieces(e, _escape) for _, e in result.factors]
+    _emit(result.to_json_obj(lambda e: _HOLE), args, terms)
     return 0
 
 
@@ -202,21 +197,21 @@ def cmd_verify(args) -> int:
                 "no series engine for books with l != 2n; only the planar family is decomposed"
             )
         l = params["n"]  # the book is the planar book with p+1 pages of length n
-    # the series decompose reports, built in every mode, so every mode refuses alike
-    eng = decomp._spine(l, p, args.N, None).series
+    porter = args.family == "path" and args.mode != "koszul"
+    # what decompose prints, built in every mode so every mode refuses alike; its
+    # path fibre report is whole at ceiling l + 2, as the wedge's top sphere is S^(l+1)
+    res = decomp._spine(l, p, args.N, l + 2 if porter else None)
     checks: list[dict] = []
-    if args.family == "path" and args.mode != "koszul":
+    if porter:
         from . import homology
-        from .spacealg import sphere_multiset_of
 
         # a path has about m^2/2 connected sets, so the oracle is polynomial in m: no cap
-        oracle_ms = homology.zk_sphere_multiset(K, ceiling=K.ground_size)
-        engine_ms = sphere_multiset_of(decomp.path_fibre_reduce(l, circles=True), max(l + 2, 3))
-        checks.append(_check("porter-hochster", "dimension", engine_ms.counts, oracle_ms.counts))
+        orc = homology.zk_sphere_multiset(K, ceiling=K.ground_size).counts
+        checks.append(_check("porter-hochster", "dimension", res.spheres["ZPl"].counts, orc))
     if args.mode != "porter-hochster":
-        orc = series.koszul_loop_series(K, args.N)
-        checks.append(_check("koszul", "degree", dict(enumerate(eng.coeffs)),
-                             dict(enumerate(orc.coeffs))))
+        orc = series.koszul_loop_series(K, args.N).coeffs
+        checks.append(_check("koszul", "degree", dict(enumerate(res.series.coeffs)),
+                             dict(enumerate(orc))))
     status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
     _emit(
         {

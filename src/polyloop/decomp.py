@@ -260,8 +260,8 @@ def _spine(l: int, p: int | None, n: int, max_dim: int | None) -> DecompResult:
     """The decomposition over the path with l edges or, given p, over the
     planar book (l, p); the two public builders below. Both start with the
     cone splitting and the path fibre, and a book adds the fold splitting of
-    its page fibre. max_dim=None leaves out the sphere reports, which verify
-    never prints."""
+    its page fibre. max_dim=None leaves out the sphere reports, which the
+    Koszul check never reads."""
     if p is not None and (l < 2 or p < 2):
         raise InvalidParameters("book decomposition needs l >= 2 and p >= 2")
     # sphere report key -> (factor name, the wedge's name in a refusal, wedge)

@@ -193,8 +193,5 @@ def zk_sphere_multiset(K: SimplicialComplex, *, ceiling: int = 20) -> SphereMult
         raise InvalidParameters(
             "Z_K is certified a wedge of spheres only for a flag complex with a chordal 1-skeleton"
         )
-    table = hochster_zk_betti(K, ceiling=ceiling)
-    if table.ranks.get(0) != 1:
-        raise InvalidParameters("expected a connected moment-angle complex with b_0 = 1")
-    counts = {j: b for j, b in table.ranks.items() if j > 0}
+    counts = {j: b for j, b in hochster_zk_betti(K, ceiling=ceiling).ranks.items() if j > 0}
     return SphereMultiset(counts=counts, max_dim=None, truncated=False)

@@ -403,14 +403,41 @@ def test_verify_passes_on_paths_above_twenty_vertices(capsys, mode):
     assert code == 0 and json.loads(out)["status"] == "pass"
 
 
-def test_verify_builds_no_sphere_report(capsys, monkeypatch):
-    def report_must_not_run(*args):
-        raise AssertionError("verify built a sphere report, which it never prints")
+def test_verify_builds_only_the_sphere_report_it_compares(capsys, monkeypatch):
+    # the Koszul check reads no report, and the Porter check reads the path
+    # fibre's alone: no page fibre report is built
+    real, built = decomp._visible_spheres, []
 
-    monkeypatch.setattr(decomp, "_visible_spheres", report_must_not_run)
-    for argv in (("koszul", "path", "6"), ("all", "path", "6"),
-                 ("koszul", "planar-book", "4", "3"), ("koszul", "book", "3", "6", "2")):
+    def recorded(e, max_dim, name):
+        built.append(name)
+        return real(e, max_dim, name)
+
+    monkeypatch.setattr(decomp, "_visible_spheres", recorded)
+    for argv, want in [
+        (("koszul", "path", "6"), []),
+        (("koszul", "planar-book", "4", "3"), []),
+        (("koszul", "book", "3", "6", "2"), []),
+        (("all", "path", "6"), ["path fibre"]),
+    ]:
+        built.clear()
         assert _run(capsys, "verify", *argv)[0] == 0
+        assert built == want, argv
+
+
+def test_verify_checks_the_sphere_report_decompose_prints(capsys, monkeypatch):
+    real = decomp._visible_spheres
+
+    def skewed(e, max_dim, name):
+        # one more S^4 in the path fibre report, the only report of a path
+        ms = real(e, max_dim, name)
+        return SphereMultiset({**ms.counts, 4: ms.counts[4] + 1}, ms.max_dim, ms.truncated)
+
+    monkeypatch.setattr(decomp, "_visible_spheres", skewed)
+    code, out, _ = _run(capsys, "verify", "porter-hochster", "path", "3")
+    assert code == 1
+    assert json.loads(out)["checks"][0]["first_discrepancy"] == {
+        "dimension": 4, "engine": 3, "oracle": 2,
+    }
 
 
 def test_verify_koszul_path_and_book(capsys):

@@ -10,7 +10,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 import spacealg_reference as ref
 from series_reference import invert, mul, one
@@ -133,6 +133,51 @@ st_term_atoms = _terms(st.one_of(st_sphere, st.just(POINT), st_atom))
 st_term_raw = _terms(st.one_of(st_sphere, st.just(POINT), st_atom), raw=True)
 
 
+# --- the copy-by-copy references, bounded ----------------------------------
+
+# ref.normalize and ref._rw spell a suspended product out over every subset of
+# its factors, and so do ref.sphere_multiset_of and ref.james_split, built on
+# them: they spend about 10 us per node of the normal form spelled out copy by
+# copy. A draw beyond this many nodes is compared with the run-based
+# references only.
+_COPIES_CAP = 20_000
+
+# A drawn term of 29 nodes whose normal form, the 2^21 - 1 suspended smashes
+# of the subsets of its 21 factors, spells out to 25,034,704 nodes in 169 runs.
+_B = atom("B", reduced={2: 1, 3: 2})
+_SPELLED_OUT_DRAW = Susp(Prod((Loop(Susp(S3)), *[Prod((S1, _B, _B, _B, _B))] * 4)))
+
+
+def _spelled_out(e, memo) -> int:
+    """The nodes of e with every run spelled out copy by copy; memo maps the
+    id of each object already counted to its count."""
+    n = memo.get(id(e))
+    if n is None:
+        if isinstance(e, (Wedge, Prod, Smash)):
+            n = 1 + sum(c * _spelled_out(a, memo) for a, c in e.runs)
+        elif isinstance(e, (Susp, Loop, Cone)):
+            n = 1 + _spelled_out(e.arg, memo)
+        elif isinstance(e, (Join, HalfSmash)):
+            n = 1 + _spelled_out(e.left, memo) + _spelled_out(e.right, memo)
+        else:
+            n = 1
+        memo[id(e)] = n
+    return n
+
+
+def _beyond_copies(e) -> bool:
+    """Whether normalize(e) spells out to more than _COPIES_CAP nodes. Such a
+    term is marked, and checked here against the run-based references: its
+    certificates, and its series through two orders."""
+    if _spelled_out(normalize(e), {}) <= _COPIES_CAP:
+        return False
+    event("beyond the copy-by-copy references: run-based references only")
+    _check_cert(e)
+    for n in (3, 12):
+        _check_red(e, n, canonical=False)
+    return True
+
+
 # --- normalize ------------------------------------------------------------
 
 def test_normalize_smash_merges_spheres():
@@ -209,34 +254,41 @@ def test_normalize_idempotent(e):
 @settings(max_examples=300)
 @given(st_term_atoms)
 @example(HalfSmash(Susp(Wedge((Prod((S1, S1)),) * 2)), S1))
+@example(_SPELLED_OUT_DRAW)
 def test_normalize_matches_reference(e):
     """The one-walk normalize agrees with the copy-by-copy reference rewrite."""
-    want = ref.normalize(e)
     got = normalize(e)
+    assert normalize(got) is got
+    if _beyond_copies(e):
+        return
+    want = ref.normalize(e)
     assert got == want
     assert format_sexpr(got) == ref.format_sexpr(want)
-    assert normalize(got) is got
 
 
 @settings(max_examples=300)
 @given(st.one_of(st_term, st_term_atoms))
 @example(Susp(Wedge((Prod((S1, S2)), Loop(S3)))))
+@example(_SPELLED_OUT_DRAW)
 def test_normalize_is_a_fixpoint_of_the_reference_rewrite(e):
     # the one walk leaves nothing for a further copy-by-copy pass to do
     n = normalize(e)
-    assert ref._rw(n) == n
+    if not _beyond_copies(n):
+        assert ref._rw(n) == n
 
 
 @settings(max_examples=300)
 @given(st_term_atoms)
 @example(Smash((atom("B"), Susp(atom("A")))))
 @example(Smash((atom("A"), Join(atom("B"), atom("A")))))
+@example(_SPELLED_OUT_DRAW)
 def test_desuspend_keeps_canonical_terms_canonical(e):
     c = normalize(e)
     d = desuspend(c)
     assume(d is not None)
     assert normalize(d) is d
-    assert ref._rw(d) == d
+    if not _beyond_copies(d):
+        assert ref._rw(d) == d
 
 
 @settings(max_examples=300)
@@ -660,13 +712,17 @@ def _check_smash_by_a_wedge_factor(s, ceiling=10):
 @example(Loop(Smash((Wedge((S1, S2)), Loop(S3)))))
 @example(parse_sexpr("(smash (wedge (sphere 1) (sphere 1)) (prod (sphere 1) (sphere 1) (sphere 1)))"))
 def test_cert_matches_both_reference_certificates(e):
-    # one walk gives the reference's B wherever it has one, and certifies e
-    # wherever the reference's A does, with least dimension B - 1. It also
-    # certifies a smash whose factors all have B through any one wedge
-    # factor, which A misses unless some factor desuspends: each such smash
-    # in e has the sphere counts of that rule, and only through one does
-    # the walk differ from the reference, by certifying more (a loop on
-    # such a smash gains a B)
+    _check_cert(e)
+
+
+def _check_cert(e):
+    """One walk gives the reference's B wherever it has one, and certifies e
+    wherever the reference's A does, with least dimension B - 1. It also
+    certifies a smash whose factors all have B through any one wedge
+    factor, which A misses unless some factor desuspends: each such smash
+    in e has the sphere counts of that rule, and only through one does
+    the walk differ from the reference, by certifying more (a loop on
+    such a smash gains a B)."""
     c = normalize(e)
     b, wedge = spacealg._cert(c)
     want_b, a = ref.susp_wedge_min_dim(c), ref.wedge_of_spheres_min_dim(c)
@@ -882,11 +938,15 @@ def _series_or_refusal(red, e, n):
 @example(Loop(Sphere(4)), 0, True)
 @example(Susp(Loop(Wedge((Sphere(3), Sphere(4))))), 0, True)
 def test_red_agrees_with_the_padded_reference(e, n, canonical):
-    # the package reads the normal form and the reference the term as drawn:
-    # the trimmed coefficients pad to the reference's wherever it has them,
-    # the package refuses only where the reference refuses too, and on
-    # certified terms the series is whole exactly when the structural top
-    # dimension is at most n
+    _check_red(e, n, canonical)
+
+
+def _check_red(e, n, canonical):
+    """The package reads the normal form and the reference the term as drawn
+    (or its normal form, with canonical): the trimmed coefficients pad to
+    the reference's wherever it has them, the package refuses only where
+    the reference refuses too, and on certified terms the series is whole
+    exactly when the structural top dimension is at most n."""
     if canonical:
         e = normalize(e)
     c = normalize(e)
@@ -945,7 +1005,7 @@ def _reference_or_none(fn, *args):
 
 
 def _check_sphere_multiset_against_reference(e, ceiling):
-    want = _reference_or_none(ref.sphere_multiset_of, e, ceiling)
+    want = None if _beyond_copies(e) else _reference_or_none(ref.sphere_multiset_of, e, ceiling)
     if want is None:
         # the series answers only what the certificate covers
         try:
@@ -961,12 +1021,14 @@ def _check_sphere_multiset_against_reference(e, ceiling):
 
 @settings(max_examples=200)
 @given(st_term, st.sampled_from([3, 6, 12]))
+@example(_SPELLED_OUT_DRAW, 12)
 def test_sphere_multiset_matches_reference(e, ceiling):
     _check_sphere_multiset_against_reference(e, ceiling)
 
 
 @settings(max_examples=200)
 @given(st_term_atoms, st.sampled_from([3, 6, 12]))
+@example(_SPELLED_OUT_DRAW, 12)
 def test_sphere_multiset_matches_reference_atoms(e, ceiling):
     _check_sphere_multiset_against_reference(e, ceiling)
 
@@ -1011,8 +1073,9 @@ def test_james_split_needs_only_a_certified_suspension():
 
 @settings(max_examples=200)
 @given(st_term_atoms, st.sampled_from([3, 6, 12]))
+@example(_SPELLED_OUT_DRAW, 12)
 def test_james_split_matches_reference(x, cutoff):
-    want = _reference_or_none(ref.james_split, x, cutoff)
+    want = None if _beyond_copies(x) else _reference_or_none(ref.james_split, x, cutoff)
     if want is None:
         try:
             james_split(x, cutoff)
