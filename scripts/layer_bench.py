@@ -50,6 +50,11 @@ text = "(wedge " + " ".join(parts) + ")"
 
 _CONE_C17 = "K = from_facets(18, [f + (17,) for f in cycle_graph(17).facets()])"
 
+# the flag triangulation of the 4 x 5 grid, vertex i*5 + j: a complex with
+# triangles that is not a join
+_GRID_4X5 = """K = from_facets(20, [f for i in range(3) for j in range(4) for f in (
+    (i * 5 + j, i * 5 + j + 5, i * 5 + j + 6), (i * 5 + j, i * 5 + j + 1, i * 5 + j + 6))])"""
+
 # name -> (setup, timed expression, digest of `result`) for a library row, whose
 # digest's repr is hashed, or the command of a command row
 ROWS = {
@@ -59,6 +64,9 @@ ROWS = {
         "from polyloop import planar_book\nK = planar_book(20, 4)", "K.is_flag()", "result"),
     "homology.hochster_cone_c17": (
         "from polyloop import cycle_graph, from_facets, hochster_zk_betti\n" + _CONE_C17,
+        "hochster_zk_betti(K)", "result.ranks"),
+    "homology.hochster_grid_4x5": (
+        "from polyloop import from_facets, hochster_zk_betti\n" + _GRID_4X5,
         "hochster_zk_betti(K)", "result.ranks"),
     "homology.hochster_path_40": (
         "from polyloop import hochster_zk_betti, path_graph\nK = path_graph(40)",

@@ -19,9 +19,11 @@ smart constructors, applying these homotopy-valid rules to canonical parts:
 One structural certificate drives everything quantitative. _cert(e) walks
 e once and proves two facts together: B, the least sphere dimension of
 Susp(e) when Susp(e) is certified a wedge of spheres (inf for the point), and
-whether e itself is certified, with least sphere dimension B - 1. B covers
-loops via the James splitting Susp(Loop(W)) = wedge of Susp(smash powers of
-the desuspension of W), valid when W is a certified wedge with B(W) >= 3.
+whether e itself is certified, with least sphere dimension B - 1. Where B is
+given it also states the top degree of e's reduced homology, inf through a
+loop. B covers loops via the James splitting Susp(Loop(W)) = wedge of
+Susp(smash powers of the desuspension of W), valid when W is a certified
+wedge with B(W) >= 3.
 A smash of factors that all have B is certified when one factor W is: W ^ Y
 is the wedge over the spheres S^d of W of Susp^(d-1)(Susp Y).
 
@@ -32,13 +34,12 @@ contractible child: the point is never a child of a canonical term.
 
 Poincare series are computed exactly and structurally: a Loop factor inverts
 1 - red(W)(t)/t, with the inner reduced series computed at one extra degree of
-precision per nesting level. A series stops at its last nonzero coefficient
-and says whether it is whole, zero above the order asked, so a polynomial
-costs its degree. Sphere reports are read off the series, after
-certification: a certified wedge of spheres has free homology, so its
-sphere counts are its reduced series' coefficients, cut off by the ceiling
-unless whole.
-The James splitting is the sphere report of Susp(Loop(Susp(x))).
+precision per nesting level. A series stops at its last nonzero coefficient,
+so a polynomial costs its degree. The certificate gives a wedge's least and
+top spheres, and the series gives the counts: a certified wedge of spheres
+has free homology, so its sphere counts are its reduced series'
+coefficients. A report is cut off exactly when its top sphere is above the
+ceiling. The James splitting is the sphere report of Susp(Loop(Susp(x))).
 
 Wedge, Prod and Smash store their children as runs: maximal (child, count)
 pairs of consecutive equal children, in order. The decompositions are wedges
@@ -409,34 +410,42 @@ def normalize(e: SpaceExpr) -> SpaceExpr:
 
 
 def _cert(e: SpaceExpr):
-    """(B, wedge) for a canonical e: B is the least sphere dimension of
+    """(B, wedge, top) for a canonical e: B is the least sphere dimension of
     Susp(e) when it is certified a wedge of spheres (inf only for the point),
-    else None; wedge says e itself is certified, least dimension B - 1. Each
-    rule states e and Susp(e) together; products certify through the
-    suspension splitting over nonempty subsets of the factors, and a smash
-    with B on every factor through any one wedge factor W, as W ^ Y is the
-    wedge over the spheres S^d of W of Susp^(d-1)(Susp Y). No term is built."""
+    else None; wedge says e itself is certified, least dimension B - 1; and
+    where B is given, top is the top degree of e's reduced homology (inf
+    through a loop). Each rule states e and Susp(e) together; products
+    certify through the suspension splitting over nonempty subsets of the
+    factors, and a smash with B on every factor through any one wedge factor
+    W, as W ^ Y is the wedge over the spheres S^d of W of Susp^(d-1)(Susp Y).
+    No term is built."""
     if isinstance(e, Point):
-        return INF, True
+        return INF, True, 0
     if isinstance(e, Sphere):
-        return e.d + 1, True
+        return e.d + 1, True, e.d
     if isinstance(e, (Wedge, Prod, Smash)):
         runs = [(*_cert(a), c) for a, c in e.runs]
-        if any(b is None for b, _, _ in runs):
-            return None, False
+        if any(b is None for b, _, _, _ in runs):
+            return None, False, None
+        bs, ws, ts, cs = zip(*runs)
+        if isinstance(e, Wedge):
+            return min(bs), all(ws), max(ts)
+        top = sum(t * c for t, c in zip(ts, cs))
         if isinstance(e, Smash):
-            return 1 + sum((b - 1) * c for b, _, c in runs), any(w for _, w, _ in runs)
-        return min(b for b, _, _ in runs), isinstance(e, Wedge) and all(w for _, w, _ in runs)
+            return 1 + sum((b - 1) * c for b, c in zip(bs, cs)), any(ws), top
+        return min(bs), False, top
     if isinstance(e, Susp):
-        b, _ = _cert(e.arg)
-        return (None, False) if b is None else (b + 1, True)
+        b, _, t = _cert(e.arg)
+        return (None, False, None) if b is None else (b + 1, True, t + 1)
     if isinstance(e, Loop):
-        b, wedge = _cert(e.arg)
-        return (b - 1 if wedge and b >= 3 else None), False
+        b, wedge, _ = _cert(e.arg)
+        return (b - 1 if wedge and b >= 3 else None), False, INF
     if isinstance(e, HalfSmash):
-        (bl, wl), (br, _) = _cert(e.left), _cert(e.right)
-        return (None, False) if bl is None or br is None else (min(bl, bl + br - 1), wl)
-    return None, False
+        (bl, wl, tl), (br, _, tr) = _cert(e.left), _cert(e.right)
+        if bl is None or br is None:
+            return None, False, None
+        return min(bl, bl + br - 1), wl, tl + tr
+    return None, False, None
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -449,15 +458,12 @@ def _add(a: list[int], b: list[int], c: int = 1) -> list[int]:
     return _trim([x + c * y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
-def _times(factors, n: int) -> tuple[list[int], bool]:
-    """The product through degree n of (coeffs, whole, count) factors, and
-    whether it is whole: all factors are and sum count * degree <= n, or one
-    is wholly zero. One whole factor gives its truncation at n."""
-    out, whole, top, zero = [1], True, 0, False
-    for r, w, c in factors:
+def _times(factors, n: int) -> list[int]:
+    """The product through degree n of (coeffs, count) factors, trimmed."""
+    out = [1]
+    for r, c in factors:
         out = _mul(out, _pow(r, c, n), n)
-        whole, top, zero = whole and w, top + c * (len(r) - 1), zero or (w and not r)
-    return _trim(out), zero or (whole and top <= n)
+    return _trim(out)
 
 
 def _poly_of(pairs: tuple[tuple[int, int], ...]) -> list[int]:
@@ -467,52 +473,43 @@ def _poly_of(pairs: tuple[tuple[int, int], ...]) -> list[int]:
     return _trim(out)
 
 
-def _red(e: SpaceExpr, n: int) -> tuple[list[int], bool]:
+def _red(e: SpaceExpr, n: int) -> list[int]:
     """Reduced Poincare series of a canonical e through degree n, exact and
-    without trailing zeros, and whether it is whole: zero above degree n."""
+    without trailing zeros."""
     if isinstance(e, Point):
-        return [], True
+        return []
     if isinstance(e, Sphere):
-        return ([], False) if e.d > n else ([0] * e.d + [1], True)
+        return [] if e.d > n else [0] * e.d + [1]
     if isinstance(e, Atom):
         if e.reduced is None:
             raise SeriesDomainError(f"atom '{e.name}' has no declared homology")
-        return _times([(_poly_of(e.reduced), True, 1)], n)
+        return _times([(_poly_of(e.reduced), 1)], n)
     if isinstance(e, Wedge):
-        out, whole = [], True
+        out = []
         for a, c in e.runs:
-            r, w = _red(a, n)
-            out, whole = _add(out, r, c), whole and w
-        return out, whole
+            out = _add(out, _red(a, n), c)
+        return out
     if isinstance(e, Prod):
-        parts = [(_red(a, n), c) for a, c in e.runs]
-        out, whole = _times([(_add([1], r), w, c) for (r, w), c in parts], n)
-        return _add(out, [-1]), whole
+        return _add(_times([(_add([1], _red(a, n)), c) for a, c in e.runs], n), [-1])
     if isinstance(e, Smash):
-        return _times([(*_red(a, n), c) for a, c in e.runs], n)
+        return _times([(_red(a, n), c) for a, c in e.runs], n)
     if isinstance(e, Susp):
-        return _times([([0, 1], True, 1), (*_red(e.arg, n), 1)], n)
+        return _times([([0, 1], 1), (_red(e.arg, n), 1)], n)
     if isinstance(e, HalfSmash):
         if _cert(e.left)[0] is None:
             raise SeriesDomainError("half-smash series needs a suspension on the left")
-        (ra, wa), (rb, wb) = _red(e.left, n), _red(e.right, n)
-        return _times([(ra, wa, 1), (_add([1], rb), wb, 1)], n)
-    if isinstance(e, Loop):
-        w = e.arg
-        if isinstance(w, Atom) and w.loop_reduced is not None:
-            return _times([(_poly_of(w.loop_reduced), True, 1)], n)
-        b, wedge = _cert(w)
-        if not wedge or b < 3:
-            raise SeriesDomainError(
-                "loop series requires a simply connected wedge of spheres "
-                "(or a product of such loops, or an atom with declared loop homology)"
-            )
-        rw, _ = _red(w, n + 1)
-        if any(rw[:2]):
-            raise SeriesDomainError("certified loop target has unexpected low-degree homology")
-        full = _invert([1] + [-c for c in rw[2:]], n)
-        return _add(full, [-1]), False  # W is not the point: never a polynomial
-    raise SeriesDomainError(f"no series rule for {type(e).__name__}")
+        return _times([(_red(e.left, n), 1), (_add([1], _red(e.right, n)), 1)], n)
+    w = e.arg  # e is a Loop, the one kind left
+    if isinstance(w, Atom) and w.loop_reduced is not None:
+        return _times([(_poly_of(w.loop_reduced), 1)], n)
+    b, wedge, _ = _cert(w)
+    if not wedge or b < 3:
+        raise SeriesDomainError(
+            "loop series requires a simply connected wedge of spheres "
+            "(or a product of such loops, or an atom with declared loop homology)"
+        )
+    # W has no homology below degree 2, as its least sphere is S^(B-1)
+    return _add(_invert([1] + [-c for c in _red(w, n + 1)[2:]], n), [-1])
 
 
 def poincare_series(e: SpaceExpr, n: int) -> TruncSeries:
@@ -523,34 +520,26 @@ def poincare_series(e: SpaceExpr, n: int) -> TruncSeries:
     That has one cost: the normal form of the suspension of a product of k
     distinct factors has 2^k - 1 summands, so such a raw term costs what
     sphere_multiset_of pays for it. TruncSeries.of pads the trimmed
-    coefficients to order n."""
+    coefficients to order n; no rule puts reduced homology in degree 0."""
     if n < 0:
         raise InvalidParameters("truncation order must be nonnegative")
-    red, _ = _red(normalize(e), n)
-    if red and red[0]:
-        raise SeriesDomainError("expression has reduced homology in degree 0")
-    return TruncSeries.of([1] + red[1:], n)
-
-
-def _sphere_counts(e: SpaceExpr, max_dim: int) -> tuple[dict[int, int], bool]:
-    """Sphere counts through max_dim of a canonical certified wedge of
-    spheres, read off its reduced Poincare series, and whether the ceiling
-    cut any off (the series is not whole through max_dim). A huge ceiling
-    costs nothing."""
-    if not _cert(e)[1]:
-        raise CeilingExceededError(f"{type(e).__name__} term not certified a wedge of spheres")
-    red, whole = _red(e, max_dim)
-    return {d: c for d, c in enumerate(red) if c}, not whole
+    return TruncSeries.of([1] + _red(normalize(e), n)[1:], n)
 
 
 def sphere_multiset_of(e: SpaceExpr, max_dim: int) -> SphereMultiset:
-    """The spheres of normalize(e) through max_dim; infinite families are
-    truncated and flagged. Raises CeilingExceededError unless the normalized
-    term is certified a wedge of spheres."""
+    """The spheres of normalize(e) through max_dim, truncated exactly when
+    its top sphere is above max_dim. A huge ceiling costs a finite wedge
+    nothing, but a wedge with a loop is expanded through max_dim. Raises
+    CeilingExceededError unless the normalized term is certified a wedge of
+    spheres."""
     if max_dim < 1:
         raise InvalidParameters("sphere ceiling must be at least 1")
-    counts, truncated = _sphere_counts(normalize(e), max_dim)
-    return SphereMultiset(counts, max_dim, truncated)
+    c = normalize(e)
+    _, wedge, top = _cert(c)
+    if not wedge:
+        raise CeilingExceededError(f"{type(c).__name__} term not certified a wedge of spheres")
+    counts = {d: k for d, k in enumerate(_red(c, max_dim)) if k}
+    return SphereMultiset(counts, max_dim, top > max_dim)
 
 
 def james_split(x: SpaceExpr, cutoff: int) -> SpaceExpr:
@@ -558,7 +547,7 @@ def james_split(x: SpaceExpr, cutoff: int) -> SpaceExpr:
     `cutoff`, for x whose suspension is certified a wedge of spheres."""
     if cutoff < 1:
         raise InvalidParameters("cutoff must be at least 1")
-    counts, _ = _sphere_counts(normalize(Susp(Loop(Susp(x)))), cutoff)
+    counts = sphere_multiset_of(Susp(Loop(Susp(x))), cutoff).counts
     return _nary(Wedge, [(Sphere(d), c) for d, c in counts.items()])
 
 

@@ -39,19 +39,19 @@ The command line only ever wrote s-expressions, so the mirror moved here,
 where round-trip tests still check that it carries the same tree.
 
 _red, _poly_of and _top_dim at the end are the series walk as it was before
-_red came to say itself whether its coefficients are the whole series: _red
-pads every list to length n + 1 (its Wedge rule zips them), and _top_dim is
-the second, structural walk that read the top degree of the series off the
-terms for the sphere reports. _mul and _pow before them are the padded
+_red came to stop at its last nonzero coefficient: _red pads every list to
+length n + 1 (its Wedge rule zips them), and _top_dim is the second,
+structural walk that read the top degree of the series off the terms for the
+sphere reports, a degree the package's certificate now states. _mul and _pow before them are the padded
 products of polyloop.series they were written against, kept with them.
 _tally, wedge_of_spheres_min_dim and susp_wedge_min_dim before _red are the
 package's as they were while its series and certificates still took raw
 terms, with a rule of their own for Join, Cone, Loop(Point), Loop(Prod) and
 contractible children; the package's now take only normal forms. So this
 _red reads raw terms, and tests check that the package's _red on the normal
-form gives the same coefficients wherever this one gives any, refuses only
-where this one refuses too, and has a wholeness flag that agrees with
-_top_dim.
+form gives the same coefficients wherever this one gives any and refuses
+only where this one refuses too, and that the certificate's top degree
+agrees with _top_dim.
 """
 
 import itertools

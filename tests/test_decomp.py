@@ -2,6 +2,7 @@
 
 import pytest
 
+import spacealg_reference as ref
 from series_reference import invert
 
 from polyloop import decomp
@@ -257,6 +258,31 @@ def test_no_sphere_report_refuses_at_the_ceilings_verify_used():
         spheres = dj_book_decompose(l, 2, n=1, max_dim=3).spheres
         assert min(spheres["ZPl"].counts) == 3
         assert min(spheres["fibre"].counts) == 2
+
+
+def test_a_report_is_cut_off_exactly_when_its_top_sphere_is_above_the_ceiling():
+    # truncated, as decompose prints it, against the top degree read off the
+    # report's wedge: a path's report is cut off exactly below S^(l+1), and a
+    # book's page fibre report with l >= 3 always, as its wedge holds a loop
+    spines = [(l, None) for l in range(1, 15)] + [(l, p) for l in range(2, 7) for p in range(2, 5)]
+    loops = {"ZPl": "loop-path-fibre", "fibre": "loop-page-fibre-wedge"}
+    seen = 0
+    for l, p in spines:
+        for d in range(2, l + 4):
+            try:
+                r = path_decompose(l, 1, d) if p is None else dj_book_decompose(l, p, 1, d)
+            except CeilingExceededError:
+                continue
+            factors = dict(r.factors)
+            for key, ms in r.spheres.items():
+                f = factors[loops[key]]  # Loop(w), or the point for w the point
+                w = f.arg if isinstance(f, Loop) else f
+                assert ms.truncated == (ref._top_dim(w) > d), (l, p, d, key)
+                seen += 1
+            assert r.spheres["ZPl"].truncated == (l >= 2 and l + 1 > d)
+            if p is not None and l >= 3:
+                assert r.spheres["fibre"].truncated
+    assert seen > 200
 
 
 def test_book_decompose_symbolic():
