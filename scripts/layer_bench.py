@@ -60,6 +60,8 @@ _GRID_4X5 = """K = from_facets(20, [f for i in range(3) for j in range(4) for f 
 ROWS = {
     "complexes.planar_book_20_4": (
         "from polyloop import planar_book", "planar_book(20, 4)", "sorted(result.faces)"),
+    "complexes.book_graph_18_40_50": (
+        "from polyloop import book_graph", "book_graph(18, 40, 50)", "sorted(result.faces)"),
     "complexes.is_flag_planar_book_20_4": (
         "from polyloop import planar_book\nK = planar_book(20, 4)", "K.is_flag()", "result"),
     "homology.hochster_cone_c17": (
@@ -108,6 +110,7 @@ ROWS = {
     "cli.decompose_planar_book_3_2_max_dim_1000": "decompose planar-book 3 2 --max-dim 1000",
     "cli.verify_all_path_40": "verify all path 40",
     "cli.decompose_planar_book_7_3_text": "decompose planar-book 7 3 --format text",
+    "cli.build_book_18_40_50": "build book 18 40 50",
 }
 
 # the first words of a command row: the CLI's subcommands, and perfbench's api jobs

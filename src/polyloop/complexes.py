@@ -7,11 +7,11 @@ meaningful (a ghost changes polyhedral-product invariants), so m is carried
 explicitly rather than inferred.
 
 Besides the basic graph families, the module implements an iterated gluing
-construction: n copies of a base complex K are chained along isomorphic full
-subcomplexes L1, L2 of K, copy j+1 attached to copy j by an automorphism psi
-carrying L1 to L2. Book graphs arise this way from a cycle glued along a path
-through the cycle, and the planar book family gives an independent labelling
-of the triangle-free members used by the series oracles.
+construction: n copies of a base complex K chained along isomorphic full
+subcomplexes L1, L2 of K by an automorphism psi carrying L1 to L2, with one
+label list rewritten per copy. Book graphs arise this way from a cycle glued
+along a path through the cycle, and the planar book family gives an
+independent labelling of the triangle-free members used by the series oracles.
 """
 
 from __future__ import annotations
@@ -179,7 +179,9 @@ def from_json_obj(obj: dict) -> SimplicialComplex:
 def glue_from_json_obj(obj: dict) -> SimplicialComplex:
     """The complex glued by a JSON glue spec: a complex object under "base",
     label lists "sub_a", "sub_b", the int "copies", and optionally "psi"
-    (default the identity) and the list "phi" (see GluingSpec)."""
+    (default the identity) and "phi", one bijection of the base ground set per
+    copy beyond the first. phi is checked, then dropped: relabelling a copy's
+    vertices and its identification alike leaves the glued complex unchanged."""
     if not isinstance(obj, dict):
         raise InvalidParameters("glue spec must be a JSON object")
     try:
@@ -195,8 +197,13 @@ def glue_from_json_obj(obj: dict) -> SimplicialComplex:
     phi = obj.get("phi", [])
     if not isinstance(phi, list):
         raise InvalidParameters("phi must be a list of relabellings")
-    phi = tuple(json_labels(p, "each phi entry") for p in phi)
-    return glue(GluingSpec(base, sub_a, sub_b, psi, copies, phi))
+    phi = [json_labels(p, "each phi entry") for p in phi]
+    spec = GluingSpec(base, sub_a, sub_b, psi, copies)
+    if phi and len(phi) != copies - 1:
+        raise InvalidParameters("phi must list one relabelling per copy beyond the first")
+    if any(sorted(p) != list(range(base.ground_size)) for p in phi):
+        raise InvalidParameters("each phi entry must be a bijection of the ground set")
+    return glue(spec)
 
 
 def json_labels(v, what: str) -> tuple[int, ...]:
@@ -238,14 +245,13 @@ def simplex(k: int) -> SimplicialComplex:
 class GluingSpec:
     """Data for chaining `copies` copies of `base` along L1 = full(sub_a) and
     L2 = full(sub_b), where psi is an automorphism of `base` swapping the two
-    subsets. phi[j] relabels copy j+2 internally (identity when omitted)."""
+    subsets: glue identifies psi(v) in each next copy with v, for v in sub_b."""
 
     base: SimplicialComplex
     sub_a: tuple[int, ...]
     sub_b: tuple[int, ...]
     psi: tuple[int, ...]
     copies: int
-    phi: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
         m = self.base.ground_size
@@ -265,43 +271,22 @@ class GluingSpec:
             raise InvalidParameters("psi does not carry sub_a onto sub_b")
         if tuple(sorted(self.psi[v] for v in self.sub_b)) != self.sub_a:
             raise InvalidParameters("psi does not carry sub_b onto sub_a")
-        if not self.phi:
-            ident = tuple(range(m))
-            object.__setattr__(self, "phi", tuple(ident for _ in range(self.copies - 1)))
-        else:
-            object.__setattr__(self, "phi", tuple(tuple(p) for p in self.phi))
-        if len(self.phi) != self.copies - 1:
-            raise InvalidParameters("phi must list one relabelling per copy beyond the first")
-        for p in self.phi:
-            if sorted(p) != list(range(m)):
-                raise InvalidParameters("each phi entry must be a bijection of the ground set")
 
 
 def glue(spec: GluingSpec) -> SimplicialComplex:
-    """Chain the copies. Copy 1 keeps the base labels. Copy c is attached to
-    copy c-1 by identifying, for each v in sub_b, the copy-(c-1) vertex at
-    phi_{c-1}(v) with the copy-c vertex at phi_c(psi(v)). Unidentified
-    vertices of copy c receive fresh labels in ascending order of their base
-    preimage."""
+    """Chain the copies with one label list: label[v] is the glued label of
+    base vertex v in the copy last attached, the identity for copy 1. Copy c
+    gives its vertex psi(v) the label copy c-1 gave v, for each v in sub_b,
+    and its other vertices fresh labels in ascending base order."""
     m = spec.base.ground_size
-    phis = (tuple(range(m)),) + spec.phi
-    label: dict[tuple[int, int], int] = {(1, v): v for v in range(m)}
-    next_label = m
+    label = list(range(m))
+    fresh = itertools.count(m)
     faces: set[Face] = set(spec.base.faces)
-    for c in range(2, spec.copies + 1):
-        prev_phi, cur_phi = phis[c - 2], phis[c - 1]
-        shared = {}
-        for v in spec.sub_b:
-            shared[cur_phi[spec.psi[v]]] = label[(c - 1, prev_phi[v])]
-        inv_cur = {cur_phi[v]: v for v in range(m)}
-        for w in sorted(set(range(m)) - set(shared), key=lambda w: inv_cur[w]):
-            shared[w] = next_label
-            next_label += 1
-        for w, lab in shared.items():
-            label[(c, w)] = lab
-        for f in spec.base.faces:
-            faces.add(tuple(sorted(label[(c, cur_phi[v])] for v in f)))
-    return SimplicialComplex(next_label, frozenset(faces))
+    for _ in range(spec.copies - 1):
+        shared = {spec.psi[v]: label[v] for v in spec.sub_b}
+        label = [shared[v] if v in shared else next(fresh) for v in range(m)]
+        faces.update(tuple(sorted(label[v] for v in f)) for f in spec.base.faces)
+    return SimplicialComplex(next(fresh), frozenset(faces))
 
 
 def book_graph(n: int, l: int, p: int) -> SimplicialComplex:

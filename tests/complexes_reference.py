@@ -9,9 +9,13 @@ facets, is_flag and is_chordal are the package's earlier bodies of the
 SimplicialComplex methods of those names (a quadratic subset scan, clique
 growing, and maximum cardinality search), kept unchanged with self renamed K
 as differential references for tests/test_complexes.py.
+
+glue is the package's earlier body of complexes.glue, kept unchanged except
+that the per-copy relabellings phi (phi[j] relabels copy j+2, a bijection of
+the base ground set) are its own argument, no longer a GluingSpec field.
 """
 
-from polyloop.complexes import SimplicialComplex
+from polyloop.complexes import Face, GluingSpec, SimplicialComplex
 
 
 def _vertex_signature(K: SimplicialComplex, v: int) -> tuple:
@@ -122,3 +126,30 @@ def is_chordal(K: SimplicialComplex) -> bool:
             if u in weight:
                 weight[u] += 1
     return True
+
+
+def glue(spec: GluingSpec, phi: tuple[tuple[int, ...], ...]) -> SimplicialComplex:
+    """Chain the copies. Copy 1 keeps the base labels. Copy c is attached to
+    copy c-1 by identifying, for each v in sub_b, the copy-(c-1) vertex at
+    phi_{c-1}(v) with the copy-c vertex at phi_c(psi(v)). Unidentified
+    vertices of copy c receive fresh labels in ascending order of their base
+    preimage."""
+    m = spec.base.ground_size
+    phis = (tuple(range(m)),) + phi
+    label: dict[tuple[int, int], int] = {(1, v): v for v in range(m)}
+    next_label = m
+    faces: set[Face] = set(spec.base.faces)
+    for c in range(2, spec.copies + 1):
+        prev_phi, cur_phi = phis[c - 2], phis[c - 1]
+        shared = {}
+        for v in spec.sub_b:
+            shared[cur_phi[spec.psi[v]]] = label[(c - 1, prev_phi[v])]
+        inv_cur = {cur_phi[v]: v for v in range(m)}
+        for w in sorted(set(range(m)) - set(shared), key=lambda w: inv_cur[w]):
+            shared[w] = next_label
+            next_label += 1
+        for w, lab in shared.items():
+            label[(c, w)] = lab
+        for f in spec.base.faces:
+            faces.add(tuple(sorted(label[(c, cur_phi[v])] for v in f)))
+    return SimplicialComplex(next_label, frozenset(faces))

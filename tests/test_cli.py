@@ -163,6 +163,8 @@ def test_unloadable_family_file_is_refused(tmp_path, capsys, family, content, me
     {"sub_a": 0},
     {"phi": [5]},
     {"phi": 5},
+    {"phi": [[0, 1], [1, 0]]},
+    {"phi": [[0, 0]]},
 ])
 def test_malformed_glue_spec_is_refused(tmp_path, capsys, change):
     spec = {
@@ -176,6 +178,20 @@ def test_malformed_glue_spec_is_refused(tmp_path, capsys, change):
     path.write_text(json.dumps({**spec, **change}))
     code, out, err = _run(capsys, "build", "glue-spec-file", str(path))
     assert code == 2 and out == "" and "Traceback" not in err
+
+
+def test_glue_spec_phi_leaves_the_glued_complex_unchanged(tmp_path, capsys):
+    # a relabelling of a copy moves its faces and its identification alike
+    spec = {"base": {"m": 4, "facets": [[0, 1], [1, 2], [2, 3], [0, 3]]},
+            "sub_a": [0, 1], "sub_b": [0, 1], "copies": 3}
+    outs = []
+    for extra in ({}, {"phi": [[2, 0, 3, 1], [1, 3, 0, 2]]}):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**spec, **extra}))
+        code, out, _ = _run(capsys, "build", "glue-spec-file", str(path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] and json.loads(outs[0])["m"] == 8
 
 
 def test_out_writes_atomically(tmp_path, capsys):

@@ -15,6 +15,7 @@ from polyloop.complexes import (
     from_facets,
     from_json_obj,
     glue,
+    glue_from_json_obj,
     path_graph,
     planar_book,
     simplex,
@@ -290,6 +291,68 @@ def test_glue_validation():
     with pytest.raises(InvalidParameters, match="sub_b onto sub_a"):
         # a 3-cycle of the triangle carries 0 to 1 but 1 to 2, not back to 0
         GluingSpec(cycle_graph(3), (0,), (1,), (1, 2, 0), copies=2)
+
+
+# bases of the glue sweep: cycles, paths, and three complexes with triangles:
+# the boundary of the tetrahedron, two disjoint triangles, and a triangle with
+# a pendant edge and a ghost vertex
+_GLUE_BASES = (
+    [cycle_graph(l) for l in range(3, 8)]
+    + [path_graph(l) for l in range(1, 6)]
+    + [from_facets(4, itertools.combinations(range(4), 3)),
+       from_facets(6, [(0, 1, 2), (3, 4, 5)]), from_facets(5, [(0, 1, 2), (2, 3)])]
+)
+
+
+def _glue_specs(K):
+    """Every spec on K: each automorphism psi, each nonempty sub_a that psi
+    squared fixes (so sub_b = psi(sub_a) is carried back onto it), copies 2, 3
+    and 5."""
+    m = K.ground_size
+    for psi in itertools.permutations(range(m)):
+        if K.relabel(psi).faces != K.faces:
+            continue
+        for k in range(1, m + 1):
+            for sub_a in itertools.combinations(range(m), k):
+                sub_b = tuple(sorted(psi[v] for v in sub_a))
+                if tuple(sorted(psi[v] for v in sub_b)) == sub_a:
+                    for copies in (2, 3, 5):
+                        yield GluingSpec(K, sub_a, sub_b, psi, copies)
+
+
+def test_glue_equals_the_reference_under_any_relabelling_of_the_copies():
+    # the earlier glue relabelled copy j+2 by phi[j] in its faces and in its
+    # identification alike, so no phi changes the glued complex
+    rng = random.Random(29)
+
+    def random_phi(spec):
+        perms = [list(range(spec.base.ground_size)) for _ in range(spec.copies - 1)]
+        for p in perms:
+            rng.shuffle(p)
+        return tuple(map(tuple, perms))
+
+    specs = [spec for K in _GLUE_BASES for spec in _glue_specs(K)]
+    assert len(specs) == 12_870
+    for spec in specs:
+        assert reference.glue(spec, random_phi(spec)) == glue(spec)
+    for l in range(3, 10):
+        cyc = cycle_graph(l)
+        for n in range(1, min(5, l - 2) + 1):
+            for p in range(2, 6):
+                spec = GluingSpec(cyc, tuple(range(n + 1)), tuple(range(n + 1)), range(l), p)
+                assert reference.glue(spec, random_phi(spec)) == book_graph(n, l, p)
+
+
+@pytest.mark.parametrize("phi, message", [
+    ([[0, 1]], "one relabelling per copy beyond the first"),
+    ([[0, 1], [1, 1]], "each phi entry must be a bijection of the ground set"),
+])
+def test_glue_spec_json_refuses_a_malformed_phi(phi, message):
+    # phi never changes the glued complex, but a JSON spec is still checked
+    spec = {"base": {"m": 2, "facets": [[0, 1]]}, "sub_a": [0], "sub_b": [1], "psi": [1, 0],
+            "copies": 3, "phi": phi}
+    with pytest.raises(InvalidParameters, match=message):
+        glue_from_json_obj(spec)
 
 
 def test_book_graph_shapes():
