@@ -82,6 +82,10 @@ ROWS = {
     "spacealg.parse_readback_porter_15": (
         "from polyloop import format_sexpr, parse_sexpr\n" + _READBACK,
         "parse_sexpr(text)", "format_sexpr(result)"),
+    "spacealg.parse_nested_planar_book_7_3": (
+        "from polyloop import dj_book_decompose, format_sexpr, parse_sexpr\n"
+        "text = '(prod ' + ' '.join(format_sexpr(e) for _, e in dj_book_decompose(7, 3).factors)"
+        " + ')'", "parse_sexpr(text)", "format_sexpr(result)"),
     "spacealg.normalize_readback_porter_15": (
         "from polyloop import format_sexpr, normalize, parse_sexpr\n" + _READBACK
         + "e = parse_sexpr(text)", "normalize(e)", "format_sexpr(result)"),

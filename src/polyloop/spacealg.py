@@ -49,10 +49,12 @@ spells the runs out.
 
 String form is an s-expression, for example (wedge (sphere 3) (loop (sphere
 2))). Both directions cost per run, not per copy. sexpr_pieces writes a run
-as its child's text repeated in bounded batches. parse_sexpr merges runs as
-it reads: the sphere leaves of one read are shared, one object per
-dimension, so a leaf joins the run before it by identity, and only other
-neighbours are compared with ==.
+as its child's text repeated in bounded batches. parse_sexpr reads every
+token in one loop, with the open forms on a stack, so its depth is not
+bounded by the recursion limit (normalize, format_sexpr and == still are).
+It merges runs as it reads: the sphere leaves of one read are shared, one
+object per dimension, so a leaf joins the run before it by identity, and
+only other neighbours are compared with ==.
 """
 
 from __future__ import annotations
@@ -719,81 +721,67 @@ def sexpr_pieces(e: SpaceExpr, escape=str):
 def parse_sexpr(text: str) -> SpaceExpr:
     """The term an s-expression spells, with its runs merged as it is read.
 
-    Tokens are matched lazily, so a long text is never held as a token list,
-    and a sphere leaf as format_sexpr spells it is one token. Every sphere
-    of one read is one shared object per dimension, so two different sphere
-    objects are never equal: a child joins the run before it by identity,
-    and only other neighbours, such as two (loop (sphere 2)), are compared
-    with ==. A Wedge, Prod or Smash is built from those runs as they stand,
-    so a summand repeated a million times costs one run, not a list of its
-    copies that a second pass merges."""
+    One loop reads the tokens, matched lazily, so a long text is never held
+    as a token list, and a sphere leaf as format_sexpr spells it is one
+    token. The forms still open wait on a stack, so depth is not bounded by
+    the recursion limit, and the whole text is the one child of a root form
+    with no head, read by the same branches as every other child. Every
+    sphere of one read is one shared object per dimension, so a child joins
+    the run before it by identity, and only other neighbours, such as two
+    (loop (sphere 2)), are compared with ==. A summand repeated a million
+    times costs one run, not a list of its copies that a second pass merges."""
     matches = _TOKEN.finditer(text)
     # keyed by its spelling, and by str(d) for a leaf spelled otherwise
     spheres: dict[str, Sphere] = {}
-
-    def parse(m: re.Match) -> SpaceExpr:
+    # the open form's head, literals, closed runs and open run; the forms around it
+    head, literals, runs, last, count = None, [], [], None, 0
+    stack = []
+    for m in matches:
+        if head is None and count:
+            raise InvalidParameters("trailing tokens after expression")
         d = m[1]
         if d:
-            return spheres.get(d) or spheres.setdefault(d, Sphere(int(d)))
-        tok = m[0]
-        if tok == "point":
-            return POINT
-        if tok != "(":
+            a = spheres.get(d) or spheres.setdefault(d, Sphere(int(d)))
+        elif (tok := m[0]) == "point":
+            a = POINT
+        elif tok == "(":
+            h = next(matches, None)
+            # a leaf in head place reads as the '(' it starts with
+            h = h and ("(" if h[1] else h[0])
+            if h not in _NODE_NAMES:
+                raise InvalidParameters(
+                    f"unknown constructor {h!r}" if h else "unexpected end of expression"
+                )
+            stack.append((head, literals, runs, last, count))
+            head, literals, runs, last, count = h, [], [], None, 0
+            continue
+        elif head is None:
             raise InvalidParameters(f"unexpected token {tok!r}")
-        h = next(matches, None)
-        # a leaf in head place reads as the '(' it starts with
-        head = h and ("(" if h[1] else h[0])
-        if head not in _NODE_NAMES:
-            raise InvalidParameters(
-                f"unknown constructor {head!r}" if head else "unexpected end of expression"
-            )
-        runs: list[tuple[SpaceExpr, int]] = []
-        literals: list = []
-        last, count = None, 0  # the open run
-        for m in matches:
-            d = m[1]
-            if d:
-                a = spheres.get(d) or spheres.setdefault(d, Sphere(int(d)))
-                if a is last:
-                    count += 1
-                    continue
-            else:
-                tok = m[0]
-                if tok == ")":
-                    break
-                if tok == "(" or tok == "point":
-                    a = parse(m)
-                    if a is last or (type(a) is not Sphere and a == last):
-                        count += 1
-                        continue
-                elif tok == '"':
-                    raise InvalidParameters("unterminated quoted name")
-                elif tok.startswith('"'):
-                    literals.append(tok[1:-1])
-                    continue
-                else:
-                    try:
-                        literals.append(int(tok))
-                    except ValueError as exc:
-                        raise InvalidParameters(f"bad literal {tok!r}") from exc
-                    continue
+        elif tok == ")":
+            if count:
+                runs.append((last, count))
+            a = _build(head, literals, runs)
+            a = spheres.setdefault(str(a.d), a) if isinstance(a, Sphere) else a
+            head, literals, runs, last, count = stack.pop()
+        elif tok == '"':
+            raise InvalidParameters("unterminated quoted name")
+        else:
+            try:
+                literals.append(tok[1:-1] if tok[0] == '"' else int(tok))
+            except ValueError as exc:
+                raise InvalidParameters(f"bad literal {tok!r}") from exc
+            continue
+        if a is last or (type(a) is not Sphere and a == last):
+            count += 1
+        else:
             if count:
                 runs.append((last, count))
             last, count = a, 1
-        else:
-            raise InvalidParameters("missing closing parenthesis")
-        if count:
-            runs.append((last, count))
-        node = _build(head, literals, runs)
-        return spheres.setdefault(str(node.d), node) if isinstance(node, Sphere) else node
-
-    first = next(matches, None)
-    if first is None:
+    if stack:
+        raise InvalidParameters("missing closing parenthesis")
+    if not count:
         raise InvalidParameters("empty expression")
-    expr = parse(first)
-    if next(matches, None) is not None:
-        raise InvalidParameters("trailing tokens after expression")
-    return expr
+    return last
 
 
 def _build(head: str, literals: list, runs: list) -> SpaceExpr:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polyloop import homology, series
+from polyloop import decomp, homology, series, spacealg
 from polyloop.complexes import (
     SimplicialComplex,
     book_graph,
@@ -424,6 +424,24 @@ def test_oracles_import_nothing_from_the_symbolic_layer(module):
             imported.update(alias.name.split(".")[-1] for alias in node.names)
     # nor a worker pool: the Hochster sum runs in one process
     assert not imported & {"spacealg", "decomp", "multiprocessing"}
+
+
+@pytest.mark.parametrize("module", [spacealg, decomp])
+def test_the_symbolic_layer_shares_only_the_series_kernels_with_the_oracles(module):
+    # what it takes from series is under the Koszul oracle too, so a fault
+    # there would reach both sides of verify koszul alike
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    names = {}  # the last part of each imported module -> the names taken from it
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").split(".")[-1]
+            names.setdefault(source, set()).update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                names.setdefault(alias.name.split(".")[-1], set()).add("*")
+    assert names.get("series", set()) <= {"TruncSeries", "_invert", "_mul", "_pow"}
+    assert "homology" not in names
+    assert not names.get("", set()) & {"series", "homology"}
 
 
 @st.composite

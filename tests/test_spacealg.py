@@ -612,10 +612,24 @@ def test_parse_matches_the_reference_reader(e):
         "(smash (wedge (sphere 2) (sphere 3)) (wedge (sphere 2) (sphere 3)) (sphere 2))",
         "(wedge (wedge) (wedge) point point (point) (sphere 2) (sphere 2))",
         "(wedge (susp (loop (sphere 2))) (susp (loop (sphere 2))) (susp (loop (sphere 3))))",
+        # a token after a whole term, or a literal where the term should be
+        "point point", "point )", "3 (sphere 2)", '"x"', "(sphere 2) (",
+        "(wedge (sphere 2) (sphere 2)) x",
     ],
 )
 def test_parse_of_odd_texts_matches_the_reference_reader(text):
     assert _read(parse_sexpr, text) == _read(ref.parse_sexpr, text)
+
+
+def test_parse_reads_a_term_deeper_than_the_recursion_limit():
+    n = 3000
+    e = parse_sexpr("(susp " * n + "(sphere 2)" + ")" * n)
+    # walked with a loop: == and normalize still recurse
+    depth = 0
+    while isinstance(e, Susp):
+        e, depth = e.arg, depth + 1
+    assert depth == n
+    assert e == Sphere(2)
 
 
 def test_normalize_of_a_shuffled_read_back_wedge_allocates_per_object():
