@@ -55,6 +55,13 @@ _CONE_C17 = "K = from_facets(18, [f + (17,) for f in cycle_graph(17).facets()])"
 _GRID_4X5 = """K = from_facets(20, [f for i in range(3) for j in range(4) for f in (
     (i * 5 + j, i * 5 + j + 5, i * 5 + j + 6), (i * 5 + j, i * 5 + j + 1, i * 5 + j + 6))])"""
 
+# the tower e_0 = S^3, e_(k+1) = Loop(Prod((Susp(Susp(e_k)), S^3))) at k = 10: its
+# normal form shares subterms that the series walks once per parent
+_TOWER_10 = """from polyloop import Loop, Prod, Sphere, Susp, poincare_series
+e = Sphere(3)
+for _ in range(10):
+    e = Loop(Prod((Susp(Susp(e)), Sphere(3))))"""
+
 # name -> (setup, timed expression, digest of `result`) for a library row, whose
 # digest's repr is hashed, or the command of a command row
 ROWS = {
@@ -95,6 +102,7 @@ ROWS = {
     "spacealg.hilton_milnor_40_14": (
         "from polyloop import hilton_milnor, poincare_series, porter_wedge\nW = porter_wedge(40)",
         "hilton_milnor(W, 14)", "poincare_series(result, 13).coeffs"),
+    "spacealg.series_tower_10": (_TOWER_10, "poincare_series(e, 12)", "result.coeffs"),
     "decomp.dj_book_series_10_2": (
         "from polyloop import dj_book_decompose", "dj_book_decompose(10, 2, n=1024).series",
         "result.coeffs"),
@@ -115,6 +123,7 @@ ROWS = {
     "cli.verify_all_path_40": "verify all path 40",
     "cli.decompose_planar_book_7_3_text": "decompose planar-book 7 3 --format text",
     "cli.build_book_18_40_50": "build book 18 40 50",
+    "cli.decompose_book_1_3_2": "decompose book 1 3 2",
 }
 
 # the first words of a command row: the CLI's subcommands, and perfbench's api jobs

@@ -1,36 +1,23 @@
 """Loop space decompositions of polyhedral products over graph families.
 
-A decomposition is produced by chaining a small set of splitting steps, each
-recorded in the result's provenance tuple:
+A decomposition is a chain of splitting steps, one function each. A step
+states its splitting and returns what it built with the names of the steps
+it ran, and a result's provenance lists those names in the order they ran:
 
-  cone-fibration-splitting   Over a complex K on m vertices, the based loops
-                             on the polyhedral product (X, *)^K split as
-                             (prod of m copies of Loop X) x Loop of the
-                             fibre polyhedral product (Cone Loop X, Loop X)^K.
-  path-to-points-reduction   Over a path with l edges, that fibre product is
-                             homotopy equivalent to the one over l disjoint
-                             points.
-  porter-fibre               Over l disjoint points the fibre of the wedge
-                             into the product is Porter's wedge: for each
-                             2 <= k <= l and each k-subset, k-1 copies of the
-                             (k-fold smash of Loop X) suspended once.
-  fold-splitting             Loops on an n-fold wedge of a space Y with a
-                             fibre F for Y -> X split as Loop X x Loop of the
-                             (n-1)-fold wedge of Susp F.
-  polyhedral-fold-splitting  The same splitting for an iterated gluing of n
-                             copies of a complex along a common subcomplex.
-  endpoint-join-reduction    For a length-2 path glued at its endpoints the
-                             page fibre is Loop X itself (the fibre of the
-                             wedge into the join-like product).
-  inclusion-fibre-halfsmash  For longer paths the page fibre is a product of
-                             loops with the loops on a half-smash C x| Loop
-                             of a join, C as below.
-  suspension-splitting       Susp(A x B) = Susp A or Susp B or Susp(A ^ B),
-                             iterated over product factors.
-  james-splitting            Susp Loop Susp Y = wedge of suspended smash
-                             powers of Y.
-  halfsmash-splitting        C x| B = C or (C' ^ Susp B) when C = Susp C'.
-  book-sphere-decomposition  Final assembly for the planar book family.
+  cone-fibration-splitting   _cone_step
+  path-to-points-reduction   _points_step
+  porter-fibre               _points_step, through porter_wedge
+  fold-splitting             _fold_step, for fold_decompose
+  polyhedral-fold-splitting  _fold_step, for gluings of copies of a complex
+  endpoint-join-reduction    _endpoint_step, for pages of length 2
+  inclusion-fibre-halfsmash  _endpoint_step, for pages of length l >= 3
+  book-sphere-decomposition  _book_step, the final assembly of a planar book
+
+For l >= 3, _endpoint_step also names three rules of spacealg: normalize
+applies halfsmash-splitting (the HalfSmash rule of _norm_node) to the fibre
+and suspension-splitting (_susp of a product) to the fold's suspension of it,
+and the series and spheres of the fold's wedge apply james-splitting (the
+Loop rule of _cert).
 
 Everything below is exact: series come from the structural engine in
 spacealg, sphere reports carry explicit truncation flags, and each public
@@ -116,20 +103,23 @@ def _result(
     return DecompResult(family, params, total, factors, spheres, series, provenance)
 
 
-def _fold(
-    family: str,
-    params: dict[str, int],
-    base: SpaceExpr,
-    fibre: SpaceExpr,
-    copies: int,
-    name: str,
-    provenance: str = "polyhedral-fold-splitting",
-) -> DecompResult:
-    """The fold splitting of a space built from copies pieces: the base
-    factor, times loops on a (copies-1)-fold wedge of the suspended fibre."""
+def _cone_step(m: int, loop_x: SpaceExpr, zk: SpaceExpr):
+    """Over a complex K on m vertices, loops on (X, *)^K split as m copies of
+    loop_x = Loop X times the loops on the fibre product zk = (Cone Loop X,
+    Loop X)^K. Returns the two factors and the step's name."""
+    if m < 1:
+        raise InvalidParameters("need at least one vertex")
+    vertex = normalize(Prod.of_runs([(loop_x, m)]))
+    return vertex, normalize(Loop(zk)), ("cone-fibration-splitting",)
+
+
+def _fold_step(fibre: SpaceExpr, copies: int, step: str = "polyhedral-fold-splitting"):
+    """Loops on a wedge of copies spaces Y with fibre F for Y -> X, or on
+    the polyhedral product over copies complexes glued along a common
+    subcomplex, split as Loop X times loops on the (copies-1)-fold wedge of
+    Susp F. Returns that last factor, its wedge and the step's name."""
     fw = normalize(Wedge.of_runs([(Susp(fibre), copies - 1)]))
-    factors = (("loop-base", normalize(base)), (name, normalize(Loop(fw))))
-    return _result(family, params, factors, (provenance,))
+    return normalize(Loop(fw)), fw, (step,)
 
 
 def porter_wedge(l: int, circles: bool = True) -> SpaceExpr:
@@ -162,52 +152,48 @@ def _smash_power(k: int, circles: bool) -> SpaceExpr:
     return Susp(Smash.of_runs([(_vertex_loop(circles), k)]))
 
 
+def _points_step(l: int, circles: bool = True):
+    """Over a path with l edges, _cone_step's fibre product is that over l
+    disjoint points, Porter's wedge. Returns it and the two steps' names."""
+    if l < 1:
+        raise InvalidParameters("path length must be at least 1")
+    return porter_wedge(l, circles=circles), ("path-to-points-reduction", "porter-fibre")
+
+
 def path_fibre_reduce(l: int, circles: bool = True) -> SpaceExpr:
     """Fibre polyhedral product over a path with l edges, reduced to the
     disjoint-points case and expanded by Porter's wedge. l = 1 gives a point."""
-    if l < 1:
-        raise InvalidParameters("path length must be at least 1")
-    return porter_wedge(l, circles=circles)
+    return _points_step(l, circles)[0]
 
 
-def cone_loop_split(
-    m: int, x: SpaceExpr, zk: SpaceExpr, n: int = 16
-) -> DecompResult:
+def cone_loop_split(m: int, x: SpaceExpr, zk: SpaceExpr, n: int = 16) -> DecompResult:
     """Split loops on a polyhedral product over an m-vertex complex into m
     copies of Loop(x) times the loops on the given fibre product zk."""
-    if m < 1:
-        raise InvalidParameters("need at least one vertex")
-    factors = (
-        ("vertex-loops", normalize(Prod.of_runs([(Loop(x), m)]))),
-        ("loop-fibre-product", normalize(Loop(zk))),
-    )
-    return _result("cone-loop", {"m": m, "N": n}, factors, ("cone-fibration-splitting",))
+    vertex, fibre, steps = _cone_step(m, Loop(x), zk)
+    factors = (("vertex-loops", vertex), ("loop-fibre-product", fibre))
+    return _result("cone-loop", {"m": m, "N": n}, factors, steps)
 
 
 def fold_decompose(n_summands: int, x: SpaceExpr, fibre: SpaceExpr, n: int = 16) -> DecompResult:
     """Loops on an n-fold wedge of a space with chosen map to x and fibre."""
     if n_summands < 1:
         raise InvalidParameters("need at least one wedge summand")
-    return _fold(
-        "fold", {"n": n_summands, "N": n}, Loop(x), fibre, n_summands, "loop-fibre-wedge",
-        "fold-splitting",
-    )
+    loops, _, steps = _fold_step(fibre, n_summands, "fold-splitting")
+    factors = (("loop-base", normalize(Loop(x))), ("loop-fibre-wedge", loops))
+    return _result("fold", {"n": n_summands, "N": n}, factors, steps)
 
 
 def poly_fold_decompose(
-    spec: GluingSpec,
-    fibre_g: SpaceExpr,
-    base_loop: SpaceExpr | None = None,
-    n: int = 16,
+    spec: GluingSpec, fibre_g: SpaceExpr, base_loop: SpaceExpr | None = None, n: int = 16
 ) -> DecompResult:
     """Loops on the polyhedral product over an iterated gluing: loops on the
     product over one copy, times loops on a (copies-1)-fold wedge of the
     suspended gluing fibre. The base factor stays opaque unless the caller
     passes its own expression for it."""
     base = base_loop if base_loop is not None else Loop(atom("base-product"))
-    return _fold(
-        "glued", {"copies": spec.copies, "N": n}, base, fibre_g, spec.copies, "loop-fibre-wedge"
-    )
+    loops, _, steps = _fold_step(fibre_g, spec.copies)
+    factors = (("loop-base", normalize(base)), ("loop-fibre-wedge", loops))
+    return _result("glued", {"copies": spec.copies, "N": n}, factors, steps)
 
 
 def book_C(l: int, circles: bool = True) -> SpaceExpr:
@@ -230,20 +216,34 @@ def book_C(l: int, circles: bool = True) -> SpaceExpr:
     return normalize(Wedge.of_runs(parts + [(tail, 1)]))
 
 
-def endpoint_fibre(l: int, circles: bool = True) -> SpaceExpr:
-    """Fibre of the inclusion of one page into the polyhedral product over a
-    book whose pages are paths of length l glued along both endpoints.
-
-    l = 2 reduces to a single loop factor; for l >= 3 the fibre is a product
-    of l-1 loop factors with the loops on a half-smash of book_C(l) and the
-    loops on the join of two vertex loop spaces."""
+def _endpoint_step(l: int, circles: bool = True):
+    """endpoint_fibre(l, circles) and the names of the branch that built it."""
     if l < 2:
         raise InvalidParameters("page paths must have length at least 2")
     loop_x = _vertex_loop(circles)
     if l == 2:
-        return normalize(loop_x)
+        return normalize(loop_x), ("endpoint-join-reduction",)
     tail = Loop(HalfSmash(book_C(l, circles=circles), Loop(Join(loop_x, loop_x))))
-    return normalize(Prod.of_runs([(loop_x, l - 1), (tail, 1)]))
+    return normalize(Prod.of_runs([(loop_x, l - 1), (tail, 1)])), (
+        "inclusion-fibre-halfsmash", "suspension-splitting", "james-splitting",
+        "halfsmash-splitting")
+
+
+def endpoint_fibre(l: int, circles: bool = True) -> SpaceExpr:
+    """Fibre of the inclusion of one page into the polyhedral product over a
+    book whose pages are paths of length l glued along both endpoints: for
+    l = 2 it is Loop X, the fibre of the wedge into the join-like product;
+    for l >= 3 a product of l-1 loop factors with the loops on a half-smash
+    of book_C(l) and the loops on the join of two vertex loop spaces."""
+    return _endpoint_step(l, circles)[0]
+
+
+def _book_step(l: int, p: int):
+    """The page factor of the planar book (l, p), from the fold splitting of
+    its p+1 pages over the endpoint fibre, its wedge and the steps' names."""
+    fibre, page = _endpoint_step(l)
+    loops, fw, fold = _fold_step(fibre, p + 1)
+    return loops, fw, fold + page + ("book-sphere-decomposition",)
 
 
 def _visible_spheres(e: SpaceExpr, max_dim: int, name: str) -> SphereMultiset:
@@ -258,30 +258,27 @@ def _visible_spheres(e: SpaceExpr, max_dim: int, name: str) -> SphereMultiset:
 
 def _spine(l: int, p: int | None, n: int, max_dim: int | None) -> DecompResult:
     """The decomposition over the path with l edges or, given p, over the
-    planar book (l, p); the two public builders below. Both start with the
-    cone splitting and the path fibre, and a book adds the fold splitting of
-    its page fibre. max_dim=None leaves out the sphere reports, which the
-    Koszul check never reads."""
+    planar book (l, p): the chain of steps behind the two public builders
+    below. max_dim=None leaves out the sphere reports, which the Koszul check
+    never reads."""
     if p is not None and (l < 2 or p < 2):
         raise InvalidParameters("book decomposition needs l >= 2 and p >= 2")
-    # sphere report key -> (factor name, the wedge's name in a refusal, wedge)
-    wedges = {"ZPl": ("loop-path-fibre", "path fibre", path_fibre_reduce(l))}
-    steps = ("cone-fibration-splitting", "path-to-points-reduction", "porter-fibre")
+    zpl, points = _points_step(l)
+    circles, path_loops, steps = _cone_step(l + 1, Sphere(1), zpl)
+    steps += points
+    factors = (("circles", circles), ("loop-path-fibre", path_loops))
+    # sphere report key -> (the wedge's name in a refusal, wedge)
+    wedges = {"ZPl": ("path fibre", zpl)}
     if p is not None:
-        fw = normalize(Wedge.of_runs([(Susp(endpoint_fibre(l)), p)]))
-        wedges["fibre"] = ("loop-page-fibre-wedge", "page fibre wedge", fw)
-        page = ("endpoint-join-reduction",) if l == 2 else (
-            "inclusion-fibre-halfsmash", "suspension-splitting", "james-splitting",
-            "halfsmash-splitting",
-        )
-        steps += ("polyhedral-fold-splitting", *page, "book-sphere-decomposition")
+        page_loops, fw, book = _book_step(l, p)
+        factors += (("loop-page-fibre-wedge", page_loops),)
+        wedges["fibre"] = ("page fibre wedge", fw)
+        steps += book
     spheres = None
     if max_dim is not None:
         if max_dim < 2:
             raise InvalidParameters("sphere ceiling below 2 cannot express anything")
-        spheres = {key: _visible_spheres(w, max_dim, what) for key, (_, what, w) in wedges.items()}
-    factors = (("circles", normalize(Prod.of_runs([(Sphere(1), l + 1)]))),)
-    factors += tuple((name, normalize(Loop(w))) for name, _, w in wedges.values())
+        spheres = {key: _visible_spheres(w, max_dim, what) for key, (what, w) in wedges.items()}
     family, params = ("P_l", {"l": l}) if p is None else ("B(l,2l,p)", {"l": l, "p": p})
     return _result(family, {**params, "N": n, "max_dim": max_dim}, factors, steps, spheres)
 
@@ -309,7 +306,7 @@ def book_decompose_symbolic(n_spine: int, l: int, p: int, n: int = 16) -> Decomp
     that stays opaque. No series or sphere report is available here."""
     if l < 3 or not 1 <= n_spine <= l - 2 or p < 2:
         raise InvalidParameters("book parameters must satisfy l >= 3, 1 <= n <= l-2, p >= 2")
-    return _fold(
-        "B(n,l,p)", {"n": n_spine, "l": l, "p": p, "N": n}, Loop(atom("cycle-product")),
-        atom("page-fibre"), p, "loop-page-fibre-wedge",
-    )
+    base = normalize(Loop(atom("cycle-product")))
+    loops, _, steps = _fold_step(atom("page-fibre"), p)
+    factors = (("loop-base", base), ("loop-page-fibre-wedge", loops))
+    return _result("B(n,l,p)", {"n": n_spine, "l": l, "p": p, "N": n}, factors, steps)

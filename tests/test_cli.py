@@ -65,6 +65,14 @@ def test_output_is_byte_identical(capsys):
          "65f6cbea1417b5f8917e0d9c61007f952add85306c9c4f2d3ac30e63fde060f2"),
         (("decompose", "planar-book", "3", "2", "--max-dim", "200"),
          "e7a9bbdd2c0b7d7f7112eed8d38252e5abac361e828bd83ba86a90f6e5fa3caf"),
+        # the endpoint fibre's l = 2 branch, the symbolic book, and the path
+        # whose fibre is the point
+        (("decompose", "planar-book", "2", "2"),
+         "0e9d5ae4ffe199d04babe598a46a2b1d2ebcc5b3af0c634624d8097d85fc37c6"),
+        (("decompose", "book", "1", "3", "2"),
+         "91ae53e000199e11f50430c23f92ba7e6f7bf4672b0a6a805e1403c3647ca73f"),
+        (("decompose", "path", "1"),
+         "8fcce7ec8cbfa3438556dfe4ab8e78a8c91fb882563135e8b4e5a1e2ed0de449"),
     ],
 )
 def test_decompose_stdout_is_pinned(capsys, argv, digest):

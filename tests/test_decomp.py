@@ -1,11 +1,13 @@
 """Decomposition pipelines against the two independent oracles."""
 
+import hashlib
+
 import pytest
 
 import spacealg_reference as ref
 from series_reference import invert
 
-from polyloop import decomp
+from polyloop import decomp, spacealg
 from polyloop.complexes import (
     GluingSpec,
     cycle_graph,
@@ -324,3 +326,62 @@ def test_decomp_result_json_shape():
     assert obj["series"] == {"N": 4, "coeffs": [1, 3, 4, 4, 4]}
     assert all(set(f) == {"name", "term"} for f in obj["factors"])
     assert obj["provenance"][0] == "cone-fibration-splitting"
+
+
+def test_repr_of_every_path_and_planar_book_result_is_pinned():
+    # sha256 of the results' reprs as first recorded: a refactor of the
+    # pipelines may not change a factor, a report, a series or the provenance
+    results = [path_decompose(l) for l in range(1, 15)]
+    results += [dj_book_decompose(l, p) for l in range(2, 9) for p in (2, 3, 5)]
+    digest = hashlib.sha256()
+    for r in results:
+        digest.update(repr(r).encode())
+    assert digest.hexdigest() == "03df3468407d52adc17951932a706238b9f6c238b7169e9d4f4dd433c417cb57"
+
+
+# the step function of decomp that returns each provenance name of a path or
+# planar book; porter-fibre stands for porter_wedge, and the rest for rules
+_STEP_OF = {
+    "cone-fibration-splitting": "_cone_step",
+    "path-to-points-reduction": "_points_step",
+    "polyhedral-fold-splitting": "_fold_step",
+    "endpoint-join-reduction": "_endpoint_step",
+    "inclusion-fibre-halfsmash": "_endpoint_step",
+    "book-sphere-decomposition": "_book_step",
+}
+# each rule of spacealg that provenance names: the function that applies it,
+# and whether a call with this argument and this result applied it
+_RULES = {
+    "suspension-splitting": ("_susp", lambda e, out: isinstance(e, Prod)),
+    "halfsmash-splitting": (
+        "_norm_node", lambda e, out: isinstance(e, HalfSmash) and not isinstance(out, HalfSmash)),
+    "james-splitting": ("_cert", lambda e, out: isinstance(e, Loop) and out[0] is not None),
+}
+
+
+def _spy(monkeypatch, module, name, seen):
+    """Wrap module.name so that seen(first argument, result) runs after each call."""
+    real = getattr(module, name)
+
+    def call(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen(args[0], out)
+        return out
+
+    monkeypatch.setattr(module, name, call)
+
+
+@pytest.mark.parametrize(
+    "l, p", [(l, None) for l in range(1, 15)] + [(l, p) for l in range(2, 9) for p in (2, 3)])
+def test_provenance_lists_exactly_the_code_that_ran(monkeypatch, l, p):
+    ran = set()
+    for step in set(_STEP_OF.values()):
+        _spy(monkeypatch, decomp, step, lambda _, out, step=step: ran.update(
+            name for name in out[-1] if _STEP_OF.get(name) == step))
+    _spy(monkeypatch, decomp, "porter_wedge", lambda *_: ran.add("porter-fibre"))
+    for rule, (name, applied) in _RULES.items():
+        _spy(monkeypatch, spacealg, name, lambda e, out, rule=rule, applied=applied: (
+            applied(e, out) and ran.add(rule)))
+    r = path_decompose(l) if p is None else dj_book_decompose(l, p)
+    assert len(set(r.provenance)) == len(r.provenance)
+    assert set(r.provenance) == ran
