@@ -83,6 +83,9 @@ ROWS = {
     "homology.hochster_planar_book_6_3": (
         "from polyloop import hochster_zk_betti, planar_book\nK = planar_book(6, 3)",
         "hochster_zk_betti(K, ceiling=22)", "result.ranks"),
+    "series.hilbert_planar_book_10_2": (
+        "from polyloop import hilbert_sr, planar_book\nK = planar_book(10, 2)",
+        "hilbert_sr(K, 1024)", "result.coeffs"),
     "series.koszul_planar_book_10_2": (
         "from polyloop import koszul_loop_series, planar_book\nK = planar_book(10, 2)",
         "koszul_loop_series(K, 1024)", "result.coeffs"),

@@ -1,13 +1,14 @@
 """Exact truncated integer power series, and the two series oracles.
 
 All coefficients are Python ints; there is no floating point anywhere in the
-package. Inversion requires a unit constant term, which keeps every operation
-closed over the integers. Both oracles start from one numerator: the
-Stanley-Reisner Hilbert series of K is H(t) = P(t)/(1-t)^d, with d = dim K + 1
-and P a polynomial of degree at most d read off the f-vector. hilbert_sr
-expands P/(1-t)^d. koszul_loop_series expands 1/H(-t) = (1+t)^d/P(-t), which
-for a flag complex is the Poincare series of the loop space of the associated
-Davis-Januszkiewicz space. Each inverts a polynomial of degree d to order n:
+package. Both oracles start from one numerator, P with H(t) = P(t)/(1-t)^d for
+the Stanley-Reisner Hilbert series H of K and d = dim K + 1. They compute three
+closed forms with this module's own arithmetic, none shared with the symbolic
+layer: P(t) = sum_s f_s t^s (1-t)^(d-s), by the Horner step
+p <- p (1-t) + f_s t^s; hilbert_sr, P/(1-t)^d, as P followed by d running sums;
+and koszul_loop_series, 1/H(-t) = (1+t)^d/P(-t), by one recurrence for the
+quotient by P(-t), as P(0) = 1. For a flag complex that is the Poincare series
+of the loop space of its Davis-Januszkiewicz space. Each oracle takes
 O(n * dim K) steps.
 """
 
@@ -17,42 +18,6 @@ from __future__ import annotations
 # imported: spacealg imports this module, and a symbolic job builds no complex.
 from .errors import GhostVertexError, InvalidParameters, NotFlagComplexError
 from .records import record
-
-
-def _mul(a: list[int], b: list[int], n: int) -> list[int]:
-    """a * b through degree n, min(n, len(a) + len(b) - 2) + 1 coefficients."""
-    out = [0] * (min(n, len(a) + len(b) - 2) + 1)
-    for i, ai in enumerate(a[: n + 1]):
-        if ai == 0:
-            continue
-        for j in range(min(len(b), n + 1 - i)):
-            out[i + j] += ai * b[j]
-    return out
-
-
-def _invert(a: list[int], n: int) -> list[int]:
-    if a[0] not in (1, -1):
-        raise InvalidParameters("inversion needs constant term +1 or -1")
-    inv0 = a[0]
-    out = [inv0] + [0] * n
-    for k in range(1, n + 1):
-        acc = 0
-        for j in range(1, min(k, len(a) - 1) + 1):
-            acc += a[j] * out[k - j]
-        out[k] = -inv0 * acc
-    return out
-
-
-def _pow(base: list[int], k: int, n: int) -> list[int]:
-    """base**k through degree n by binary exponentiation."""
-    out = [1]
-    while k:
-        if k & 1:
-            out = _mul(out, base, n)
-        k >>= 1
-        if k:
-            base = _mul(base, base, n)
-    return out
 
 
 @record
@@ -90,27 +55,27 @@ class TruncSeries:
 
 
 def _hilbert_numerator(K: SimplicialComplex) -> tuple[list[int], int]:
-    """P and d with H(t) = P(t)/(1-t)^d, H the Stanley-Reisner Hilbert series.
-
-    H is the sum over faces of (t/(1-t))^|face|. With f the face counts by size
-    and d = len(f) - 1 = dim K + 1, P(t) = sum_s f[s] t^s (1-t)^(d-s), a
-    polynomial of degree at most d with P(0) = 1."""
+    """P and d with H(t) = P(t)/(1-t)^d, H the Stanley-Reisner Hilbert series:
+    the sum over faces of (t/(1-t))^|face|. With f the face counts by size,
+    d = len(f) - 1, P has degree at most d and P(0) = f[0] = 1, the empty face."""
     if note := K.ghost_note():
         raise GhostVertexError(f"{note} have no generator degree")
     f = K.f_vector()
-    d = len(f) - 1
-    p = [0] * (d + 1)
+    p = []
     for s, cnt in enumerate(f):
-        for j, b in enumerate(_pow([1, -1], d - s, d - s)):
-            p[s + j] += cnt * b
-    return p, d
+        p = [a - b for a, b in zip(p + [0], [0] + p)]  # times 1 - t
+        p[s] += cnt
+    return p, len(f) - 1
 
 
 def hilbert_sr(K: SimplicialComplex, n: int) -> TruncSeries:
-    """Stanley-Reisner Hilbert series P(t) (1-t)^(-d) to order n, in
-    O(n * dim K) steps."""
+    """Stanley-Reisner Hilbert series P(t) (1-t)^(-d) to order n."""
     p, d = _hilbert_numerator(K)
-    return TruncSeries.of(_mul(p, _invert(_pow([1, -1], d, d), n), n), n)
+    h = (p + [0] * n)[: n + 1]
+    for _ in range(d):
+        for k in range(1, n + 1):
+            h[k] += h[k - 1]
+    return TruncSeries.of(h, n)
 
 
 def koszul_loop_series(K: SimplicialComplex, n: int) -> TruncSeries:
@@ -118,14 +83,20 @@ def koszul_loop_series(K: SimplicialComplex, n: int) -> TruncSeries:
 
     Only valid for flag complexes, where loop-space homology of the associated
     polyhedral product of infinite projective spaces is the Koszul dual of the
-    Stanley-Reisner ring. Flagness is re-checked on every call. With
-    H(t) = P(t)/(1-t)^d, 1 / H(-t) = (1+t)^d P(-t)^(-1), which takes
-    O(n * dim K) steps.
-    """
+    Stanley-Reisner ring. Flagness is re-checked on every call."""
     require_flag(K)
     p, d = _hilbert_numerator(K)
-    p_neg = [c if k % 2 == 0 else -c for k, c in enumerate(p)]
-    return TruncSeries.of(_mul(_pow([1, 1], d, d), _invert(p_neg, n), n), n)
+    r = [c if j % 2 else -c for j, c in enumerate(p)]  # 1 - P(-t), read from degree 1
+    q = [1]
+    for _ in range(d):
+        q = [a + b for a, b in zip(q + [0], [0] + q)]  # times 1 + t
+    q = (q + [0] * n)[: n + 1]
+    for k in range(1, n + 1):  # q = (1+t)^d + (1 - P(-t)) q, degree by degree
+        acc = q[k]
+        for j in range(1, min(k, d) + 1):
+            acc += r[j] * q[k - j]
+        q[k] = acc
+    return TruncSeries.of(q, n)
 
 
 def require_flag(K: SimplicialComplex) -> None:

@@ -32,14 +32,16 @@ sphere_multiset_of and james_split normalize first. So each rule above is
 stated once, in normalize, and no walk meets a Join, a Cone or a
 contractible child: the point is never a child of a canonical term.
 
-Poincare series are computed exactly and structurally: a Loop factor inverts
-1 - red(W)(t)/t, with the inner reduced series computed at one extra degree of
-precision per nesting level. A series stops at its last nonzero coefficient,
-so a polynomial costs its degree. The certificate gives a wedge's least and
-top spheres, and the series gives the counts: a certified wedge of spheres
-has free homology, so its sphere counts are its reduced series'
-coefficients. A report is cut off exactly when its top sphere is above the
-ceiling. The James splitting is the sphere report of Susp(Loop(Susp(x))).
+Poincare series are computed exactly and structurally, by the series kernels
+this module owns (_mul, _invert, _times), which the oracles in series.py do
+not share: a Loop factor inverts 1 - red(W)(t)/t, with the inner reduced
+series computed at one extra degree of precision per nesting level. A series
+stops at its last nonzero coefficient, so a polynomial costs its degree. The
+certificate gives a wedge's least and top spheres, and the series gives the
+counts: a certified wedge of spheres has free homology, so its sphere counts
+are its reduced series' coefficients. A report is cut off exactly when its top
+sphere is above the ceiling. The James splitting is the sphere report of
+Susp(Loop(Susp(x))).
 
 Wedge, Prod and Smash store their children as runs: maximal (child, count)
 pairs of consecutive equal children, in order. The decompositions are wedges
@@ -65,7 +67,7 @@ import re
 
 from .errors import CeilingExceededError, InvalidParameters, SeriesDomainError
 from .records import record
-from .series import TruncSeries, _invert, _mul, _pow
+from .series import TruncSeries
 from .spheres import SphereMultiset
 
 INF = math.inf
@@ -460,11 +462,38 @@ def _add(a: list[int], b: list[int], c: int = 1) -> list[int]:
     return _trim([x + c * y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
+def _mul(a: list[int], b: list[int], n: int) -> list[int]:
+    """a * b through degree n, min(n, len(a) + len(b) - 2) + 1 coefficients."""
+    out = [0] * (min(n, len(a) + len(b) - 2) + 1)
+    for i, ai in enumerate(a[: n + 1]):
+        if ai == 0:
+            continue
+        for j in range(min(len(b), n + 1 - i)):
+            out[i + j] += ai * b[j]
+    return out
+
+
+def _invert(a: list[int], n: int) -> list[int]:
+    """1 / a through degree n, n + 1 coefficients, for a with a[0] == 1."""
+    out = [1] + [0] * n
+    for k in range(1, n + 1):
+        acc = 0
+        for j in range(1, min(k, len(a) - 1) + 1):
+            acc += a[j] * out[k - j]
+        out[k] = -acc
+    return out
+
+
 def _times(factors, n: int) -> list[int]:
     """The product through degree n of (coeffs, count) factors, trimmed."""
     out = [1]
     for r, c in factors:
-        out = _mul(out, _pow(r, c, n), n)
+        while c:
+            if c & 1:
+                out = _mul(out, r, n)
+            c >>= 1
+            if c:
+                r = _mul(r, r, n)
     return _trim(out)
 
 

@@ -10,9 +10,11 @@ arithmetic TruncSeries carried as methods before the package stopped using
 it; tests build expected series with them. They are functions here, because a
 subclass of TruncSeries would not compare equal to the package's series.
 
-_binomial builds (1 + c t)^d one factor at a time, as the oracles did
-before they raised [1, c] to the power d with the package's _pow; tests
-check that the two agree.
+_mul and _invert are the list kernels polyloop.series held while the oracles
+computed with them: a truncated product, and an inverse for a constant term
+of +1 or -1 that refuses any other. The package's kernels now live in
+polyloop.spacealg, the engine the oracles check, so this module keeps its
+own copies and imports neither.
 
 hilbert_sr and koszul_loop_series are the dense oracles as they were before
 the package computed them in closed form: hilbert_sr adds up the powers of
@@ -23,11 +25,35 @@ oracles give the same series and the same errors.
 
 from polyloop.complexes import SimplicialComplex
 from polyloop.errors import GhostVertexError, InvalidParameters, PolyloopError
-from polyloop.series import TruncSeries, _invert, _mul, require_flag
+from polyloop.series import TruncSeries, require_flag
 
 
 class NotDivisibleError(PolyloopError, ValueError):
     """A claimed series factor does not divide with nonnegative quotient."""
+
+
+def _mul(a: list[int], b: list[int], n: int) -> list[int]:
+    """a * b through degree n, min(n, len(a) + len(b) - 2) + 1 coefficients."""
+    out = [0] * (min(n, len(a) + len(b) - 2) + 1)
+    for i, ai in enumerate(a[: n + 1]):
+        if ai == 0:
+            continue
+        for j in range(min(len(b), n + 1 - i)):
+            out[i + j] += ai * b[j]
+    return out
+
+
+def _invert(a: list[int], n: int) -> list[int]:
+    if a[0] not in (1, -1):
+        raise InvalidParameters("inversion needs constant term +1 or -1")
+    inv0 = a[0]
+    out = [inv0] + [0] * n
+    for k in range(1, n + 1):
+        acc = 0
+        for j in range(1, min(k, len(a) - 1) + 1):
+            acc += a[j] * out[k - j]
+        out[k] = -inv0 * acc
+    return out
 
 
 def _add(a: list[int], b: list[int], n: int) -> list[int]:
@@ -83,14 +109,6 @@ def shift(a: TruncSeries, d: int) -> TruncSeries:
     if d < 0:
         raise InvalidParameters("series shift degree must be nonnegative")
     return TruncSeries.of([0] * min(d, a.n + 1) + list(a.coeffs), a.n)
-
-
-def _binomial(c: int, d: int) -> list[int]:
-    """Coefficients of (1 + c t)^d."""
-    out = [1]
-    for i in range(d):
-        out = _mul(out, [1, c], i + 1)
-    return out
 
 
 def geometric(n: int, ratio_degree: int = 1, ratio: int = 1) -> TruncSeries:

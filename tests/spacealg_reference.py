@@ -42,8 +42,9 @@ _red, _poly_of and _top_dim at the end are the series walk as it was before
 _red came to stop at its last nonzero coefficient: _red pads every list to
 length n + 1 (its Wedge rule zips them), and _top_dim is the second,
 structural walk that read the top degree of the series off the terms for the
-sphere reports, a degree the package's certificate now states. _mul and _pow before them are the padded
-products of polyloop.series they were written against, kept with them.
+sphere reports, a degree the package's certificate now states. _mul, _pow
+and _invert before them are the padded products and the inverse of
+polyloop.series they were written against, kept with them.
 _tally, wedge_of_spheres_min_dim and susp_wedge_min_dim before _red are the
 package's as they were while its series and certificates still took raw
 terms, with a rule of their own for Join, Cone, Loop(Point), Loop(Prod) and
@@ -60,7 +61,6 @@ import re
 from collections import Counter
 
 from polyloop.errors import CeilingExceededError, InvalidParameters, SeriesDomainError
-from polyloop.series import _invert
 from polyloop.spacealg import (
     INF,
     POINT,
@@ -574,6 +574,19 @@ def _pow(base: list[int], k: int, n: int) -> list[int]:
         k >>= 1
         if k:
             base = _mul(base, base, n)
+    return out
+
+
+def _invert(a: list[int], n: int) -> list[int]:
+    if a[0] not in (1, -1):
+        raise InvalidParameters("inversion needs constant term +1 or -1")
+    inv0 = a[0]
+    out = [inv0] + [0] * n
+    for k in range(1, n + 1):
+        acc = 0
+        for j in range(1, min(k, len(a) - 1) + 1):
+            acc += a[j] * out[k - j]
+        out[k] = -inv0 * acc
     return out
 
 

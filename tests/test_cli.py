@@ -12,7 +12,7 @@ import pytest
 
 import cli_reference
 import polyloop
-from polyloop import cli, decomp, homology, series
+from polyloop import cli, decomp, homology, series, spacealg
 from polyloop.complexes import cycle_graph
 from polyloop.series import TruncSeries
 from polyloop.spheres import SphereMultiset
@@ -491,6 +491,26 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
     assert obj["status"] == "fail"
     disc = obj["checks"][0]["first_discrepancy"]
     assert disc["degree"] == 5 and disc["oracle"] == disc["engine"] + 1
+
+
+@pytest.mark.parametrize("kernel", ["_mul", "_invert"])
+def test_a_fault_planted_in_an_engine_kernel_fails_verify_and_spares_the_oracle(
+        capsys, monkeypatch, kernel):
+    # the oracle keeps its own arithmetic, so a faulty engine kernel shows as
+    # a failed check and leaves the oracle's own output as it was
+    unpatched = _run(capsys, "series", "koszul", "path", "6")
+    real = getattr(spacealg, kernel)
+
+    def top_zeroed(*args):
+        out = real(*args)
+        if out:
+            out[-1] = 0
+        return out
+
+    monkeypatch.setattr(spacealg, kernel, top_zeroed)
+    assert _run(capsys, "verify", "koszul", "path", "6")[0] == 1
+    assert _run(capsys, "verify", "koszul", "planar-book", "4", "3")[0] == 1
+    assert _run(capsys, "series", "koszul", "path", "6") == unpatched
 
 
 def test_verify_reports_porter_hochster_mismatch(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Truncated integer power series and the two series oracles."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -148,38 +149,6 @@ def test_invert_roundtrip(coeffs):
     assert prod == one(8)
 
 
-def _schoolbook(a, b):
-    out = [0] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-# integer lists that may be empty or end in zeros
-st_raw_coeffs = st.lists(st.integers(-5, 5), max_size=7)
-
-
-@given(st_raw_coeffs, st_raw_coeffs, st.integers(0, 12))
-def test_mul_keeps_only_the_inputs_length(a, b, n):
-    want = _schoolbook(a, b)[: min(n, len(a) + len(b) - 2) + 1]
-    assert series._mul(a, b, n) == want
-
-
-@given(st_raw_coeffs, st.integers(0, 5), st.integers(0, 12))
-def test_pow_is_the_repeated_product(base, k, n):
-    want = [1]
-    for _ in range(k):
-        want = series._mul(want, base, n)
-    assert series._pow(base, k, n) == want
-
-
-@pytest.mark.parametrize("c", [-1, 1])
-def test_pow_of_a_linear_factor_is_the_binomial(c):
-    for d in range(9):
-        assert series._pow([1, c], d, d) == ref._binomial(c, d)
-
-
 def test_hilbert_path2():
     # two edges on three vertices: 1 + 3s/(1-s) + 2(s/(1-s))^2
     h = hilbert_sr(path_graph(2), 6)
@@ -191,6 +160,21 @@ def test_hilbert_points_and_simplex():
     # the full simplex has face ring a polynomial ring on 3 variables
     full = hilbert_sr(simplex(2), 4)
     assert full.coeffs == (1, 3, 6, 10, 15)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_hilbert_of_a_simplex_counts_monomials(k):
+    # the face ring of the full simplex on k + 1 vertices is a polynomial ring
+    assert hilbert_sr(simplex(k), 40).coeffs == tuple(math.comb(j + k, k) for j in range(41))
+
+
+def test_hilbert_numerator_at_one_counts_the_top_faces():
+    # P(1) = sum_s f_s 1^s 0^(d-s) = f_d, the faces of the top size d
+    for K in [K for K in _FAMILIES if not K.ghosts]:
+        p, d = series._hilbert_numerator(K)
+        f = K.f_vector()
+        assert len(p) == d + 1 == len(f) and p[0] == 1
+        assert sum(p) == f[d], K
 
 
 def test_hilbert_rejects_ghosts():

@@ -882,6 +882,47 @@ def test_series_halfsmash_needs_suspension_left():
     assert ok.coeffs == (1, 0, 2, 2, 1, 1, 0)
 
 
+def _schoolbook(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _trimmed(a):
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+# integer lists that may be empty or end in zeros
+st_raw_coeffs = st.lists(st.integers(-5, 5), max_size=7)
+
+
+@given(st_raw_coeffs, st_raw_coeffs, st.integers(0, 12))
+def test_mul_keeps_only_the_inputs_length(a, b, n):
+    want = _schoolbook(a, b)[: min(n, len(a) + len(b) - 2) + 1]
+    assert spacealg._mul(a, b, n) == want
+
+
+@given(st_raw_coeffs, st.integers(0, 5), st.integers(0, 12))
+def test_pow_is_the_repeated_product(base, k, n):
+    want = [1]
+    for _ in range(k):
+        want = _schoolbook(want, base)
+    assert spacealg._times([(base, k)], n) == _trimmed(want[: n + 1])
+
+
+@given(st.lists(st.integers(-9, 9), max_size=8), st.integers(0, 12))
+def test_invert_of_a_unit_constant_term_is_the_inverse(tail, n):
+    a = [1] + tail
+    inv = spacealg._invert(a, n)
+    assert len(inv) == n + 1
+    assert _schoolbook(a, inv)[: n + 1] == [1] + [0] * n
+
+
 # --- sphere enumeration ---------------------------------------------------
 
 def test_sphere_multiset_wedge():
